@@ -3,9 +3,13 @@ rate-distortion functions on finite alphabets.
 
 Distortion-constrained queries are answered by sweeping the Lagrangian slope:
 the alternating update traces (D(lambda), R(lambda)) points on the curve, and a
-query R(D) is recovered by slope bisection (scalar problems) or by a cached
-two-multiplier sweep plus local refinement (joint problems). Multipliers are in
-bits per distortion unit throughout.
+query R(D) is recovered by a batched slope bracket search (marginal and
+conditional problems) or by a cached two-multiplier sweep plus local
+refinement (joint problems). Every query runs on one batched kernel,
+``_ba_batch``, which takes a source pmf per batch entry: the bracket search
+solves all components w of a conditional problem at several slopes per call,
+warm-started from the previous round. Multipliers are in bits per distortion
+unit throughout.
 """
 
 from __future__ import annotations
@@ -19,6 +23,10 @@ from .prob import LOG2, ConditionalPmf, JointPmf, ProbabilityError, marginalize
 MAX_ITER = 10_000
 RATE_TOL = 1e-10  # nats; certified dual-gap stopping criterion
 SLOPE_CAP = 64.0  # bits per distortion unit
+#: slopes of the scalar search's first round: 1, 2, 4, ..., SLOPE_CAP
+_DOUBLING_SLOPES = 2.0 ** np.arange(int(np.log2(SLOPE_CAP)) + 1)
+#: interior slopes per later round of the scalar search
+BRACKET_POINTS = 7
 JOINT_SLACK = 1e-6  # a sweep point "meets" (D1, D2) if achieved <= D_i + slack
 
 
@@ -98,88 +106,87 @@ class RdPoint:
     test_channel: ConditionalPmf | None = field(default=None, repr=False)
 
 
-def _ba_batch(px, cost, max_iter=MAX_ITER, tol=RATE_TOL, track=False, q0=None):
+def _ba_batch(px, cost, max_iter=MAX_ITER, tol=RATE_TOL, q0=None):
     """Batched alternating minimization at fixed slopes.
 
-    px: (nx,) source pmf; cost: (B, nx, nxh) slope-weighted cost exponents in
-    *nats* (i.e. sum_i s_i * d_i with s in nats per distortion unit).
-    Returns rates (B,) in bits, per-batch conditionals (B, nx, nxh), certified
-    lower bounds (B,) on the Lagrangian minimum in nats (valid at any iteration
-    count, from the dual gap of the current output distribution), and the
-    per-iteration objective history when ``track``.
+    px: (nx,) source pmf shared by every entry, or (B, nx) one per entry;
+    cost: (B, nx, nxh) slope-weighted cost exponents in *nats* (i.e. sum_i s_i
+    * d_i with s in nats per distortion unit); q0: optional warm-start output
+    pmf, (nxh,) or (B, nxh). Returns rates (B,) in bits, per-batch
+    conditionals (B, nx, nxh), and certified lower bounds (B,) on the
+    Lagrangian minimum in nats (valid at any iteration count, from the dual
+    gap of the current output distribution).
     """
     cost = np.asarray(cost, dtype=float)
     bsz, nx, nxh = cost.shape
-    a_full = np.exp(-cost)
-    support = px > 0
+    a = np.exp(-cost)
+    px = np.broadcast_to(np.asarray(px, dtype=float), (bsz, nx))
     if q0 is None:
-        q_full = np.full((bsz, nxh), 1.0 / nxh)
+        q = np.full((bsz, nxh), 1.0 / nxh)
     else:
         # warm start, floored away from the boundary so no letter is frozen out
-        q_full = np.broadcast_to(np.asarray(q0, dtype=float), (bsz, nxh)) + 1e-9
-        q_full = q_full / q_full.sum(axis=1, keepdims=True)
+        q = np.broadcast_to(np.asarray(q0, dtype=float), (bsz, nxh)) + 1e-9
+        q = q / q.sum(axis=1, keepdims=True)
     cond_full = np.zeros((bsz, nx, nxh))
     rate_full = np.zeros(bsz)
     flb_full = np.full(bsz, -np.inf)
-    history = []
 
-    def dual_certificate(q, a):
+    def dual_certificate(q, a, px, support):
         """Upper value V(q) and dual gap, both in nats: the Lagrangian minimum
         satisfies V(q) - gap <= F* <= V(q)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.einsum("bh,bxh->bx", q, a)
             zsafe = np.where(z > 0, z, 1.0)
-            v = -np.einsum("x,bx->b", px, np.where(support[None, :], np.log(zsafe), 0.0))
-            v = np.where(np.any((z <= 0) & support[None, :], axis=1), np.inf, v)
-            ch = np.einsum("x,bxh->bh", px, a / zsafe[:, :, None])
+            v = -np.einsum("bx,bx->b", px, np.where(support, np.log(zsafe), 0.0))
+            v = np.where(np.any((z <= 0) & support, axis=1), np.inf, v)
+            ch = np.einsum("bx,bxh->bh", px, a / zsafe[:, :, None])
             gap = np.maximum(np.log(np.maximum(ch.max(axis=1), 1e-300)), 0.0)
         return v, gap
 
     # active-set iteration with periodic dual-gap checks: a batch entry drops
     # out once its certified gap is negligible, even while an unused
-    # reproduction letter is still slowly losing its residual mass
+    # reproduction letter is still slowly losing its residual mass. Between
+    # checks an iteration is two matrix-vector products, z = a q and
+    # q <- q * a^T (px / z), the full update without forming the conditional;
+    # the full update runs instead while some row has z = 0, since it spreads
+    # such a row's mass uniformly.
     active = np.arange(bsz)
-    a = a_full
-    q = q_full
-    rate = np.zeros(bsz)
-    cond = cond_full
     check = 16
     for it in range(1, max_iter + 1):
+        checking = it % check == 0 or it == max_iter
+        if not checking:
+            z = np.einsum("bxh,bh->bx", a, q)
+            if z.min() > 0:
+                q = q * np.einsum("bxh,bx->bh", a, px / z)
+                continue
         raw = q[:, None, :] * a
         norm = raw.sum(axis=2, keepdims=True)
         cond = np.divide(raw, norm, out=np.full_like(raw, 1.0 / nxh), where=norm > 0)
-        q = np.einsum("x,bxh->bh", px, cond)
-        if track:
+        q = np.einsum("bx,bxh->bh", px, cond)
+        if not checking:
+            continue
+        support = px > 0
+        v, gap = dual_certificate(q, a, px, support)
+        done = gap < tol
+        if it == max_iter:
+            done = np.ones_like(done)
+        if np.any(done):
+            idx = active[done]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(cond > 0, cond / np.maximum(q[:, None, :], 1e-300), 1.0)
                 terms = np.where(cond > 0, cond * np.log(ratio), 0.0)
-            r = np.einsum("x,bxh->b", px, terms * support[None, :, None]) / LOG2
-            weighted = np.where(cond > 0, cond * np.where(np.isfinite(cost), cost, 0.0), 0.0)
-            lag = np.full(bsz, np.nan)
-            lag[active] = r + np.einsum("x,bxh->b", px, weighted) / LOG2
-            history.append(lag)
-        if it % check == 0 or it == max_iter:
-            v, gap = dual_certificate(q, a)
-            done = gap < tol
-            if it == max_iter:
-                done = np.ones_like(done)
-            if np.any(done):
-                idx = active[done]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = np.where(cond > 0, cond / np.maximum(q[:, None, :], 1e-300), 1.0)
-                    terms = np.where(cond > 0, cond * np.log(ratio), 0.0)
-                r = np.einsum("x,bxh->b", px, terms * support[None, :, None]) / LOG2
-                rate_full[idx] = r[done]
-                cond_full[idx] = cond[done]
-                flb_full[idx] = np.where(np.isfinite(v[done]), v[done] - gap[done], -np.inf)
-                if np.all(done):
-                    active = active[:0]
-                    break
-                keep = ~done
-                active = active[keep]
-                a = a[keep]
-                q = q[keep]
-    return np.maximum(rate_full, 0.0), cond_full, flb_full, history
+            r = np.einsum("bx,bxh->b", px, terms * support[:, :, None]) / LOG2
+            rate_full[idx] = r[done]
+            cond_full[idx] = cond[done]
+            flb_full[idx] = np.where(np.isfinite(v[done]), v[done] - gap[done], -np.inf)
+            if np.all(done):
+                break
+            keep = ~done
+            active = active[keep]
+            a = a[keep]
+            q = q[keep]
+            px = px[keep]
+    return np.maximum(rate_full, 0.0), cond_full, flb_full
 
 
 def _expected_distortions(px, cond, dmats):
@@ -187,63 +194,76 @@ def _expected_distortions(px, cond, dmats):
     return [np.einsum("x,bxh,xh->b", px, cond, d) for d in dmats]
 
 
-def _zero_distortion_rate(px, dmat):
-    """R at exactly zero distortion: BA restricted to the d = 0 support."""
+def _zero_distortion_rate(pxgw, dmat):
+    """R at exactly zero distortion for each (W, nx) source row: BA restricted
+    to the d = 0 support. Returns rates (W,) and conditionals (W, nx, nxh)."""
     mask = dmat == 0
-    if np.any(~mask.any(axis=1) & (px > 0)):
+    if np.any(~mask.any(axis=1) & (pxgw > 0)):
         raise InfeasibleDistortion("no zero-distortion reproduction for some symbol")
-    cost = np.where(mask, 0.0, np.inf)[None, :, :]
-    rate, cond, _, _ = _ba_batch(px, cost)
-    return float(rate[0]), cond[0]
+    cost = np.broadcast_to(np.where(mask, 0.0, np.inf), (len(pxgw), *dmat.shape))
+    rates, conds, _ = _ba_batch(pxgw, cost)
+    return rates, conds
 
 
-def _scalar_query(px, dmat, target):
-    """Slope bisection for a single-coordinate (or flattened) source.
+def _scalar_query(pxgw, pw, dmat, target):
+    """R_{X|W}(target) by a batched slope bracket search; W = 1 gives R_X.
 
-    Returns (rate_bits, slope_bits, cond). The reported rate carries the
-    supporting-line correction rate + slope * (D(slope) - target).
+    pxgw: (W, nx) component source pmfs with weights pw (W,). At a common
+    slope the components decouple, so one kernel call solves every
+    (component, slope) pair of a round and the pw-averaged rate and distortion
+    trace the curve. The first round evaluates the doubling grid 1, 2, ...,
+    SLOPE_CAP; each later round evaluates BRACKET_POINTS equally spaced slopes
+    inside the bracket, warm-started from the output pmfs at the previous
+    round's slope nearest the crossing, until the bracket is narrower than
+    1e-12.
+
+    Returns (rate_bits, slope_bits, distortion, conds, bracketed). The rate is
+    the best supporting-line value rate + slope * (D(slope) - target) over the
+    evaluated slopes; slope, distortion and the (W, nx, nxh) channels are
+    those of that point. bracketed is False when even SLOPE_CAP leaves the
+    distortion above target.
     """
     if target < 0:
         raise InfeasibleDistortion(f"negative distortion {target}")
-    d_at_zero_rate = float(np.min(px @ dmat))
-    if target >= d_at_zero_rate - 1e-15:
-        best = int(np.argmin(px @ dmat))
-        cond = np.zeros_like(dmat)
-        cond[:, best] = 1.0
-        return 0.0, 0.0, cond
+    nw = len(pxgw)
+    shape = dmat.shape
+    zero_rate = pxgw @ dmat
+    d_at_zero = float(pw @ zero_rate.min(axis=1))
+    if target >= d_at_zero - 1e-15:
+        conds = np.zeros((nw, *shape))
+        conds[np.arange(nw), :, zero_rate.argmin(axis=1)] = 1.0
+        return 0.0, 0.0, d_at_zero, conds, True
     if target <= 1e-13:
-        rate, cond = _zero_distortion_rate(px, dmat)
-        return rate, SLOPE_CAP, cond
-
-    def eval_slope(s_bits):
-        cost = (s_bits * LOG2) * dmat[None, :, :]
-        rate, cond, _, _ = _ba_batch(px, cost)
-        dist = _expected_distortions(px, cond, [dmat])[0]
-        return float(rate[0]), float(dist[0]), cond[0]
-
-    lo, hi = 0.0, 1.0
-    r_hi, d_hi, c_hi = eval_slope(hi)
-    while d_hi > target and hi < SLOPE_CAP:
-        lo, hi = hi, hi * 2.0
-        r_hi, d_hi, c_hi = eval_slope(hi)
-    if d_hi > target:
-        # query below the reachable sweep; fall back to the lossless point
-        rate, cond = _zero_distortion_rate(px, dmat)
-        return rate, SLOPE_CAP, cond
-    best = (r_hi + hi * (d_hi - target), hi, c_hi)
+        rates, conds = _zero_distortion_rate(pxgw, dmat)
+        return float(pw @ rates), SLOPE_CAP, 0.0, conds, True
+    best = (-np.inf,)
+    lo, hi = 0.0, None
+    slopes, q0 = _DOUBLING_SLOPES, None
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        r, d, c = eval_slope(mid)
-        bound = r + mid * (d - target)
-        if bound > best[0]:
-            best = (bound, mid, c)
-        if d > target:
-            lo = mid
-        else:
-            hi = mid
+        k = slopes.size
+        cost = np.broadcast_to((slopes * LOG2)[:, None, None] * dmat, (nw, k, *shape))
+        rates, conds, _ = _ba_batch(np.repeat(pxgw, k, axis=0), cost.reshape(-1, *shape), q0=q0)
+        conds = conds.reshape(nw, k, *shape)
+        r = pw @ rates.reshape(nw, k)
+        dd = pw @ np.einsum("wx,wkxh,xh->wk", pxgw, conds, dmat)
+        bound = r + slopes * (dd - target)
+        j = int(np.argmax(bound))
+        if bound[j] > best[0]:
+            best = (float(bound[j]), float(slopes[j]), float(dd[j]), conds[:, j])
+        below = dd <= target
+        first = int(np.argmax(below)) if below.any() else k
+        if first == k and hi is None:
+            return max(best[0], 0.0), best[1], best[2], best[3], False
+        if first > 0:
+            lo = slopes[first - 1]
+        if first < k:
+            hi = slopes[first]
+        near = min(first, k - 1)
         if hi - lo < 1e-12:
             break
-    return max(best[0], 0.0), best[1], best[2]
+        slopes = lo + (hi - lo) * np.arange(1, BRACKET_POINTS + 1) / (BRACKET_POINTS + 1)
+        q0 = np.repeat(np.einsum("wx,wxh->wh", pxgw, conds[:, near]), BRACKET_POINTS, axis=0)
+    return max(best[0], 0.0), best[1], best[2], best[3], True
 
 
 def ba_rate_distortion(p: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
@@ -252,7 +272,12 @@ def ba_rate_distortion(p: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
         raise ProbabilityError("ba_rate_distortion expects a 1-coordinate pmf")
     px = p.mass
     dmat = d.matrices[0]
-    rate, slope, cond = _scalar_query(px, dmat, float(D))
+    rate, slope, _, conds, bracketed = _scalar_query(px[None, :], np.ones(1), dmat, float(D))
+    if not bracketed:
+        # query below the reachable sweep; fall back to the lossless point
+        rates, conds = _zero_distortion_rate(px[None, :], dmat)
+        rate, slope = float(rates[0]), SLOPE_CAP
+    cond = conds[0]
     achieved = float(np.einsum("x,xh,xh->", px, cond, dmat))
     channel = ConditionalPmf(px.size, (dmat.shape[1],), cond)
     return RdPoint((achieved,), rate, (slope,), channel)
@@ -261,56 +286,16 @@ def ba_rate_distortion(p: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
 def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
     """Conditional R_{X|W}(D); coordinate 0 is the source, coordinate 1 is W.
 
-    At a common slope the per-w problems decouple; the slope is bisected so the
-    p(w)-averaged distortion meets D.
+    At a common slope the per-w problems decouple; the slope search solves
+    them all in each kernel call so the p(w)-averaged distortion meets D.
     """
     if pxw.ncoords != 2:
         raise ProbabilityError("ba_conditional_rd expects an (X, W) pmf")
-    if D < 0:
-        raise InfeasibleDistortion(f"negative distortion {D}")
-    dmat = d.matrices[0]
     pw = pxw.mass.sum(axis=0)
-    nw = pw.size
     active = pw > 0
-    pxgw = np.where(active[None, :], pxw.mass / np.where(active, pw, 1.0)[None, :], 0.0)
-
-    def eval_slope(s_bits):
-        rates = np.zeros(nw)
-        dists = np.zeros(nw)
-        for w in np.nonzero(active)[0]:
-            cost = (s_bits * LOG2) * dmat[None, :, :]
-            rate, cond, _, _ = _ba_batch(pxgw[:, w], cost)
-            rates[w] = rate[0]
-            dists[w] = _expected_distortions(pxgw[:, w], cond, [dmat])[0][0]
-        return float(pw @ rates), float(pw @ dists)
-
-    d_at_zero = float(sum(pw[w] * np.min(pxgw[:, w] @ dmat) for w in np.nonzero(active)[0]))
-    if D >= d_at_zero - 1e-15:
-        return RdPoint((d_at_zero,), 0.0, (0.0,))
-    if D <= 1e-13:
-        rate = float(
-            sum(pw[w] * _zero_distortion_rate(pxgw[:, w], dmat)[0] for w in np.nonzero(active)[0])
-        )
-        return RdPoint((0.0,), rate, (SLOPE_CAP,))
-    lo, hi = 0.0, 1.0
-    r_hi, d_hi = eval_slope(hi)
-    while d_hi > D and hi < SLOPE_CAP:
-        lo, hi = hi, hi * 2.0
-        r_hi, d_hi = eval_slope(hi)
-    best = (r_hi + hi * (d_hi - D), hi, d_hi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        r, dd = eval_slope(mid)
-        bound = r + mid * (dd - D)
-        if bound > best[0]:
-            best = (bound, mid, dd)
-        if dd > D:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return RdPoint((best[2],), max(best[0], 0.0), (best[1],))
+    pxgw = (pxw.mass[:, active] / pw[active]).T
+    rate, slope, dist, _, _ = _scalar_query(pxgw, pw[active], d.matrices[0], float(D))
+    return RdPoint((dist,), rate, (slope,))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +325,7 @@ def _sweep_joint(px, d1, d2, s1_grid, s2_grid, q0=None):
     s1 = s1.reshape(-1)
     s2 = s2.reshape(-1)
     cost = LOG2 * (s1[:, None, None] * d1[None] + s2[:, None, None] * d2[None])
-    rates, cond, flb, _ = _ba_batch(px, cost, max_iter=JOINT_MAX_ITER, q0=q0)
+    rates, cond, flb = _ba_batch(px, cost, max_iter=JOINT_MAX_ITER, q0=q0)
     dd1, dd2 = _expected_distortions(px, cond, [d1, d2])
     return s1, s2, rates, dd1, dd2, cond, flb
 
@@ -529,21 +514,22 @@ def trace_rd_curve(p: JointPmf, d: DistortionSpec, multipliers) -> list[RdPoint]
     if p.ncoords == 1:
         px = p.mass
         dmat = d.matrices[0]
-        out = []
-        for lam in multipliers:
-            lam = float(lam)
-            cost = (lam * LOG2) * dmat[None, :, :]
-            rate, cond, _, _ = _ba_batch(px, cost)
-            dist = _expected_distortions(px, cond, [dmat])[0]
-            channel = ConditionalPmf(px.size, (dmat.shape[1],), cond[0])
-            out.append(RdPoint((float(dist[0]),), float(rate[0]), (lam,), channel))
-        return out
+        lams = [float(lam) for lam in multipliers]
+        rates, cond, _ = _ba_batch(px, (np.array(lams) * LOG2)[:, None, None] * dmat)
+        dist = _expected_distortions(px, cond, [dmat])[0]
+        return [
+            RdPoint(
+                (float(dist[i]),), float(rates[i]), (lam,),
+                ConditionalPmf(px.size, (dmat.shape[1],), cond[i]),
+            )
+            for i, lam in enumerate(lams)
+        ]
     if p.ncoords != 2:
         raise ProbabilityError("trace_rd_curve supports 1 or 2 coordinates")
     px, d1, d2, _ = _joint_problem(p, d)
     pairs = [(float(a), float(b)) for a, b in multipliers]
     cost = LOG2 * np.array([a * d1 + b * d2 for a, b in pairs])
-    rates, cond, _, _ = _ba_batch(px, cost)
+    rates, cond, _ = _ba_batch(px, cost)
     dd1, dd2 = _expected_distortions(px, cond, [d1, d2])
     out = []
     for i, (a, b) in enumerate(pairs):
