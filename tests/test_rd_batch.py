@@ -55,12 +55,6 @@ class TestPerEntryKernel:
         for a, b in zip(shared, repeated):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
-    def test_zero_mass_letter_keeps_certificate(self):
-        px, cost = per_entry_problem()
-        rates, cond, flb = _ba_batch(px, cost)
-        assert np.all(np.isfinite(flb))
-        np.testing.assert_allclose(cond.sum(axis=2), 1.0, atol=1e-12)
-
     def test_zero_distortion_rows_equal_separate_calls(self):
         px, _ = per_entry_problem()
         dmat = 1.0 - np.eye(3)
