@@ -8,7 +8,6 @@ All floating-point output is serialized at 12 significant digits.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 
@@ -118,17 +117,8 @@ def _guard(fn):
 
 
 @click.group()
-@click.option("--threads", type=int, default=None, envvar="WITL_THREADS",
-              help="Global cap on internal worker parallelism.")
-@click.pass_context
-def main(ctx, threads):
+def main():
     """Wyner common information toolkit."""
-    ctx.ensure_object(dict)
-    if threads is not None and threads < 1:
-        _fail(EXIT_INPUT_ERROR, "--threads must be >= 1")
-    ctx.obj["threads"] = threads
-    if threads is not None:
-        os.environ["OMP_NUM_THREADS"] = str(threads)
 
 
 @main.command()

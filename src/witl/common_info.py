@@ -9,12 +9,16 @@ Two search routes:
 * penalized descent for everything else: q(w|x) is optimized under a ramped
   conditional-total-correlation penalty, which keeps the X-marginal exact by
   construction. Results on this route are certified upper bounds only.
+
+The descent is written for a channel q(w|u) from any variable U that the
+source X reaches: U = X here, and U = the reproduction pair (X̂1, X̂2) for the
+Gray-Wyner common rate in :func:`witl.gray_wyner.c_star`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -28,7 +32,6 @@ from .prob import (
     entropy,
     joint_with_mixture,
     marginalize,
-    mix_channels,
     mutual_information,
     total_variation,
 )
@@ -120,14 +123,12 @@ def bsc_broadcast_source(theta: float, a1: float, N: int) -> JointPmf:
 
 
 def _solution_from_mixture(p, pw, channels, status):
-    mix = mix_channels(pw, channels)
     joint = joint_with_mixture(pw, channels)
-    achieved = mutual_information(joint, [0])
     return CommonInfoSolution(
         pw=np.asarray(pw, dtype=float),
         channels=tuple(channels),
-        achieved_I=achieved,
-        marginal_residual=total_variation(mix, p),
+        achieved_I=mutual_information(joint, [0]),
+        marginal_residual=total_variation(joint.mass.sum(axis=0), p),
         status=status,
     )
 
@@ -206,41 +207,45 @@ def _softmax(z, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _descent_solution(p: JointPmf, K: int, budget: SolveBudget):
-    """Multi-restart penalized descent over q(w|x) logits.
+def _penalized_descent(pxu, u_sizes, K: int, budget: SolveBudget):
+    """Multi-restart penalized descent over softmax logits of q(w|u).
 
-    Objective (nats): I(X;W) + mu * [sum_i H(X_i|W) - H(X|W)], the second term
-    being the conditional total correlation that vanishes exactly on the
-    feasible set. The X-marginal equals p by construction.
+    pxu: (nx, nu) joint of the source X and the variable U = (U_1, .., U_n)
+    that W observes, U flattened row-major over ``u_sizes``. Objective (nats):
+    I(X;W) + mu * [sum_i H(U_i|W) - H(U|W)], the second term being the
+    conditional total correlation that vanishes exactly when W splits U; mu
+    ramps by ``budget.mu_factor`` over ``budget.stages``. W depends on X only
+    through U, so the X-marginal is exact by construction. Returns one
+    (q (nu, K), I(X;W), TC) per restart, both values in nats.
     """
-    px = p.mass.reshape(-1)
-    sizes = p.alphabet_sizes
-    n = len(sizes)
+    nu = pxu.shape[1]
+    pu = pxu.sum(axis=0)
+    px = pxu.sum(axis=1)
+    hx = float(-xlogy(px, px).sum())
+    n = len(u_sizes)
 
-    def unpack_joint(z):
-        qwgx = _softmax(z.reshape(px.size, K), axis=1)
-        joint = px[:, None] * qwgx  # (x, w)
-        return joint
+    def terms(z):
+        q = _softmax(z.reshape(nu, K), axis=1)
+        juw = pu[:, None] * q  # (u, w)
+        qw = juw.sum(axis=0)
+        hw = float(-xlogy(qw, qw).sum())
+        jxw = pxu @ q  # (x, w)
+        i_xw = hx + hw - float(-xlogy(jxw, jxw).sum())
+        tc = hw - float(-xlogy(juw, juw).sum())
+        shaped = juw.reshape(tuple(u_sizes) + (K,))
+        for i in range(n):
+            mi = shaped.sum(axis=tuple(a for a in range(n) if a != i))  # (|Ui|, K)
+            tc += float(-xlogy(mi, mi).sum()) - hw
+        return q, i_xw, tc
 
     def objective(z, mu):
-        joint = unpack_joint(z)
-        qw = joint.sum(axis=0)
-        hw = float(-xlogy(qw, qw).sum())
-        hwx = float(-xlogy(joint, joint).sum()) - float(-xlogy(px, px).sum())
-        i_xw = hw - hwx
-        hxgw = float(-xlogy(joint, joint).sum()) - hw
-        tc = -hxgw
-        shaped = joint.reshape(sizes + (K,))
-        for i in range(n):
-            axes = tuple(a for a in range(n) if a != i)
-            mi = shaped.sum(axis=axes)  # (|Xi|, K)
-            tc += float(-xlogy(mi, mi).sum()) - hw
+        _, i_xw, tc = terms(z)
         return i_xw + mu * max(tc, 0.0)
 
     rng = np.random.default_rng(budget.seed)
-    candidates = []
-    for restart in range(budget.restarts):
-        z = rng.normal(scale=2.0, size=px.size * K)
+    runs = []
+    for _ in range(budget.restarts):
+        z = rng.normal(scale=2.0, size=nu * K)
         mu = budget.mu_init
         for _ in range(budget.stages):
             result = minimize(
@@ -252,7 +257,19 @@ def _descent_solution(p: JointPmf, K: int, budget: SolveBudget):
             )
             z = result.x
             mu *= budget.mu_factor
-        joint = unpack_joint(z)
+        runs.append(terms(z))
+    return runs
+
+
+def _descent_solution(p: JointPmf, K: int, budget: SolveBudget):
+    """Penalized descent over q(w|x) (U = X); the feasible restart of least
+    I(X;W) wins, ties broken by residual, then restart order."""
+    px = p.mass.reshape(-1)
+    sizes = p.alphabet_sizes
+    n = len(sizes)
+    candidates = []
+    for restart, (q, _, _) in enumerate(_penalized_descent(np.diag(px), sizes, K, budget)):
+        joint = px[:, None] * q  # (x, w)
         qw = joint.sum(axis=0)
         keep = qw > 1e-12
         qw_k = qw[keep] / qw[keep].sum()

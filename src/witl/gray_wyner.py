@@ -1,6 +1,8 @@
 """Gray-Wyner machinery: one-sided region membership and the smallest common
 rate at joint-decoding total rate, computed through both characterizations
-(the equality-constrained minimization and the reproduction-pair route).
+(the equality-constrained minimization and the reproduction-pair route). The
+reproduction-pair route searches W with the common-information descent of
+:mod:`witl.common_info`, run on U = (X̂1, X̂2) instead of U = X.
 
 Auxiliary-variable witnesses are represented as a joint pmf over
 (W, X_1, X_2); every reported number can be recomputed from that object alone.
@@ -12,19 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import xlogy
 
-from .common_info import SolveBudget, joint_with_mixture, solve_common_info
+from .common_info import CommonInfoInfeasible, SolveBudget, _penalized_descent, solve_common_info
 from .prob import (
     ConditionalPmf,
     JointPmf,
     ProbabilityError,
-    entropy,
+    joint_with_mixture,
     marginalize,
     mutual_information,
 )
-from .rd import DistortionSpec, ba_conditional_rd, ba_joint_rd, marginal_rd_value
+from .rd import (DistortionSpec, InfeasibleDistortion, SweepResolutionError, ba_conditional_rd,
+                 ba_joint_rd, marginal_rd_value)
 
 #: Theorem-3 equality tolerance (bits) for accepting a witness, and the looser
 #: sensitivity tolerance reported alongside.
@@ -114,15 +115,16 @@ def _candidate_joints(p: JointPmf, d: DistortionSpec, D, budget: SolveBudget):
     try:
         sol = solve_common_info(p, K=None if p.alphabet_sizes != (2, 2) else 2, budget=budget)
         candidates.append(joint_with_mixture(sol.pw, sol.channels))
-    except Exception:
-        pass
-    # the joint-RD reproduction pair as W
-    try:
-        rp = ba_joint_rd(p, d, D)
-        if rp.test_channel is not None:
-            candidates.append(_joint_from_channel(p, rp.test_channel))
-    except Exception:
-        pass
+    except (CommonInfoInfeasible, ProbabilityError):
+        pass  # no feasible auxiliary within the budget
+    # the joint-RD reproduction pair as W; the joint solver takes pairs only
+    if p.ncoords == 2:
+        try:
+            rp = ba_joint_rd(p, d, D)
+            if rp.test_channel is not None:
+                candidates.append(_joint_from_channel(p, rp.test_channel))
+        except (InfeasibleDistortion, SweepResolutionError):
+            pass  # no reproduction pair at this distortion
     return candidates
 
 
@@ -217,59 +219,6 @@ def c3_tilde(
     return _c3_from_candidates(p, d, D, joint_rate, candidates)
 
 
-def _softmax(z, axis=-1):
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _cstar_descent(pxxh, xhat_sizes, K, budget):
-    """Minimize I(X; W) over channels q(w | xhat) that split the reproduction
-    pair, via the same ramped conditional-total-correlation penalty used by
-    the common-information descent. pxxh: (nx, nxh) joint of X and Xhat."""
-    nx, nxh = pxxh.shape
-    pxh = pxxh.sum(axis=0)
-    m1, m2 = xhat_sizes
-
-    def objective(z, mu):
-        q = _softmax(z.reshape(nxh, K), axis=1)  # q(w | xhat)
-        jxh_w = pxh[:, None] * q  # (xhat, w)
-        qw = jxh_w.sum(axis=0)
-        hw = float(-xlogy(qw, qw).sum())
-        # I(X; W)
-        jx_w = pxxh @ q  # (x, w)
-        px = pxxh.sum(axis=1)
-        i_xw = (
-            float(-xlogy(px, px).sum())
-            + hw
-            - float(-xlogy(jx_w, jx_w).sum())
-        )
-        # conditional total correlation of (Xhat1, Xhat2) given W
-        shaped = jxh_w.reshape(m1, m2, K)
-        h_joint = float(-xlogy(jxh_w, jxh_w).sum())
-        h1 = float(-xlogy(shaped.sum(axis=1), shaped.sum(axis=1)).sum())
-        h2 = float(-xlogy(shaped.sum(axis=0), shaped.sum(axis=0)).sum())
-        tc = (h1 - hw) + (h2 - hw) - (h_joint - hw)
-        return i_xw + mu * max(tc, 0.0)
-
-    rng = np.random.default_rng(budget.seed)
-    best = None
-    for _ in range(budget.restarts):
-        z = rng.normal(scale=2.0, size=nxh * K)
-        mu = budget.mu_init
-        for _ in range(budget.stages):
-            result = minimize(
-                objective, z, args=(mu,), method="L-BFGS-B",
-                options={"maxiter": budget.maxiter},
-            )
-            z = result.x
-            mu *= budget.mu_factor
-        q = _softmax(z.reshape(nxh, K), axis=1)
-        if best is None or objective(z, 1e9) < objective(best, 1e9):
-            best = z
-    return _softmax(best.reshape(nxh, K), axis=1)
-
-
 def c_star(
     p: JointPmf, d: DistortionSpec, D, budget: SolveBudget | None = None
 ) -> C3Estimate:
@@ -288,7 +237,9 @@ def c_star(
         nxh = int(np.prod(d.repro_sizes))
         pxxh = p.mass.reshape(nx, 1) * rp.test_channel.rows.reshape(nx, nxh)
         K = max(2, min(nxh, 8))
-        q = _cstar_descent(pxxh, d.repro_sizes, K, budget)
+        runs = _penalized_descent(pxxh, d.repro_sizes, K, budget)
+        # least I(X; W), any total correlation left over priced prohibitively
+        q = min(runs, key=lambda r: r[1] + 1e9 * max(r[2], 0.0))[0]
         # W depends on X only through Xhat: p(w, x) = sum_xh p(x, xh) q(w|xh)
         pwx = (pxxh @ q).T  # (w, x)
         candidates.append(
@@ -310,7 +261,7 @@ def c_star(
                         pwx2.reshape((sol.pw.size, *p.alphabet_sizes)),
                     )
                 )
-            except Exception:
-                pass
+            except (CommonInfoInfeasible, ProbabilityError):
+                pass  # the exhaustive grid found no split
         candidates.append(_joint_from_channel(p, rp.test_channel))
     return _c3_from_candidates(p, d, D, joint_rate, candidates)

@@ -172,8 +172,8 @@ def total_variation(q: JointPmf | np.ndarray, p: JointPmf | np.ndarray) -> float
     return 0.5 * float(np.abs(qm - pm).sum())
 
 
-def mix_channels(pw, channels) -> JointPmf:
-    """Mixture sum_w p(w) prod_i p(x_i | w) as a JointPmf.
+def joint_with_mixture(pw, channels) -> JointPmf:
+    """Joint pmf over (W, X_1..X_N) for the mixture p(w) prod_i p(x_i | w).
 
     ``channels`` is one single-coordinate :class:`ConditionalPmf` per output
     coordinate, all sharing the same conditioning alphabet as ``pw``.
@@ -181,26 +181,21 @@ def mix_channels(pw, channels) -> JointPmf:
     pw = np.asarray(pw, dtype=float)
     if np.any(pw < 0) or abs(pw.sum() - 1.0) > SUM_TOLERANCE:
         raise ProbabilityError("weights must be a pmf")
-    pw = pw / pw.sum()
     k = pw.size
     for ch in channels:
         if ch.given_size != k:
             raise ProbabilityError("channel conditioning size does not match weights")
         if len(ch.out_sizes) != 1:
-            raise ProbabilityError("mix_channels expects single-coordinate channels")
-    sizes = tuple(ch.out_sizes[0] for ch in channels)
-    mass = pw.copy()
-    for i, ch in enumerate(channels):
-        mass = mass[..., None] * ch.rows.reshape((k,) + (1,) * i + (sizes[i],))
-    return JointPmf(sizes, mass.sum(axis=0))
-
-
-def joint_with_mixture(pw, channels) -> JointPmf:
-    """Joint pmf over (W, X_1..X_N) for the mixture defined by pw and channels."""
-    pw = np.asarray(pw, dtype=float)
-    k = pw.size
+            raise ProbabilityError("mixtures take single-coordinate channels")
     sizes = tuple(ch.out_sizes[0] for ch in channels)
     mass = pw.copy()
     for i, ch in enumerate(channels):
         mass = mass[..., None] * ch.rows.reshape((k,) + (1,) * i + (sizes[i],))
     return JointPmf((k, *sizes), mass)
+
+
+def mix_channels(pw, channels) -> JointPmf:
+    """The mixture sum_w p(w) prod_i p(x_i | w): :func:`joint_with_mixture`
+    with W summed out."""
+    joint = joint_with_mixture(pw, channels)
+    return JointPmf(joint.alphabet_sizes[1:], joint.mass.sum(axis=0))

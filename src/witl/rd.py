@@ -139,7 +139,7 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, tol=RATE_TOL, q0=None):
             zsafe = np.where(z > 0, z, 1.0)
             v = -np.einsum("bx,bx->b", px, np.where(support, np.log(zsafe), 0.0))
             v = np.where(np.any((z <= 0) & support, axis=1), np.inf, v)
-            ch = np.einsum("bx,bxh->bh", px, a / zsafe[:, :, None])
+            ch = np.einsum("bx,bxh->bh", px / zsafe, a)
             gap = np.maximum(np.log(np.maximum(ch.max(axis=1), 1e-300)), 0.0)
         return v, gap
 

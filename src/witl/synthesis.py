@@ -9,7 +9,6 @@ the trend checks this module exists to support.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +51,26 @@ class SynthesisResult:
     method: str = "exact"
 
 
+def _type_class_prefix(base, M: int) -> list[tuple[int, ...]]:
+    """The first min(M, class size) arrangements of ``base`` (sorted
+    ascending) in lexicographic order, by successive next-permutation steps."""
+    seq = [int(v) for v in base]
+    rows = [tuple(seq)]
+    while len(rows) < M:
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            break  # the last arrangement: the class is exhausted
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = reversed(seq[i + 1 :])
+        rows.append(tuple(seq))
+    return rows
+
+
 def build_generator(
     sol: CommonInfoSolution,
     n: int,
@@ -64,7 +83,10 @@ def build_generator(
 
     ``mode="random"`` draws codewords i.i.d. per symbol from p(w) (the
     random-coding ensemble); ``mode="type"`` enumerates sequences of the type
-    closest to p(w) deterministically for variance-free trend plots.
+    closest to p(w) deterministically, in lexicographic order, for
+    variance-free trend plots. When M exceeds the size of that type class the
+    distinct sequences repeat cyclically, so the effective common rate is
+    log2(distinct) / n, below R0.
     """
     if n < 1:
         raise ProbabilityError("blocklength must be >= 1")
@@ -84,15 +106,8 @@ def build_generator(
         counts = np.floor(n * sol.pw).astype(int)
         while counts.sum() < n:
             counts[int(np.argmax(n * sol.pw - counts))] += 1
-        base = np.repeat(np.arange(k), counts)
-        perms = itertools.permutations(base)
-        seen = []
-        for perm in perms:
-            if perm not in seen:
-                seen.append(perm)
-            if len(seen) >= M:
-                break
-        codebook = np.array([seen[i % len(seen)] for i in range(M)])
+        distinct = _type_class_prefix(np.repeat(np.arange(k), counts), M)
+        codebook = np.array([distinct[i % len(distinct)] for i in range(M)])
     else:
         raise ProbabilityError(f"unknown codebook mode {mode!r}")
     return GeneratorSpec(n=n, M=M, codebook=codebook, channels=sol.channels, seed=seed)

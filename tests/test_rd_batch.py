@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witl.closed_form import DsbsParams, dsbs_conditional_rd
-from witl.prob import LOG2, JointPmf, marginalize
+from witl.prob import LOG2, JointPmf, entropy, marginalize
 from witl.rd import (
     DistortionSpec,
     _ba_batch,
@@ -104,3 +104,16 @@ class TestNearZeroRateBoundary:
         D = share * a1
         pt = ba_conditional_rd(p, DistortionSpec.hamming((2,)), D)
         assert pt.rate == pytest.approx(dsbs_conditional_rd(DsbsParams.from_a1(a1), D), abs=1e-7)
+
+
+class TestSubnormalMass:
+    @pytest.mark.filterwarnings("error")
+    def test_zero_distortion_with_subnormal_mass(self):
+        # a subnormal mass makes some a q subnormal; a kernel entry divided by
+        # it overflows, the gap reads inf and the entry runs to the iteration
+        # cap, so the certificate must divide the source pmf instead
+        mass = np.array([[1.0, 0.5], [0.25, 5e-324]])
+        p = JointPmf((2, 2), mass / mass.sum())
+        pt = ba_conditional_rd(p, DistortionSpec.hamming((2,)), 0.0)
+        h_x_given_w = entropy(p) - entropy(marginalize(p, [1]))
+        assert pt.rate == pytest.approx(h_x_given_w, abs=1e-9)

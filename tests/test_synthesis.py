@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,24 @@ class TestBuildGenerator:
         sol = solve_common_info(dsbs(), K=2)
         with pytest.raises(BudgetExceeded):
             build_generator(sol, 16, 1.5)
+
+    @pytest.mark.parametrize("R0", [0.5, 0.94])
+    def test_type_mode_lexicographic_then_cyclic(self, R0):
+        sol = solve_common_info(dsbs(), K=2)
+        n = 8
+        gen = build_generator(sol, n, R0, mode="type")
+        cb = gen.codebook
+        counts = np.bincount(cb[0], minlength=sol.pw.size)
+        assert np.all(np.abs(counts - n * sol.pw) < 1)
+        for row in cb:
+            np.testing.assert_array_equal(np.bincount(row, minlength=sol.pw.size), counts)
+        size = math.factorial(n) // math.prod(math.factorial(int(c)) for c in counts)
+        distinct = min(gen.M, size)
+        for a, b in zip(cb[: distinct - 1], cb[1:distinct]):
+            assert tuple(a) < tuple(b)
+        for i in range(distinct, gen.M):
+            np.testing.assert_array_equal(cb[i], cb[i % size])
+        assert len(np.unique(cb, axis=0)) == distinct
 
     def test_bad_arguments(self):
         sol = solve_common_info(dsbs(), K=2)
