@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -108,6 +109,20 @@ def audit_lemma1(p: JointPmf, d: DistortionSpec, D1: float, D2: float) -> AuditR
     return AuditReport("lemma1", tuple(checks), _fingerprint(p.mass, D1, D2))
 
 
+def _family(family: str, params):
+    """(C, corner distortion d0, largest grid distortion, c3(D1, D2), joint
+    rate(D1, D2)) of a closed-form family, from its parameter or a number."""
+    if family == "dsbs":
+        p = params if isinstance(params, cf.DsbsParams) else cf.DsbsParams.from_a1(params)
+        return (cf.dsbs_common_info(p), p.a1, 0.499,
+                partial(cf.dsbs_c3, p), partial(cf.dsbs_joint_rd, p))
+    if family == "gauss":
+        g = params if isinstance(params, cf.GaussParams) else cf.GaussParams(params)
+        return (cf.gauss_common_info(g), 1.0 - g.rho, 0.999,
+                partial(cf.gauss_c3, g), partial(cf.gauss_joint_rd, g))
+    raise ProbabilityError(f"unknown family {family!r}")
+
+
 def audit_theorem4_frontier(
     family: str, params, grid_size: int = 12
 ) -> AuditReport:
@@ -115,38 +130,25 @@ def audit_theorem4_frontier(
     bracket pins the common information; reported, never asserted equal to the
     theoretical surface."""
     checks = []
-    if family == "dsbs":
-        p = params if isinstance(params, cf.DsbsParams) else cf.DsbsParams.from_a1(params)
-        c = cf.dsbs_common_info(p)
-        corner = (p.a1, p.a1)
-        grid = np.linspace(1e-3, 0.499, grid_size)
-        value = lambda x, y: cf.dsbs_c3(p, x, y)
-        joint = lambda x, y: cf.dsbs_joint_rd(p, x, y)
-    elif family == "gauss":
-        g = params if isinstance(params, cf.GaussParams) else cf.GaussParams(params)
-        c = cf.gauss_common_info(g)
-        corner = (1.0 - g.rho, 1.0 - g.rho)
-        grid = np.linspace(1e-3, 0.999, grid_size)
-        value = lambda x, y: cf.gauss_c3(g, x, y)
-        joint = lambda x, y: cf.gauss_joint_rd(g, x, y)
-    else:
-        raise ProbabilityError(f"unknown family {family!r}")
+    c, d0, d_max, value, joint = _family(family, params)
+    grid = np.linspace(1e-3, d_max, grid_size)
     pinned = 0
     for x in grid:
         for y in grid:
             lo, hi = value(x, y)
             if abs(lo - c) <= AUDIT_TOL and abs(hi - c) <= AUDIT_TOL:
                 pinned += 1
+                rj = joint(x, y)
                 checks.append(
                     AuditCheck(
                         f"frontier point ({x:.4f},{y:.4f}): joint rate >= C",
-                        joint(x, y),
+                        rj,
                         c,
-                        joint(x, y) - c,
-                        "frontier" if joint(x, y) >= c - AUDIT_TOL else "fail",
+                        rj - c,
+                        "frontier" if rj >= c - AUDIT_TOL else "fail",
                     )
                 )
-    lo_c, hi_c = value(*corner)
+    lo_c, hi_c = value(d0, d0)
     checks.append(
         AuditCheck(
             "corner point pins C",
@@ -169,21 +171,10 @@ def audit_theorem9_conditions(family: str, params, D1: float, D2: float) -> Audi
     outside it. At d0 the marginal rate equals I(X_i; W) in both families by
     their closed forms, so that equality is not re-checked. Successive
     refinability of the two families is taken as cited fact, not re-proved."""
-    if family == "dsbs":
-        p = params if isinstance(params, cf.DsbsParams) else cf.DsbsParams.from_a1(params)
-        d0 = p.a1
-        c = cf.dsbs_common_info(p)
-        c3 = cf.dsbs_c3(p, D1, D2)
-    elif family == "gauss":
-        g = params if isinstance(params, cf.GaussParams) else cf.GaussParams(params)
-        d0 = 1.0 - g.rho
-        c = cf.gauss_common_info(g)
-        c3 = cf.gauss_c3(g, D1, D2)
-    else:
-        raise ProbabilityError(f"unknown family {family!r}")
+    c, d0, _, value, _ = _family(family, params)
+    lo, hi = value(D1, D2)
     name = "common rate pinned to C below the corner"
     if D1 <= d0 and D2 <= d0:
-        lo, hi = c3
         ok = abs(lo - c) <= AUDIT_TOL and abs(hi - c) <= AUDIT_TOL
         mid = 0.5 * (lo + hi)
         check = AuditCheck(name, mid, c, mid - c, "pass" if ok else "fail")

@@ -206,7 +206,10 @@ def member(source, rates, dist, dvals, seed, output):
     d = _load_distortion(dist, p)
     with open(rates) as fh:
         robj = json.load(fh)
-    point = RatePoint(float(robj["R0"]), tuple(float(v) for v in robj["privates"]))
+    try:
+        point = RatePoint(float(robj["R0"]), tuple(float(v) for v in robj["privates"]))
+    except (KeyError, TypeError) as exc:
+        raise ProbabilityError(f"bad rates document: {exc}") from exc
     targets = _parse_pair(dvals)
     witness = check_membership(p, point, targets, d, SolveBudget(seed=seed))
     if witness is None:
@@ -424,7 +427,9 @@ def synth(source, solution, r0, nrange, seeds, mode, card, output):
     if solution:
         with open(solution) as fh:
             doc = json.load(fh)
-        sol = CommonInfoSolution.from_json_obj(doc.get("result", doc))
+        if isinstance(doc, dict):
+            doc = doc.get("result", doc)
+        sol = CommonInfoSolution.from_json_obj(doc)
     else:
         sol = solve_common_info(p, K=card, budget=SolveBudget())
     if ".." in nrange:

@@ -37,6 +37,12 @@ from .prob import (
 )
 
 FEASIBILITY_TOL = 1e-6  # total variation between the mixture and the target
+#: the descent's penalty weight starts at MU_INIT and grows by MU_FACTOR after
+#: each of DESCENT_STAGES L-BFGS-B runs of at most DESCENT_MAXITER iterations
+MU_INIT = 1.0
+MU_FACTOR = 10.0
+DESCENT_STAGES = 9
+DESCENT_MAXITER = 300
 
 
 class CommonInfoInfeasible(RuntimeError):
@@ -48,10 +54,6 @@ class SolveBudget:
     restarts: int = 8
     seed: int = 0
     grid_resolution: float = 1e-3
-    mu_init: float = 1.0
-    mu_factor: float = 10.0
-    stages: int = 9
-    maxiter: int = 300
 
 
 @dataclass(frozen=True)
@@ -73,18 +75,21 @@ class CommonInfoSolution:
 
     @classmethod
     def from_json_obj(cls, obj) -> "CommonInfoSolution":
-        pw = np.asarray(obj["pw"], dtype=float)
-        channels = tuple(
-            ConditionalPmf(pw.size, (np.asarray(rows).shape[1],), np.asarray(rows))
-            for rows in obj["channels"]
-        )
-        return cls(
-            pw,
-            channels,
-            float(obj["achieved_I_bits"]),
-            float(obj["marginal_residual_tv"]),
-            str(obj["status"]),
-        )
+        try:
+            pw = np.asarray(obj["pw"], dtype=float)
+            channels = tuple(
+                ConditionalPmf(pw.size, (np.asarray(rows).shape[1],), np.asarray(rows))
+                for rows in obj["channels"]
+            )
+            return cls(
+                pw,
+                channels,
+                float(obj["achieved_I_bits"]),
+                float(obj["marginal_residual_tv"]),
+                str(obj["status"]),
+            )
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ProbabilityError(f"bad solution document: {exc}") from exc
 
 
 def common_info_bounds(p: JointPmf) -> tuple[float, float]:
@@ -214,7 +219,7 @@ def _penalized_descent(pxu, u_sizes, K: int, budget: SolveBudget):
     that W observes, U flattened row-major over ``u_sizes``. Objective (nats):
     I(X;W) + mu * [sum_i H(U_i|W) - H(U|W)], the second term being the
     conditional total correlation that vanishes exactly when W splits U; mu
-    ramps by ``budget.mu_factor`` over ``budget.stages``. W depends on X only
+    ramps by ``MU_FACTOR`` over ``DESCENT_STAGES``. W depends on X only
     through U, so the X-marginal is exact by construction. Returns one
     (q (nu, K), I(X;W), TC) per restart, both values in nats.
     """
@@ -246,17 +251,17 @@ def _penalized_descent(pxu, u_sizes, K: int, budget: SolveBudget):
     runs = []
     for _ in range(budget.restarts):
         z = rng.normal(scale=2.0, size=nu * K)
-        mu = budget.mu_init
-        for _ in range(budget.stages):
+        mu = MU_INIT
+        for _ in range(DESCENT_STAGES):
             result = minimize(
                 objective,
                 z,
                 args=(mu,),
                 method="L-BFGS-B",
-                options={"maxiter": budget.maxiter},
+                options={"maxiter": DESCENT_MAXITER},
             )
             z = result.x
-            mu *= budget.mu_factor
+            mu *= MU_FACTOR
         runs.append(terms(z))
     return runs
 

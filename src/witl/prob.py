@@ -114,9 +114,6 @@ class ConditionalPmf:
         object.__setattr__(self, "out_sizes", sizes)
         object.__setattr__(self, "rows", rows)
 
-    def row(self, w: int) -> JointPmf:
-        return JointPmf(self.out_sizes, self.rows[w])
-
 
 def entropy(p: JointPmf | np.ndarray) -> float:
     """Shannon entropy in bits."""

@@ -140,6 +140,26 @@ class TestFailureModes:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("doc", [{"R0": 1.0}, {"R0": 1.0, "privates": 5}])
+    def test_malformed_rates_exit_two(self, runner, dsbs_file, tmp_path, doc):
+        rates = tmp_path / "rates.json"
+        rates.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["member", "--source", dsbs_file, "--rates", str(rates), "--D", "0.05,0.05"]
+        )
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("doc", [{"result": {"channels": [[[0.5, 0.5]]]}}, [1, 2]])
+    def test_malformed_solution_exit_two(self, runner, dsbs_file, tmp_path, doc):
+        solution = tmp_path / "ci.json"
+        solution.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main,
+            ["synth", "--source", dsbs_file, "--solution", str(solution), "--R0", "0.5",
+             "--n", "2"],
+        )
+        assert result.exit_code == 2
+
     def test_threads_validation(self, runner):
         result = runner.invoke(main, ["--threads", "0", "dsbs", "ci", "--a1", "0.1"])
         assert result.exit_code == 2

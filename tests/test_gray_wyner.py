@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from witl.closed_form import DsbsParams, dsbs_c3
+from witl import gray_wyner
 from witl.common_info import SolveBudget
 from witl.gray_wyner import (
     RatePoint,
@@ -98,3 +99,26 @@ class TestCommonRateSolvers:
         p = JointPmf((2, 2, 2), np.full((2, 2, 2), 0.125))
         with pytest.raises(ProbabilityError):
             c3_tilde(p, DistortionSpec.hamming((2, 2, 2)), (0.1, 0.1, 0.1))
+
+
+class TestOneJointSolvePerCall:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda p, d, b: c3_tilde(p, d, (0.05, 0.05), b),
+            lambda p, d, b: c_star(p, d, (0.05, 0.05), b),
+            lambda p, d, b: check_membership(p, RatePoint(0.0, (0.01, 0.01)), (0.05, 0.05), d, b),
+        ],
+        ids=["c3_tilde", "c_star", "check_membership"],
+    )
+    def test_one_ba_joint_rd_call(self, monkeypatch, solve):
+        calls = []
+        real = gray_wyner.ba_joint_rd
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gray_wyner, "ba_joint_rd", counted)
+        solve(dsbs(), hamming22(), SolveBudget(restarts=1))
+        assert len(calls) == 1

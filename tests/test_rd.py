@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from witl.closed_form import DsbsParams, RegionLabel, dsbs_joint_rd, dsbs_region
 from witl.prob import JointPmf, ProbabilityError, binary_entropy, marginalize
 from witl.rd import (
     DistortionSpec,
@@ -133,6 +134,22 @@ class TestJointRd:
         r_mid = ba_joint_rd(dsbs(), d, (0.1, 0.05)).rate
         r_coarse = ba_joint_rd(dsbs(), d, (0.1, 0.1)).rate
         assert r_fine >= r_mid - 1e-7 >= r_coarse - 2e-7
+
+
+    @pytest.mark.parametrize("a1", [0.1, 0.3])
+    def test_rate_never_above_dsbs_closed_form(self, a1):
+        # the reported rate is a certified lower bound, so on the acceptance
+        # grid it may not exceed the closed form beyond rounding
+        p, d, par = dsbs(a1), DistortionSpec.hamming((2, 2)), DsbsParams.from_a1(a1)
+        axis = np.linspace(0.02, 0.5, 20)
+        excess = [
+            ba_joint_rd(p, d, (d1, d2)).rate - dsbs_joint_rd(par, d1, d2)
+            for d1 in axis
+            for d2 in axis
+            if dsbs_region(par, d1, d2) is not RegionLabel.ZERO
+        ]
+        assert len(excess) >= 300
+        assert max(excess) <= 1e-9
 
 
 class TestTraceAndHelpers:
