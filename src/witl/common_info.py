@@ -5,10 +5,12 @@ Two search routes:
 
 * exhaustive mode for 2x2 sources with |W| = 2: the three marginal-matching
   equations are solved in closed form and the two residual free parameters are
-  gridded, so the returned minimum is global up to grid resolution;
-* penalized descent for everything else: q(w|x) is optimized under a ramped
-  conditional-total-correlation penalty, which keeps the X-marginal exact by
-  construction. Results on this route are certified upper bounds only.
+  gridded, so the returned minimum is global up to grid resolution; only the
+  grid points that satisfy the equations are scored;
+* penalized descent for everything else: q(w|x) is optimized by L-BFGS-B with
+  the closed-form gradient under a ramped conditional-total-correlation
+  penalty, which keeps the X-marginal exact by construction. Results on this
+  route are certified upper bounds only.
 
 The descent is written for a channel q(w|u) from any variable U that the
 source X reaches: U = X here, and U = the reproduction pair (X̂1, X̂2) for the
@@ -185,16 +187,20 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
         if independent is not None:
             return independent
         raise CommonInfoInfeasible("no feasible point on the exhaustive grid")
-    b20 = np.clip(b20, 0.0, 1.0)
-    b21 = np.clip(b21, 0.0, 1.0)
 
     def h(v):
         return -(xlogy(v, v) + xlogy(1.0 - v, 1.0 - v)) / LOG2
 
-    hx = entropy(p)
-    hxw = piw * (h(b10) + h(b20)) + (1.0 - piw) * (h(b11) + h(b21))
-    objective = np.where(feas, hx - hxw, np.inf)
-    j = int(np.argmin(objective))
+    # score the feasible points only; with indexing="ij", point k of the
+    # grid is (b10, b11) = (grid[k // n], grid[k % n]) for n = grid.size
+    idx = np.flatnonzero(feas)
+    i0, i1 = np.divmod(idx, grid.size)
+    piw, b10, b11 = piw[idx], grid[i0], grid[i1]
+    b20 = np.clip(b20[idx], 0.0, 1.0)
+    b21 = np.clip(b21[idx], 0.0, 1.0)
+    hg = h(grid)
+    hxw = piw * (hg[i0] + h(b20)) + (1.0 - piw) * (hg[i1] + h(b21))
+    j = int(np.argmin(entropy(p) - hxw))
     pw = np.array([piw[j], 1.0 - piw[j]])
     channels = (
         ConditionalPmf(2, (2,), np.array([[1 - b10[j], b10[j]], [1 - b11[j], b11[j]]])),
@@ -212,6 +218,47 @@ def _softmax(z, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def _log0(m):
+    """log m, read as 0 where m == 0: every such log has a zero coefficient."""
+    return np.log(np.where(m > 0, m, 1.0))
+
+
+def _descent_terms(z, mu, pxu, u_sizes):
+    """For logits z of q(w|u) (rows of shape (nu, K), flattened): q, I(X;W),
+    TC(U_1, .., U_n | W), the objective I + mu * max(TC, 0) and its gradient
+    in z, all in nats. See :func:`_penalized_descent` for pxu and u_sizes.
+
+    With p(x,w) = sum_u p(x,u) q(w|u) and p(u,w) = p(u) q(w|u),
+    dI/dq(w|u) = sum_x p(x,u) log p(x,w) - p(u) log p(w) and
+    dTC/dq(w|u) = -p(u) [sum_i log p(u_i,w) - log p(u,w) - (n-1) log p(w)];
+    the row softmax maps a gradient g in q to q(k|u) (g(u,k) - sum_w q(w|u) g(u,w)).
+    """
+    nu, n = pxu.shape[1], len(u_sizes)
+    q = _softmax(z.reshape(nu, -1), axis=1)
+    K = q.shape[1]
+    pu = pxu.sum(axis=0)
+    px = pxu.sum(axis=1)
+    juw = pu[:, None] * q  # (u, w)
+    jxw = pxu @ q  # (x, w)
+    qw = juw.sum(axis=0)
+    log_w, log_uw, log_xw = _log0(qw), _log0(juw), _log0(jxw)
+    hw = -float(qw @ log_w)
+    i_xw = float(-xlogy(px, px).sum()) + hw + float((jxw * log_xw).sum())
+    tc = hw + float((juw * log_uw).sum())
+    shaped = juw.reshape(tuple(u_sizes) + (K,))
+    log_ui = 0.0  # sum_i log p(u_i, w), broadcast over (u_1, .., u_n, w)
+    for i in range(n):
+        mi = shaped.sum(axis=tuple(a for a in range(n) if a != i), keepdims=True)
+        log_mi = _log0(mi)
+        tc -= float((mi * log_mi).sum()) + hw
+        log_ui = log_ui + log_mi
+    g = pxu.T @ log_xw - pu[:, None] * log_w
+    if tc > 0:
+        g -= mu * pu[:, None] * (np.reshape(log_ui, (nu, K)) - log_uw - (n - 1) * log_w)
+    grad = q * (g - (q * g).sum(axis=1, keepdims=True))
+    return q, i_xw, tc, i_xw + mu * max(tc, 0.0), grad.reshape(-1)
+
+
 def _penalized_descent(pxu, u_sizes, K: int, budget: SolveBudget):
     """Multi-restart penalized descent over softmax logits of q(w|u).
 
@@ -219,50 +266,28 @@ def _penalized_descent(pxu, u_sizes, K: int, budget: SolveBudget):
     that W observes, U flattened row-major over ``u_sizes``. Objective (nats):
     I(X;W) + mu * [sum_i H(U_i|W) - H(U|W)], the second term being the
     conditional total correlation that vanishes exactly when W splits U; mu
-    ramps by ``MU_FACTOR`` over ``DESCENT_STAGES``. W depends on X only
+    ramps by ``MU_FACTOR`` over ``DESCENT_STAGES``. L-BFGS-B gets the
+    closed-form gradient of :func:`_descent_terms`. W depends on X only
     through U, so the X-marginal is exact by construction. Returns one
     (q (nu, K), I(X;W), TC) per restart, both values in nats.
     """
-    nu = pxu.shape[1]
-    pu = pxu.sum(axis=0)
-    px = pxu.sum(axis=1)
-    hx = float(-xlogy(px, px).sum())
-    n = len(u_sizes)
-
-    def terms(z):
-        q = _softmax(z.reshape(nu, K), axis=1)
-        juw = pu[:, None] * q  # (u, w)
-        qw = juw.sum(axis=0)
-        hw = float(-xlogy(qw, qw).sum())
-        jxw = pxu @ q  # (x, w)
-        i_xw = hx + hw - float(-xlogy(jxw, jxw).sum())
-        tc = hw - float(-xlogy(juw, juw).sum())
-        shaped = juw.reshape(tuple(u_sizes) + (K,))
-        for i in range(n):
-            mi = shaped.sum(axis=tuple(a for a in range(n) if a != i))  # (|Ui|, K)
-            tc += float(-xlogy(mi, mi).sum()) - hw
-        return q, i_xw, tc
-
-    def objective(z, mu):
-        _, i_xw, tc = terms(z)
-        return i_xw + mu * max(tc, 0.0)
-
     rng = np.random.default_rng(budget.seed)
     runs = []
     for _ in range(budget.restarts):
-        z = rng.normal(scale=2.0, size=nu * K)
+        z = rng.normal(scale=2.0, size=pxu.shape[1] * K)
         mu = MU_INIT
         for _ in range(DESCENT_STAGES):
             result = minimize(
-                objective,
+                lambda z, mu: _descent_terms(z, mu, pxu, u_sizes)[3:],
                 z,
                 args=(mu,),
+                jac=True,
                 method="L-BFGS-B",
                 options={"maxiter": DESCENT_MAXITER},
             )
             z = result.x
             mu *= MU_FACTOR
-        runs.append(terms(z))
+        runs.append(_descent_terms(z, mu, pxu, u_sizes)[:3])
     return runs
 
 
