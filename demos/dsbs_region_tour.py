@@ -7,24 +7,16 @@ shows the common-rate bracket in the open region.
 Run: python3 demos/dsbs_region_tour.py
 """
 
-import numpy as np
-
 from witl.closed_form import DsbsParams, dsbs_c3, dsbs_joint_rd, dsbs_region
-from witl.prob import JointPmf
+from witl.common_info import bsc_broadcast_source
 from witl.rd import DistortionSpec, ba_joint_rd
 
 A1 = 0.1
 
 
-def dsbs_source(a1):
-    p11 = (1 - a1) ** 2 * 0.5 + a1**2 * 0.5
-    p10 = a1 * (1 - a1)
-    return JointPmf((2, 2), np.array([[p11, p10], [p10, p11]]))
-
-
 def main():
     par = DsbsParams.from_a1(A1)
-    p = dsbs_source(A1)
+    p = bsc_broadcast_source(0.5, A1, 2)  # the DSBS: a fair bit through two BSC(a1)
     spec = DistortionSpec.hamming((2, 2))
     print(f"DSBS with crossover a1 = {A1} (flip probability a0 = {par.a0:.4f})\n")
 

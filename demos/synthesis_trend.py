@@ -10,19 +10,12 @@ Run: python3 demos/synthesis_trend.py
 
 import numpy as np
 
-from witl.common_info import solve_common_info
-from witl.prob import JointPmf
+from witl.common_info import bsc_broadcast_source, solve_common_info
 from witl.synthesis import build_generator, exact_delta
 
 
-def dsbs_source(a1=0.1):
-    p11 = (1 - a1) ** 2 * 0.5 + a1**2 * 0.5
-    p10 = a1 * (1 - a1)
-    return JointPmf((2, 2), np.array([[p11, p10], [p10, p11]]))
-
-
 def main():
-    p = dsbs_source()
+    p = bsc_broadcast_source(0.5, 0.1, 2)  # the DSBS with a1 = 0.1
     sol = solve_common_info(p, K=2)
     print(f"Common information (K = 2 exhaustive): {sol.achieved_I:.6f} bits")
     print(f"Marginal residual (total variation):   {sol.marginal_residual:.1e}\n")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -109,36 +108,32 @@ def audit_lemma1(p: JointPmf, d: DistortionSpec, D1: float, D2: float) -> AuditR
     return AuditReport("lemma1", tuple(checks), _fingerprint(p.mass, D1, D2))
 
 
-def _family(family: str, params):
-    """(C, corner distortion d0, largest grid distortion, c3(D1, D2), joint
-    rate(D1, D2)) of a closed-form family, from its parameter or a number."""
-    if family == "dsbs":
-        p = params if isinstance(params, cf.DsbsParams) else cf.DsbsParams.from_a1(params)
-        return (cf.dsbs_common_info(p), p.a1, 0.499,
-                partial(cf.dsbs_c3, p), partial(cf.dsbs_joint_rd, p))
-    if family == "gauss":
-        g = params if isinstance(params, cf.GaussParams) else cf.GaussParams(params)
-        return (cf.gauss_common_info(g), 1.0 - g.rho, 0.999,
-                partial(cf.gauss_c3, g), partial(cf.gauss_joint_rd, g))
-    raise ProbabilityError(f"unknown family {family!r}")
+def _family(family: str, value: float):
+    """The closed-form family record named ``family`` and its parameters from
+    the family's one-number form (a1 for the DSBS, rho for the Gaussian)."""
+    fam = cf.FAMILIES.get(family)
+    if fam is None:
+        raise ProbabilityError(f"unknown family {family!r}")
+    return fam, fam.parse(**{fam.options[0]: value})
 
 
 def audit_theorem4_frontier(
-    family: str, params, grid_size: int = 12
+    family: str, params: float, grid_size: int = 12
 ) -> AuditReport:
     """Empirical frontier of the region where the closed-form common-rate
     bracket pins the common information; reported, never asserted equal to the
     theoretical surface."""
     checks = []
-    c, d0, d_max, value, joint = _family(family, params)
-    grid = np.linspace(1e-3, d_max, grid_size)
+    fam, p = _family(family, params)
+    c = fam.common_info(p)
+    grid = np.linspace(1e-3, fam.audit_max, grid_size)
     pinned = 0
     for x in grid:
         for y in grid:
-            lo, hi = value(x, y)
+            lo, hi = fam.c3(p, x, y)
             if abs(lo - c) <= AUDIT_TOL and abs(hi - c) <= AUDIT_TOL:
                 pinned += 1
-                rj = joint(x, y)
+                rj = fam.joint_rd(p, x, y)
                 checks.append(
                     AuditCheck(
                         f"frontier point ({x:.4f},{y:.4f}): joint rate >= C",
@@ -148,7 +143,8 @@ def audit_theorem4_frontier(
                         "frontier" if rj >= c - AUDIT_TOL else "fail",
                     )
                 )
-    lo_c, hi_c = value(d0, d0)
+    d0 = fam.corner(p)
+    lo_c, hi_c = fam.c3(p, d0, d0)
     checks.append(
         AuditCheck(
             "corner point pins C",
@@ -166,13 +162,14 @@ def audit_theorem4_frontier(
     return AuditReport("t4", tuple(checks), fp)
 
 
-def audit_theorem9_conditions(family: str, params, D1: float, D2: float) -> AuditReport:
+def audit_theorem9_conditions(family: str, params: float, D1: float, D2: float) -> AuditReport:
     """The common-rate pin to C below the coarse corner distortion d0, skipped
     outside it. At d0 the marginal rate equals I(X_i; W) in both families by
     their closed forms, so that equality is not re-checked. Successive
     refinability of the two families is taken as cited fact, not re-proved."""
-    c, d0, _, value, _ = _family(family, params)
-    lo, hi = value(D1, D2)
+    fam, p = _family(family, params)
+    c, d0 = fam.common_info(p), fam.corner(p)
+    lo, hi = fam.c3(p, D1, D2)
     name = "common rate pinned to C below the corner"
     if D1 <= d0 and D2 <= d0:
         ok = abs(lo - c) <= AUDIT_TOL and abs(hi - c) <= AUDIT_TOL

@@ -1,5 +1,6 @@
 """Command-line front end: source ingestion, solver dispatch, and JSON/CSV
-emission for tables and region plots.
+emission for tables and region plots. The ``dsbs`` and ``gauss`` groups are
+built from the ``closed_form.FAMILIES`` records, one body per subcommand.
 
 Exit codes: 0 success, 1 audit failure, 2 input error, 3 budget exhaustion.
 All floating-point output is serialized at 12 significant digits.
@@ -7,6 +8,7 @@ All floating-point output is serialized at 12 significant digits.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from importlib.metadata import PackageNotFoundError, version as pkg_version
@@ -22,7 +24,7 @@ from .common_info import (
     SolveBudget,
     solve_common_info,
 )
-from .gray_wyner import C3Estimate, RatePoint, c3_tilde, c_star, check_membership
+from .gray_wyner import RatePoint, c3_tilde, c_star, check_membership
 from .prob import JointPmf, ProbabilityError
 from .rd import (
     DistortionSpec,
@@ -53,14 +55,17 @@ def _round12(obj):
     return obj
 
 
-def _emit_json(result, config, output):
-    doc = {"tool": "witl", "version": VERSION, "config": config, "result": _round12(result)}
-    text = json.dumps(doc, indent=2)
+def _write(text, output):
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
     else:
         click.echo(text)
+
+
+def _emit_json(result, config, output):
+    doc = {"tool": "witl", "version": VERSION, "config": config, "result": _round12(result)}
+    _write(json.dumps(doc, indent=2), output)
 
 
 def _emit_csv(rows, columns, config, output):
@@ -70,12 +75,7 @@ def _emit_csv(rows, columns, config, output):
     ]
     for row in rows:
         lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    _write("\n".join(lines), output)
 
 
 def _load_source(path) -> JointPmf:
@@ -90,9 +90,12 @@ def _load_distortion(spec, p: JointPmf) -> DistortionSpec:
         return DistortionSpec.from_json(json.load(fh))
 
 
-def _parse_pair(text):
-    parts = [float(v) for v in text.split(",")]
-    return parts
+def _parse_pair(text, count):
+    """The ``count`` comma-separated floats in ``text``."""
+    values = [float(v) for v in text.split(",")]
+    if len(values) != count:
+        raise ProbabilityError(f"expected {count} comma-separated value(s), got {text!r}")
+    return values
 
 
 def _fail(code, message):
@@ -103,6 +106,7 @@ def _fail(code, message):
 def _guard(fn):
     """Map library exceptions onto the documented exit codes."""
 
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
@@ -112,8 +116,10 @@ def _guard(fn):
                 json.JSONDecodeError, ValueError) as exc:
             _fail(EXIT_INPUT_ERROR, exc)
 
-    wrapper.__name__ = fn.__name__
     return wrapper
+
+
+_OUTPUT = click.option("--output", "-o", type=click.Path(), default=None)
 
 
 @click.group()
@@ -125,19 +131,17 @@ def main():
 @click.option("--source", required=True, type=click.Path())
 @click.option("--dist", default="hamming", show_default=True)
 @click.option("--D", "dvals", required=True, help="Distortion, e.g. 0.1 or 0.05,0.05")
-@click.option("--output", "-o", type=click.Path(), default=None)
+@_OUTPUT
 @_guard
 def rd(source, dist, dvals, output):
     """Rate-distortion value for a 1- or 2-coordinate source."""
     p = _load_source(source)
     d = _load_distortion(dist, p)
-    targets = _parse_pair(dvals)
+    targets = _parse_pair(dvals, p.ncoords)
     if p.ncoords == 1:
         point = ba_rate_distortion(p, d, targets[0])
-    elif p.ncoords == 2 and len(targets) == 2:
-        point = ba_joint_rd(p, d, tuple(targets))
     else:
-        raise ProbabilityError("rd needs a 1-coordinate source or a pair with --D d1,d2")
+        point = ba_joint_rd(p, d, tuple(targets))
     result = {
         "rate_bits": point.rate,
         "distortion": list(point.distortion),
@@ -151,7 +155,7 @@ def rd(source, dist, dvals, output):
 @click.option("--card", type=int, default=None, help="Cardinality bound |W|.")
 @click.option("--restarts", type=int, default=8, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
+@_OUTPUT
 @_guard
 def ci(source, card, restarts, seed, output):
     """Common information of the source (upper-bound search)."""
@@ -171,15 +175,13 @@ def ci(source, card, restarts, seed, output):
               show_default=True)
 @click.option("--restarts", type=int, default=8, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
+@_OUTPUT
 @_guard
 def c3(source, dist, dvals, method, restarts, seed, output):
     """Smallest common rate at joint-decoding total rate."""
     p = _load_source(source)
     d = _load_distortion(dist, p)
-    targets = _parse_pair(dvals)
-    if len(targets) != 2:
-        raise ProbabilityError("c3 needs --D d1,d2")
+    targets = _parse_pair(dvals, 2)
     budget = SolveBudget(restarts=restarts, seed=seed)
     result = {}
     if method in ("tilde", "both"):
@@ -198,7 +200,7 @@ def c3(source, dist, dvals, method, restarts, seed, output):
 @click.option("--dist", default="hamming", show_default=True)
 @click.option("--D", "dvals", required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
+@_OUTPUT
 @_guard
 def member(source, rates, dist, dvals, seed, output):
     """One-sided region membership: witness or none (absence is not a converse)."""
@@ -210,7 +212,7 @@ def member(source, rates, dist, dvals, seed, output):
         point = RatePoint(float(robj["R0"]), tuple(float(v) for v in robj["privates"]))
     except (KeyError, TypeError) as exc:
         raise ProbabilityError(f"bad rates document: {exc}") from exc
-    targets = _parse_pair(dvals)
+    targets = _parse_pair(dvals, p.ncoords)
     witness = check_membership(p, point, targets, d, SolveBudget(seed=seed))
     if witness is None:
         result = {"member": None, "note": "one-sided check: no witness found within budget"}
@@ -228,185 +230,101 @@ def member(source, rates, dist, dvals, seed, output):
     _emit_json(result, config, output)
 
 
-def _dsbs_params(a1, a0):
-    if (a1 is None) == (a0 is None):
-        raise ProbabilityError("give exactly one of --a1 / --a0")
-    return cf.DsbsParams.from_a1(a1) if a1 is not None else cf.DsbsParams(a0)
+# Closed-form subcommands: each body serves every family, with its parameters parsed.
 
 
-@main.group()
-def dsbs():
-    """Closed forms for the doubly symmetric binary source."""
-
-
-@dsbs.command("c3")
-@click.option("--a1", type=float, default=None)
-@click.option("--a0", type=float, default=None)
-@click.option("--D", "dvals", required=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
-@_guard
-def dsbs_c3_cmd(a1, a0, dvals, output):
-    p = _dsbs_params(a1, a0)
-    d1, d2 = _parse_pair(dvals)
-    lo, hi = cf.dsbs_c3(p, d1, d2)
-    region = cf.dsbs_region(p, d1, d2).value
-    result = {"region": region, "value_lower_bits": lo, "value_upper_bits": hi}
-    if lo == hi:
-        result["value"] = lo
-    _emit_json(result, {"subcommand": "dsbs c3", "a0": p.a0, "D": [d1, d2]}, output)
-
-
-@dsbs.command("rd")
-@click.option("--a1", type=float, default=None)
-@click.option("--a0", type=float, default=None)
-@click.option("--D", "dvals", required=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
-@_guard
-def dsbs_rd_cmd(a1, a0, dvals, output):
-    p = _dsbs_params(a1, a0)
-    d1, d2 = _parse_pair(dvals)
-    result = {
-        "region": cf.dsbs_region(p, d1, d2).value,
-        "joint_rate_bits": cf.dsbs_joint_rd(p, d1, d2),
-    }
-    _emit_json(result, {"subcommand": "dsbs rd", "a0": p.a0, "D": [d1, d2]}, output)
-
-
-@dsbs.command("ci")
-@click.option("--a1", type=float, default=None)
-@click.option("--a0", type=float, default=None)
-@click.option("--output", "-o", type=click.Path(), default=None)
-@_guard
-def dsbs_ci_cmd(a1, a0, output):
-    p = _dsbs_params(a1, a0)
-    result = {"common_information_bits": cf.dsbs_common_info(p), "a1": p.a1}
-    _emit_json(result, {"subcommand": "dsbs ci", "a0": p.a0}, output)
-
-
-@dsbs.command("alloc")
-@click.option("--a1", type=float, default=None)
-@click.option("--a0", type=float, default=None)
-@click.option("--Dp", "dpvals", required=True, help="Coarse pair D1',D2'")
-@click.option("--D", "dvals", required=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
-@_guard
-def dsbs_alloc_cmd(a1, a0, dpvals, dvals, output):
-    p = _dsbs_params(a1, a0)
-    dp1, dp2 = _parse_pair(dpvals)
-    d1, d2 = _parse_pair(dvals)
-    r0, r1, r2 = cf.dsbs_allocation(p, dp1, dp2, d1, d2)
-    result = {"R0_bits": r0, "R1_bits": r1, "R2_bits": r2, "sum_bits": r0 + r1 + r2}
-    _emit_json(result, {"subcommand": "dsbs alloc", "a0": p.a0,
-                        "Dp": [dp1, dp2], "D": [d1, d2]}, output)
-
-
-@dsbs.command("grid")
-@click.option("--a1", type=float, default=None)
-@click.option("--a0", type=float, default=None)
-@click.option("--grid", "n", type=int, default=50, show_default=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
-@_guard
-def dsbs_grid_cmd(a1, a0, n, output):
-    """n x n CSV of (D1, D2, region, R_joint, C3_low, C3_high)."""
-    p = _dsbs_params(a1, a0)
-    axis = np.linspace(0.0, 0.5, n)
-    rows = []
-    for d1 in axis:
-        for d2 in axis:
-            lo, hi = cf.dsbs_c3(p, d1, d2)
-            rows.append((float(d1), float(d2), cf.dsbs_region(p, d1, d2).value,
-                         cf.dsbs_joint_rd(p, d1, d2), lo, hi))
-    config = {"subcommand": "dsbs grid", "a0": p.a0, "grid": n}
-    _emit_csv(rows, ["D1", "D2", "region", "R_joint", "C3_low", "C3_high"], config, output)
-
-
-@main.group()
-def gauss():
-    """Closed forms for the unit-variance bivariate Gaussian source."""
-
-
-@gauss.command("c3")
-@click.option("--rho", type=float, required=True)
-@click.option("--D", "dvals", required=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
-@_guard
-def gauss_c3_cmd(rho, dvals, output):
-    g = cf.GaussParams(rho)
-    d1, d2 = _parse_pair(dvals)
-    lo, hi = cf.gauss_c3(g, d1, d2)
-    result = {"region": cf.gauss_region(g, d1, d2).value,
+def _family_c3(fam, params, config, output, dvals):
+    """Smallest common rate C3(D1, D2): a point value or an open bracket."""
+    d1, d2 = config["D"] = _parse_pair(dvals, 2)
+    lo, hi = fam.c3(params, d1, d2)
+    result = {"region": fam.region(params, d1, d2).value,
               "value_lower_bits": lo, "value_upper_bits": hi}
     if lo == hi:
         result["value"] = lo
-    if g.reflected:
-        result["note"] = "negative rho mapped to |rho| (one coordinate reflected)"
-    _emit_json(result, {"subcommand": "gauss c3", "rho": g.rho, "D": [d1, d2]}, output)
+    if fam.note and params.reflected:
+        result["note"] = fam.note
+    _emit_json(result, config, output)
 
 
-@gauss.command("rd")
-@click.option("--rho", type=float, required=True)
-@click.option("--D", "dvals", required=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
-@_guard
-def gauss_rd_cmd(rho, dvals, output):
-    g = cf.GaussParams(rho)
-    d1, d2 = _parse_pair(dvals)
+def _family_rd(fam, params, config, output, dvals):
+    """Joint rate-distortion value R(D1, D2) and its region."""
+    d1, d2 = config["D"] = _parse_pair(dvals, 2)
+    result = {"region": fam.region(params, d1, d2).value}
     try:
-        rate = cf.gauss_joint_rd(g, d1, d2)
-        result = {"region": cf.gauss_region(g, d1, d2).value, "joint_rate_bits": rate}
+        result["joint_rate_bits"] = fam.joint_rd(params, d1, d2)
     except cf.InfiniteRate:
-        result = {"region": cf.gauss_region(g, max(d1, 1e-300), max(d2, 1e-300)).value,
-                  "joint_rate_bits": "infinite"}
-    _emit_json(result, {"subcommand": "gauss rd", "rho": g.rho, "D": [d1, d2]}, output)
+        result["joint_rate_bits"] = "infinite"
+    _emit_json(result, config, output)
 
 
-@gauss.command("ci")
-@click.option("--rho", type=float, required=True)
-@click.option("--n", "nvar", type=int, default=2, show_default=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
-@_guard
-def gauss_ci_cmd(rho, nvar, output):
-    g = cf.GaussParams(rho)
-    value = cf.gauss_common_info(g) if nvar == 2 else cf.gauss_common_info_N(g, nvar)
-    result = {"common_information_bits": value, "n_variables": nvar}
-    if g.reflected:
-        result["note"] = "negative rho mapped to |rho| (one coordinate reflected)"
-    _emit_json(result, {"subcommand": "gauss ci", "rho": g.rho, "n": nvar}, output)
+def _family_ci(fam, params, config, output, nvar=None):
+    """Common information C(X1, X2), or of N equicorrelated variables."""
+    value = fam.common_info(params) if nvar in (None, 2) else fam.common_info_n(params, nvar)
+    result = {"common_information_bits": value}
+    result.update((key, getattr(params, key)) for key in fam.ci_reports)
+    if nvar is not None:
+        result["n_variables"] = config["n"] = nvar
+    if fam.note and params.reflected:
+        result["note"] = fam.note
+    _emit_json(result, config, output)
 
 
-@gauss.command("alloc")
-@click.option("--rho", type=float, required=True)
-@click.option("--Dp", "dpvals", required=True)
-@click.option("--D", "dvals", required=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
-@_guard
-def gauss_alloc_cmd(rho, dpvals, dvals, output):
-    g = cf.GaussParams(rho)
-    dp1, dp2 = _parse_pair(dpvals)
-    d1, d2 = _parse_pair(dvals)
-    r0, r1, r2 = cf.gauss_allocation(g, dp1, dp2, d1, d2)
+def _family_alloc(fam, params, config, output, dpvals, dvals):
+    """Rate allocation (R0, R1, R2) through the coarse pair D' down to D."""
+    dp1, dp2 = config["Dp"] = _parse_pair(dpvals, 2)
+    d1, d2 = config["D"] = _parse_pair(dvals, 2)
+    r0, r1, r2 = fam.allocation(params, dp1, dp2, d1, d2)
     result = {"R0_bits": r0, "R1_bits": r1, "R2_bits": r2, "sum_bits": r0 + r1 + r2}
-    _emit_json(result, {"subcommand": "gauss alloc", "rho": g.rho,
-                        "Dp": [dp1, dp2], "D": [d1, d2]}, output)
+    _emit_json(result, config, output)
 
 
-@gauss.command("grid")
-@click.option("--rho", type=float, required=True)
-@click.option("--grid", "n", type=int, default=50, show_default=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
-@_guard
-def gauss_grid_cmd(rho, n, output):
+def _family_grid(fam, params, config, output, n):
     """n x n CSV of (D1, D2, region, R_joint, C3_low, C3_high)."""
-    g = cf.GaussParams(rho)
-    axis = np.linspace(1e-3, 1.0, n)
+    config["grid"] = n
+    axis = np.linspace(*fam.grid_axis, n)
     rows = []
     for d1 in axis:
         for d2 in axis:
-            lo, hi = cf.gauss_c3(g, d1, d2)
-            rows.append((float(d1), float(d2), cf.gauss_region(g, d1, d2).value,
-                         cf.gauss_joint_rd(g, d1, d2), lo, hi))
-    config = {"subcommand": "gauss grid", "rho": g.rho, "grid": n}
+            lo, hi = fam.c3(params, d1, d2)
+            rows.append((float(d1), float(d2), fam.region(params, d1, d2).value,
+                         fam.joint_rd(params, d1, d2), lo, hi))
     _emit_csv(rows, ["D1", "D2", "region", "R_joint", "C3_low", "C3_high"], config, output)
+
+
+def _run_family(fam, name, body, output, **kwargs):
+    """Parse the family's parameter options, then run the subcommand body."""
+    params = fam.parse(**{opt: kwargs.pop(opt) for opt in fam.options})
+    config = {"subcommand": f"{fam.name} {name}", fam.config_key: getattr(params, fam.config_key)}
+    body(fam, params, config, output, **kwargs)
+
+
+def _family_group(fam):
+    """``witl <family>``: each subcommand takes the family's parameter options,
+    then its own options and ``-o``."""
+    group = click.Group(fam.name, help=fam.summary)
+    required = len(fam.options) == 1
+    family_options = [click.option(f"--{opt}", type=float, required=required)
+                      for opt in fam.options]
+    dist = click.option("--D", "dvals", required=True)
+    coarse = click.option("--Dp", "dpvals", required=True, help="Coarse pair D1',D2'")
+    n_var = click.option("--n", "nvar", type=int, default=2, show_default=True)
+    grid = click.option("--grid", "n", type=int, default=50, show_default=True)
+    for name, body, options in (
+        ("c3", _family_c3, [dist]),
+        ("rd", _family_rd, [dist]),
+        ("ci", _family_ci, [n_var] if fam.common_info_n else []),
+        ("alloc", _family_alloc, [coarse, dist]),
+        ("grid", _family_grid, [grid]),
+    ):
+        command = _guard(functools.partial(_run_family, fam, name, body))
+        for option in reversed([*family_options, *options, _OUTPUT]):
+            command = option(command)
+        group.add_command(click.command(name, help=body.__doc__)(command))
+    return group
+
+
+for _fam in cf.FAMILIES.values():
+    main.add_command(_family_group(_fam))
 
 
 @main.command()
@@ -415,15 +333,22 @@ def gauss_grid_cmd(rho, n, output):
               help="Reuse a `witl ci` output instead of re-solving.")
 @click.option("--R0", "r0", type=float, required=True)
 @click.option("--n", "nrange", required=True, help="Blocklength range a..b or single n.")
-@click.option("--seeds", type=int, default=1, show_default=True)
+@click.option("--seeds", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--mode", type=click.Choice(["random", "type"]), default="random",
               show_default=True)
 @click.option("--card", type=int, default=None)
-@click.option("--output", "-o", type=click.Path(), default=None)
+@_OUTPUT
 @_guard
 def synth(source, solution, r0, nrange, seeds, mode, card, output):
     """Exact generator simulation: CSV of (n, M, seed, delta)."""
     p = _load_source(source)
+    if ".." in nrange:
+        lo, hi = nrange.split("..")
+        ns = range(int(lo), int(hi) + 1)
+    else:
+        ns = [int(nrange)]
+    if not ns:
+        raise ProbabilityError(f"empty blocklength range {nrange!r}")
     if solution:
         with open(solution) as fh:
             doc = json.load(fh)
@@ -432,11 +357,6 @@ def synth(source, solution, r0, nrange, seeds, mode, card, output):
         sol = CommonInfoSolution.from_json_obj(doc)
     else:
         sol = solve_common_info(p, K=card, budget=SolveBudget())
-    if ".." in nrange:
-        lo, hi = nrange.split("..")
-        ns = range(int(lo), int(hi) + 1)
-    else:
-        ns = [int(nrange)]
     rows = []
     for n in ns:
         for seed in range(seeds):
@@ -453,22 +373,22 @@ def synth(source, solution, r0, nrange, seeds, mode, card, output):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--a1", type=float, default=0.1, show_default=True)
 @click.option("--rho", type=float, default=0.5, show_default=True)
-@click.option("--family", type=click.Choice(["dsbs", "gauss"]), default="dsbs",
+@click.option("--family", type=click.Choice(list(cf.FAMILIES)), default="dsbs",
               show_default=True)
 @click.option("--D", "dvals", default="0.05,0.05", show_default=True)
-@click.option("--output", "-o", type=click.Path(), default=None)
+@_OUTPUT
 @_guard
 def audit_cmd(suite, seed, a1, rho, family, dvals, output):
     """Run an audit suite; exits nonzero on any failed check."""
-    d1, d2 = _parse_pair(dvals)
+    d1, d2 = _parse_pair(dvals, 2)
+    number = {"a1": a1, "rho": rho}[cf.FAMILIES[family].options[0]]
     if suite == "lemma1":
         p = audit_mod.random_source(seed)
         report = audit_mod.audit_lemma1(p, DistortionSpec.hamming(p.alphabet_sizes), d1, d2)
     elif suite == "t4":
-        report = audit_mod.audit_theorem4_frontier(family, a1 if family == "dsbs" else rho)
+        report = audit_mod.audit_theorem4_frontier(family, number)
     elif suite == "t9":
-        report = audit_mod.audit_theorem9_conditions(
-            family, a1 if family == "dsbs" else rho, d1, d2)
+        report = audit_mod.audit_theorem9_conditions(family, number, d1, d2)
     else:
         report = audit_mod.audit_bounds_and_monotone(
             audit_mod.random_source(seed), SolveBudget(seed=seed), a1=a1)

@@ -3,6 +3,10 @@ rate-allocation results for the doubly symmetric binary source (Hamming
 distortion) and the unit-variance bivariate/equicorrelated Gaussian source
 (squared error).
 
+``DSBS`` and ``GAUSS`` (``FAMILIES`` by name) are ``ClosedFormFamily``
+records: the one description of a family that the ``witl dsbs``/``witl gauss``
+command groups and the t4/t9 audits are built from.
+
 Region boundaries are formally ambiguous in the piecewise definitions; the
 classifiers use closed predicates checked in a fixed order, and continuity of
 the branch values makes the boundary tag irrelevant to any reported number.
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any, Callable
 
 from .prob import ProbabilityError, binary_entropy
 
@@ -137,22 +142,28 @@ def dsbs_conditional_rd(p: DsbsParams, Di: float) -> float:
     return binary_entropy(p.a1) - binary_entropy(Di)
 
 
-def dsbs_c3(p: DsbsParams, D1: float, D2: float) -> tuple[float, float]:
+def _c3(region, common_info, joint_rd, p, D1, D2) -> tuple[float, float]:
     """Smallest common rate as a (lower, upper) pair in bits.
 
-    Point-valued regions return lower == upper; the open region E11 returns
-    the bracket [C(X1,X2), R_{X1X2}(D1,D2)].
+    Point-valued regions return lower == upper: C in the corner region (E10,
+    D10), the joint rate in the two joint-rate regions, 0 at zero rate. The
+    open region (E11, D11) returns the bracket [C(X1,X2), R_{X1X2}(D1,D2)].
     """
-    region = dsbs_region(p, D1, D2)
-    if region is RegionLabel.E10:
-        c = dsbs_common_info(p)
+    label = region(p, D1, D2)
+    if label in (RegionLabel.E10, RegionLabel.D10):
+        c = common_info(p)
         return (c, c)
-    if region is RegionLabel.E11:
-        return (dsbs_common_info(p), dsbs_joint_rd(p, D1, D2))
-    if region in (RegionLabel.E2, RegionLabel.E3):
-        r = dsbs_joint_rd(p, D1, D2)
-        return (r, r)
-    return (0.0, 0.0)
+    if label in (RegionLabel.E11, RegionLabel.D11):
+        return (common_info(p), joint_rd(p, D1, D2))
+    if label is RegionLabel.ZERO:
+        return (0.0, 0.0)
+    r = joint_rd(p, D1, D2)
+    return (r, r)
+
+
+def dsbs_c3(p: DsbsParams, D1: float, D2: float) -> tuple[float, float]:
+    """Smallest common rate as a (lower, upper) pair in bits; E11 is an open bracket."""
+    return _c3(dsbs_region, dsbs_common_info, dsbs_joint_rd, p, D1, D2)
 
 
 def dsbs_allocation(
@@ -245,16 +256,7 @@ def gauss_joint_rd(g: GaussParams, D1: float, D2: float) -> float:
 
 def gauss_c3(g: GaussParams, D1: float, D2: float) -> tuple[float, float]:
     """Smallest common rate as a (lower, upper) pair; D11 is an open bracket."""
-    region = gauss_region(g, D1, D2)
-    if region is RegionLabel.D10:
-        c = gauss_common_info(g)
-        return (c, c)
-    if region is RegionLabel.D11:
-        return (gauss_common_info(g), gauss_joint_rd(g, D1, D2))
-    if region in (RegionLabel.D2, RegionLabel.D3):
-        r = gauss_joint_rd(g, D1, D2)
-        return (r, r)
-    return (0.0, 0.0)
+    return _c3(gauss_region, gauss_common_info, gauss_joint_rd, g, D1, D2)
 
 
 def gauss_allocation(
@@ -270,3 +272,52 @@ def gauss_allocation(
         )
     r0 = 0.5 * math.log2((1.0 - g.rho * g.rho) / (Dp1 * Dp2))
     return (r0, 0.5 * math.log2(Dp1 / D1), 0.5 * math.log2(Dp2 / D2))
+
+
+def _dsbs_from_options(a1: float | None = None, a0: float | None = None) -> DsbsParams:
+    if (a1 is None) == (a0 is None):
+        raise ProbabilityError("give exactly one of --a1 / --a0")
+    return DsbsParams.from_a1(a1) if a1 is not None else DsbsParams(a0)
+
+
+@dataclass(frozen=True)
+class ClosedFormFamily:
+    """A closed-form family: ``parse`` turns the float ``options`` (one
+    required, or several exclusive forms; the first alone gives the family by
+    one number) into the parameters that every function here takes first."""
+
+    name: str
+    summary: str
+    options: tuple[str, ...]
+    parse: Callable[..., Any]
+    config_key: str  # parameter attribute written to the CLI config
+    region: Callable[..., RegionLabel]
+    joint_rd: Callable[..., float]
+    c3: Callable[..., tuple[float, float]]
+    common_info: Callable[[Any], float]
+    allocation: Callable[..., tuple[float, float, float]]
+    corner: Callable[[Any], float]  # d0: the common rate is C below (d0, d0)
+    audit_max: float  # largest distortion on the t4 audit grid
+    grid_axis: tuple[float, float]  # distortion axis of the CLI grid
+    ci_reports: tuple[str, ...] = ()  # parameter attributes the ci result echoes
+    common_info_n: Callable[[Any, int], float] | None = None  # N-variate form, ``ci --n``
+    note: str | None = None  # reported on c3 and ci when ``params.reflected``
+
+
+DSBS = ClosedFormFamily(
+    "dsbs", "Closed forms for the doubly symmetric binary source.",
+    options=("a1", "a0"), parse=_dsbs_from_options, config_key="a0",
+    region=dsbs_region, joint_rd=dsbs_joint_rd, c3=dsbs_c3,
+    common_info=dsbs_common_info, allocation=dsbs_allocation,
+    corner=lambda p: p.a1, audit_max=0.499, grid_axis=(0.0, 0.5), ci_reports=("a1",),
+)
+GAUSS = ClosedFormFamily(
+    "gauss", "Closed forms for the unit-variance bivariate Gaussian source.",
+    options=("rho",), parse=GaussParams, config_key="rho",
+    region=gauss_region, joint_rd=gauss_joint_rd, c3=gauss_c3,
+    common_info=gauss_common_info, allocation=gauss_allocation,
+    corner=lambda g: 1.0 - g.rho, audit_max=0.999, grid_axis=(1e-3, 1.0),
+    common_info_n=gauss_common_info_N,
+    note="negative rho mapped to |rho| (one coordinate reflected)",
+)
+FAMILIES = {f.name: f for f in (DSBS, GAUSS)}

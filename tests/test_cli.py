@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from witl import closed_form as cf
 from witl.cli import main
 
 C_DSBS_01 = 0.74208585854971740
 HALF_LOG2_3 = 0.79248125036057809
+REFLECTED_NOTE = "negative rho mapped to |rho| (one coordinate reflected)"
 
 
 @pytest.fixture
@@ -26,6 +28,21 @@ def run_json(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
+
+
+def round12(value):
+    return float(f"{value:.12g}") if isinstance(value, float) else value
+
+
+def _commands(command, path=("witl",)):
+    yield " ".join(path), command
+    for name, sub in getattr(command, "commands", {}).items():
+        yield from _commands(sub, path + (name,))
+
+
+def test_every_command_has_short_help():
+    missing = [path for path, command in _commands(main) if not command.get_short_help_str()]
+    assert missing == []
 
 
 class TestHeadersAndFormatting:
@@ -72,6 +89,74 @@ class TestClosedFormCommands:
         assert doc["result"]["common_information_bits"] == pytest.approx(
             HALF_LOG2_3, abs=1e-11
         )
+
+
+_P = cf.DsbsParams.from_a1(0.1)
+_P018 = cf.DsbsParams(0.18)
+_G = cf.GaussParams(0.5)
+_GN = cf.GaussParams(-0.5)
+_DSBS_ALLOC = cf.dsbs_allocation(_P, 0.08, 0.09, 0.05, 0.05)
+_GAUSS_ALLOC = cf.gauss_allocation(_G, 0.4, 0.45, 0.2, 0.3)
+
+# (argv, config, result) for the closed-form subcommands no other test runs
+CLOSED_FORM_CASES = [
+    (["dsbs", "rd", "--a1", "0.1", "--D", "0.12,0.06"],
+     {"subcommand": "dsbs rd", "a0": _P.a0, "D": [0.12, 0.06]},
+     {"region": cf.dsbs_region(_P, 0.12, 0.06).value,
+      "joint_rate_bits": cf.dsbs_joint_rd(_P, 0.12, 0.06)}),
+    (["dsbs", "rd", "--a0", "0.18", "--D", "0.3,0.2"],
+     {"subcommand": "dsbs rd", "a0": 0.18, "D": [0.3, 0.2]},
+     {"region": cf.dsbs_region(_P018, 0.3, 0.2).value,
+      "joint_rate_bits": cf.dsbs_joint_rd(_P018, 0.3, 0.2)}),
+    (["dsbs", "ci", "--a0", "0.18"],
+     {"subcommand": "dsbs ci", "a0": 0.18},
+     {"common_information_bits": cf.dsbs_common_info(_P018), "a1": _P018.a1}),
+    (["dsbs", "alloc", "--a1", "0.1", "--Dp", "0.08,0.09", "--D", "0.05,0.05"],
+     {"subcommand": "dsbs alloc", "a0": _P.a0, "Dp": [0.08, 0.09], "D": [0.05, 0.05]},
+     {"R0_bits": _DSBS_ALLOC[0], "R1_bits": _DSBS_ALLOC[1], "R2_bits": _DSBS_ALLOC[2],
+      "sum_bits": sum(_DSBS_ALLOC)}),
+    (["gauss", "rd", "--rho", "0.5", "--D", "0.25,0.4"],
+     {"subcommand": "gauss rd", "rho": 0.5, "D": [0.25, 0.4]},
+     {"region": cf.gauss_region(_G, 0.25, 0.4).value,
+      "joint_rate_bits": cf.gauss_joint_rd(_G, 0.25, 0.4)}),
+    (["gauss", "rd", "--rho", "0.5", "--D", "0,0.5"],
+     {"subcommand": "gauss rd", "rho": 0.5, "D": [0.0, 0.5]},
+     {"region": cf.gauss_region(_G, 0.0, 0.5).value, "joint_rate_bits": "infinite"}),
+    (["gauss", "alloc", "--rho", "0.5", "--Dp", "0.4,0.45", "--D", "0.2,0.3"],
+     {"subcommand": "gauss alloc", "rho": 0.5, "Dp": [0.4, 0.45], "D": [0.2, 0.3]},
+     {"R0_bits": _GAUSS_ALLOC[0], "R1_bits": _GAUSS_ALLOC[1], "R2_bits": _GAUSS_ALLOC[2],
+      "sum_bits": sum(_GAUSS_ALLOC)}),
+    (["gauss", "ci", "--rho", "-0.5", "--n", "3"],
+     {"subcommand": "gauss ci", "rho": 0.5, "n": 3},
+     {"common_information_bits": cf.gauss_common_info_N(_GN, 3), "n_variables": 3,
+      "note": REFLECTED_NOTE}),
+]
+
+
+@pytest.mark.parametrize("argv,config,result", CLOSED_FORM_CASES,
+                         ids=[" ".join(c[0][:3]) for c in CLOSED_FORM_CASES])
+def test_closed_form_subcommand_matrix(runner, argv, config, result):
+    doc = run_json(runner, argv)
+    assert doc["config"] == config
+    assert doc["result"] == {key: round12(value) for key, value in result.items()}
+
+
+def test_gauss_grid_rows(runner):
+    result = runner.invoke(main, ["gauss", "grid", "--rho", "0.5", "--grid", "3"])
+    assert result.exit_code == 0
+    header, columns, *rows = result.output.strip().splitlines()
+    assert json.loads(header.split("config=", 1)[1]) == {
+        "subcommand": "gauss grid", "rho": 0.5, "grid": 3}
+    assert columns == "D1,D2,region,R_joint,C3_low,C3_high"
+    axis = np.linspace(1e-3, 1.0, 3)
+    expected = []
+    for d1 in axis:
+        for d2 in axis:
+            lo, hi = cf.gauss_c3(_G, d1, d2)
+            values = (float(d1), float(d2), cf.gauss_region(_G, d1, d2).value,
+                      cf.gauss_joint_rd(_G, d1, d2), lo, hi)
+            expected.append(",".join(f"{v:.12g}" if isinstance(v, float) else v for v in values))
+    assert rows == expected
 
 
 class TestSolverCommands:
@@ -159,6 +244,22 @@ class TestFailureModes:
              "--n", "2"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("dvals", ["0.1,0.2", "0.1,0.2,0.3"])
+    def test_rd_counts_distortions(self, runner, tmp_path, dvals):
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"alphabet_sizes": [2], "pmf": [0.3, 0.7]}))
+        result = runner.invoke(main, ["rd", "--source", str(one), "--D", dvals])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("extra", [["--n", "5..2"], ["--n", "2", "--seeds", "0"]])
+    def test_synth_rejects_empty_table(self, runner, dsbs_file, tmp_path, extra):
+        out = tmp_path / "synth.csv"
+        result = runner.invoke(
+            main, ["synth", "--source", dsbs_file, "--R0", "0.94", "-o", str(out), *extra]
+        )
+        assert result.exit_code == 2
+        assert not out.exists()
 
     def test_threads_validation(self, runner):
         result = runner.invoke(main, ["--threads", "0", "dsbs", "ci", "--a1", "0.1"])
