@@ -308,7 +308,7 @@ def _family_group(fam):
     dist = click.option("--D", "dvals", required=True)
     coarse = click.option("--Dp", "dpvals", required=True, help="Coarse pair D1',D2'")
     n_var = click.option("--n", "nvar", type=int, default=2, show_default=True)
-    grid = click.option("--grid", "n", type=int, default=50, show_default=True)
+    grid = click.option("--grid", "n", type=click.IntRange(min=1), default=50, show_default=True)
     for name, body, options in (
         ("c3", _family_c3, [dist]),
         ("rd", _family_rd, [dist]),

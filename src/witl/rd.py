@@ -4,12 +4,13 @@ rate-distortion functions on finite alphabets.
 Distortion-constrained queries are answered by sweeping the Lagrangian slope:
 the alternating update traces (D(lambda), R(lambda)) points on the curve, and a
 query R(D) is recovered by a batched slope bracket search (marginal and
-conditional problems) or by a cached two-multiplier sweep plus local
-refinement (joint problems). Every query runs on one batched kernel,
-``_ba_batch``, which takes a source pmf per batch entry: the bracket search
-solves all components w of a conditional problem at several slopes per call,
-warm-started from the previous round. Multipliers are in bits per distortion
-unit throughout.
+conditional problems) or by a cached two-multiplier sweep followed by a
+projected Newton ascent on the concave dual (joint problems). Every query runs
+on one batched kernel, ``_ba_batch``, which takes a source pmf per batch
+entry: the bracket search solves all components w of a conditional problem at
+several slopes per call, warm-started from the previous round, and each ascent
+step is one single-entry call. Multipliers are in bits per distortion unit
+throughout.
 """
 
 from __future__ import annotations
@@ -189,11 +190,6 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, tol=RATE_TOL, q0=None):
     return np.maximum(rate_full, 0.0), cond_full, flb_full
 
 
-def _expected_distortions(px, cond, dmats):
-    """E[d_i] for each batch entry; dmats: list of (nx, nxh) expanded matrices."""
-    return [np.einsum("x,bxh,xh->b", px, cond, d) for d in dmats]
-
-
 def _zero_distortion_rate(pxgw, dmat):
     """R at exactly zero distortion for each (W, nx) source row: BA restricted
     to the d = 0 support. Returns rates (W,) and conditionals (W, nx, nxh)."""
@@ -299,16 +295,17 @@ def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
 
 
 # ---------------------------------------------------------------------------
-# Joint (two-coordinate) solver: cached two-multiplier sweep + local refinement
+# Joint (two-coordinate) solver: cached slope sweep + projected dual ascent
 
 
 def _joint_problem(p: JointPmf, d: DistortionSpec):
+    """Flattened source pmf and the stacked (2, nx, nxh) distortions."""
     n1, n2 = p.alphabet_sizes
     m1, m2 = d.repro_sizes
     px = p.mass.reshape(-1)
     d1 = np.kron(d.matrices[0], np.ones((n2, m2)))
     d2 = np.kron(np.ones((n1, m1)), d.matrices[1])
-    return px, d1, d2, (m1, m2)
+    return px, np.stack([d1, d2])
 
 
 _SWEEP_CACHE: dict = {}
@@ -317,193 +314,178 @@ _DEFAULT_GRID = np.concatenate(([0.0], np.geomspace(1.0 / 32.0, 48.0, 30)))
 
 #: iteration cap for joint sweeps; certified dual bounds stay valid at any cap
 JOINT_MAX_ITER = 2500
+#: guard on the kernel calls of one ascent; it normally stops on its gain
+ASCENT_CALLS = 20
+#: the ascent stops once its predicted dual gain is below this many bits
+ASCENT_GAIN_TOL = 1e-12
 
 
-def _sweep_joint(px, d1, d2, s1_grid, s2_grid, q0=None):
-    """Batched BA over the slope-pair grid; returns flat point arrays."""
-    s1, s2 = np.meshgrid(np.asarray(s1_grid), np.asarray(s2_grid), indexing="ij")
-    s1 = s1.reshape(-1)
-    s2 = s2.reshape(-1)
-    cost = LOG2 * (s1[:, None, None] * d1[None] + s2[:, None, None] * d2[None])
-    rates, cond, flb = _ba_batch(px, cost, max_iter=JOINT_MAX_ITER, q0=q0)
-    dd1, dd2 = _expected_distortions(px, cond, [d1, d2])
-    return s1, s2, rates, dd1, dd2, cond, flb
+def _slope_points(px, dm, slopes, q0=None, max_iter=MAX_ITER):
+    """Batched BA at slope vectors (N, k), bits per distortion unit, for the
+    stacked distortions dm (k, nx, nxh). Returns rates (bits), channels,
+    certified Lagrangian bounds (nats) and expected distortions (N, k)."""
+    cost = LOG2 * np.einsum("ni,ixh->nxh", slopes, dm)
+    rates, cond, flb = _ba_batch(px, cost, max_iter=max_iter, q0=q0)
+    return rates, cond, flb, np.einsum("x,nxh,ixh->ni", px, cond, dm)
 
 
-def _joint_sweep_cached(p, d, s1_grid=None, s2_grid=None):
-    s1_grid = _DEFAULT_GRID if s1_grid is None else np.asarray(s1_grid, dtype=float)
-    s2_grid = _DEFAULT_GRID if s2_grid is None else np.asarray(s2_grid, dtype=float)
-    key = (
-        p.alphabet_sizes,
-        p.mass.tobytes(),
-        tuple(m.tobytes() for m in d.matrices),
-        d.repro_sizes,
-        s1_grid.tobytes(),
-        s2_grid.tobytes(),
-    )
+def _joint_sweep_cached(p, d):
+    key = (p.alphabet_sizes, p.mass.tobytes(), tuple(m.tobytes() for m in d.matrices), d.repro_sizes)
     if key not in _SWEEP_CACHE:
-        px, d1, d2, repro = _joint_problem(p, d)
-        _SWEEP_CACHE[key] = _sweep_joint(px, d1, d2, s1_grid, s2_grid) + (
-            px,
-            d1,
-            d2,
-            repro,
-        )
+        px, dm = _joint_problem(p, d)
+        grid = np.stack(np.meshgrid(_DEFAULT_GRID, _DEFAULT_GRID, indexing="ij"), axis=-1).reshape(-1, 2)
+        _SWEEP_CACHE[key] = (grid, *_slope_points(px, dm, grid, max_iter=JOINT_MAX_ITER), px, dm)
         if len(_SWEEP_CACHE) > 16:
             _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
     return _SWEEP_CACHE[key]
 
 
-def _quad_box_max(coef, lo1, hi1, lo2, hi2):
-    """Maximize c0 + c1 x + c2 y + c3 x^2 + c4 xy + c5 y^2 over the box."""
-    c0, c1, c2, c3, c4, c5 = coef
+def _axis_channel(px, cond, dm, repro, s):
+    """cond with the X̂_i half replaced by its best map wherever s_i = 0.
 
-    def val(x, y):
-        return c0 + c1 * x + c2 * y + c3 * x * x + c4 * x * y + c5 * y * y
+    At s_i = 0 the cost does not see X̂_i, so the kernel leaves that half of
+    the channel arbitrary. Mapping each x̂_j to the x̂_i of least expected d_i
+    keeps the rate and the Lagrangian, and its E[d_i] - D_i is the one-sided
+    derivative of the dual along s_i.
+    """
+    c = cond.reshape(-1, *repro)
+    for i in np.flatnonzero(s <= 0):
+        ci = np.moveaxis(c, 1 + i, 1)
+        marg = ci.sum(axis=1)
+        di = np.moveaxis(dm[i].reshape(-1, *repro), 1 + i, 1)[:, :, 0]
+        best = np.einsum("x,xb,xa->ab", px, marg, di).argmin(axis=0)
+        ci = np.zeros_like(ci)
+        ci[:, best, np.arange(best.size)] = marg
+        c = np.moveaxis(ci, 1, 1 + i)
+    return c.reshape(cond.shape)
 
-    candidates = [(x, y) for x in (lo1, hi1) for y in (lo2, hi2)]
-    hess = np.array([[2.0 * c3, c4], [c4, 2.0 * c5]])
-    if np.all(np.linalg.eigvalsh(hess) < 0):
-        x, y = np.linalg.solve(hess, [-c1, -c2])
-        if lo1 <= x <= hi1 and lo2 <= y <= hi2:
-            candidates.append((float(x), float(y)))
-    # maxima along each edge: 1-D quadratics in the free variable
-    for x in (lo1, hi1):
-        if c5 < 0:
-            y = (-c2 - c4 * x) / (2.0 * c5)
-            if lo2 <= y <= hi2:
-                candidates.append((x, float(y)))
-    for y in (lo2, hi2):
-        if c3 < 0:
-            x = (-c1 - c4 * y) / (2.0 * c3)
-            if lo1 <= x <= hi1:
-                candidates.append((float(x), y))
-    return max(candidates, key=lambda t: val(*t))
+
+def _dual_hessian(px, cond, dm, s):
+    """Hessian of the Lagrangian minimum F*(s), nats with s in nats, at the
+    channel's slopes s (bits), and the slope derivative (nxh, 2) of its output
+    pmf q.
+
+    The Hessian is the fixed-output curvature -E_x Cov(d_i, d_j) less the
+    response of q, from linearizing the fixed point q(y) (c(y) - 1) = 0 of
+    the alternating update q <- q c: with dq = q u,
+    (M + diag(q (1 - c))) u = -B ds, M = sum_x p(x) W(.|x) W(.|x)^T and
+    B[y, i] = sum_x p(x) W(y|x) (d_i - E[d_i | x]). The diagonal term keeps a
+    letter the kernel is still driving out (c < 1) from reading as a free
+    direction of q.
+    """
+    joint = px[:, None] * cond
+    dev = dm - np.einsum("xh,ixh->ix", cond, dm)[:, :, None]
+    b = np.einsum("xh,ixh->hi", joint, dev)
+    a = np.exp(-LOG2 * np.einsum("i,ixh->xh", s, dm))
+    q = joint.sum(axis=0)
+    c = a.T @ (px / np.maximum(a @ q, 1e-300))
+    resp = np.linalg.pinv(joint.T @ cond + np.diag(q * np.maximum(1.0 - c, 0.0)), hermitian=True) @ b
+    fixed = np.einsum("xh,ixh,jxh->ij", joint, dev, dev)
+    return -fixed - b.T @ resp, -q[:, None] * resp
 
 
 def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
-    """Joint R_{X1X2}(D1, D2) via the two-multiplier Lagrangian sweep.
+    """Joint R_{X1X2}(D1, D2) as the maximum of the concave dual
+    g(s) = F*(s)/ln 2 - s1 D1 - s2 D2 over 0 <= s <= SLOPE_CAP.
 
-    The returned rate is the tightest supporting-line value over all sweep and
-    refinement points; the test channel comes from the point whose achieved
-    distortions meet the query within the sweep slack.
+    The cached slope sweep gives the start. A projected Newton ascent then
+    takes the exact gradient E[d_i] - D_i (one-sided on an axis s_i = 0, see
+    _axis_channel) and the exact Hessian from each channel, and makes one
+    warm-started single-entry kernel call per trial step. A trial is kept
+    unless its certified value falls short of the incumbent's by more than
+    the kernel's tolerance; after a failed trial the next step is damped
+    toward the gradient. The ascent stops once the predicted gain is below
+    ASCENT_GAIN_TOL bits, or after ASCENT_CALLS calls.
+
+    The returned rate is the best certified value of g at D over all evaluated
+    slopes. The ascent aims at D - JOINT_SLACK / 2, so that the channel where
+    it stops meets D exactly; that channel is the test channel. Should it not
+    meet D, the test channel is the least-rate evaluated point that meets D
+    within JOINT_SLACK.
     """
-    D1, D2 = float(D[0]), float(D[1])
-    if D1 < 0 or D2 < 0:
-        raise InfeasibleDistortion(f"negative distortion {(D1, D2)}")
+    target = np.array([float(D[0]), float(D[1])])
+    if np.any(target < 0):
+        raise InfeasibleDistortion(f"negative distortion {tuple(target)}")
     if p.ncoords != 2:
         raise ProbabilityError("ba_joint_rd expects a 2-coordinate pmf")
-    s1, s2, rates, dd1, dd2, cond, flb, px, d1, d2, repro = _joint_sweep_cached(p, d)
+    slopes, rates, cond, flb, dd, px, dm = _joint_sweep_cached(p, d)
 
     # zero-rate feasibility: a single reproduction pair dominating the target
-    zero1 = px @ d1
-    zero2 = px @ d2
-    ok = (zero1 <= D1 + 1e-15) & (zero2 <= D2 + 1e-15)
+    zero = px @ dm
+    ok = np.all(zero <= target[:, None] + 1e-15, axis=0)
     if np.any(ok):
         j = int(np.nonzero(ok)[0][0])
-        c = np.zeros_like(d1)
+        c = np.zeros_like(dm[0])
         c[:, j] = 1.0
-        channel = ConditionalPmf(px.size, (d1.shape[1],), c)
-        return RdPoint((float(zero1[j]), float(zero2[j])), 0.0, (0.0, 0.0), channel)
+        channel = ConditionalPmf(px.size, (c.shape[1],), c)
+        return RdPoint((float(zero[0, j]), float(zero[1, j])), 0.0, (0.0, 0.0), channel)
+
+    aim = target - 0.5 * JOINT_SLACK
+    dominating = []
+
+    def point(chan_rate, chan, s):
+        """Best-map channel, its distortions and the kernel's output pmf (the
+        warm start); the channel is kept if it meets the query."""
+        warm = px @ chan
+        chan = _axis_channel(px, chan, dm, d.repro_sizes, s)
+        e = np.einsum("x,xh,ixh->i", px, chan, dm)
+        if np.all(e <= target + JOINT_SLACK):
+            dominating.append((chan_rate, chan, e))
+        return chan, e, warm
 
     # supporting-line lower bounds from the certified Lagrangian minima:
     # R(D1, D2) >= F*(s1, s2) - s1 D1 - s2 D2 at every slope pair
-    lb = flb / LOG2 - s1 * D1 - s2 * D2
-    best = int(np.argmax(lb))
-    best_val = float(lb[best])
-    bs1, bs2 = float(s1[best]), float(s2[best])
-    warm = np.einsum("x,xh->h", px, cond[best])
-
-    dom_pts = []
-    meets = (dd1 <= D1 + JOINT_SLACK) & (dd2 <= D2 + JOINT_SLACK)
+    rate = float(np.max(flb / LOG2 - slopes @ target))
+    meets = np.all(dd <= target + JOINT_SLACK, axis=1)
     if np.any(meets):
         k = int(np.argmin(np.where(meets, rates, np.inf)))
-        dom_pts.append((float(rates[k]), cond[k], float(dd1[k]), float(dd2[k]), float(s1[k]), float(s2[k])))
-
-    # refinement by quadratic ascent on the concave dual surface
-    # g(s1, s2) = F*(s1, s2)/log 2 - s1 D1 - s2 D2: fit a quadratic through the
-    # supporting values near the incumbent, step to its stationary point, and
-    # certify the step with a single warm-started solve
-    near = (np.abs(s1 - bs1) <= 0.5 * max(bs1, 0.5) + 1e-12) & (
-        np.abs(s2 - bs2) <= 0.5 * max(bs2, 0.5) + 1e-12
-    )
-    pts1, pts2, ptsg = list(s1[near]), list(s2[near]), list(lb[near])
-    span = 0.5 * max(bs1, bs2, 0.5)
-    for _ in range(10):
-        p1 = np.array(pts1)
-        p2 = np.array(pts2)
-        g = np.array(ptsg)
-        box = (np.abs(p1 - bs1) <= span + 1e-12) & (np.abs(p2 - bs2) <= span + 1e-12)
-        if box.sum() < 6:
-            box = np.argsort(np.hypot(p1 - bs1, p2 - bs2))[:8]
-        x, y = p1[box] - bs1, p2[box] - bs2
-        basis = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=1)
-        coef, *_ = np.linalg.lstsq(basis, g[box], rcond=None)
-        lo1, hi1 = max(-bs1, -span), min(SLOPE_CAP - bs1, span)
-        lo2, hi2 = max(-bs2, -span), min(SLOPE_CAP - bs2, span)
-        step = _quad_box_max(coef, lo1, hi1, lo2, hi2)
-        c1, c2 = bs1 + step[0], bs2 + step[1]
-        t1, t2, r, a1, a2, c, fl = _sweep_joint(px, d1, d2, [c1], [c2], q0=warm)
-        val = float(fl[0]) / LOG2 - c1 * D1 - c2 * D2
-        pts1.append(c1)
-        pts2.append(c2)
-        ptsg.append(val)
-        if float(a1[0]) <= D1 + JOINT_SLACK and float(a2[0]) <= D2 + JOINT_SLACK:
-            dom_pts.append((float(r[0]), c[0], float(a1[0]), float(a2[0]), c1, c2))
-        moved = max(abs(c1 - bs1), abs(c2 - bs2))
-        if val > best_val:
-            best_val = val
-            bs1, bs2 = c1, c2
-            warm = np.einsum("x,xh->h", px, c[0])
-        # trust-region style: grow the box after a full-length step, shrink
-        # after an interior one
-        span = 2.0 * span if moved >= 0.9 * span else max(0.45 * span, 1e-9)
-        if moved < 1e-10 and span < 1e-6:
+        point(float(rates[k]), cond[k], slopes[k])
+    k = int(np.argmax(flb / LOG2 - slopes @ aim))
+    s, val = slopes[k], float(flb[k] / LOG2 - slopes[k] @ aim)
+    chan, e, warm = point(float(rates[k]), cond[k], s)
+    sweep_q = np.einsum("x,nxh->nh", px, cond)
+    damping = 0.0
+    for _ in range(ASCENT_CALLS):
+        grad = e - aim
+        free = ((s > 0) | (grad > 0)) & ((s < SLOPE_CAP) | (grad < 0))
+        if not free.any():
             break
+        hess, dq = _dual_hessian(px, chan, dm, s)
+        curv = -LOG2 * hess[np.ix_(free, free)]
+        step = np.zeros(2)
+        step[free] = np.linalg.solve(curv + (damping + 1e-12) * np.eye(len(curv)), grad[free])
+        if grad @ step - 0.5 * step[free] @ curv @ step[free] < ASCENT_GAIN_TOL:
+            break
+        trial = np.clip(s + step, 0.0, SLOPE_CAP)
+        if np.all(trial == s):
+            break
+        # warm start: the output pmf, predicted from the incumbent or cached by
+        # the sweep, whose dual value V(q) >= F* at the trial is least
+        pred = np.maximum(warm + dq @ (LOG2 * (trial - s)), 1e-12)
+        qs = np.vstack([pred / pred.sum(), sweep_q])
+        a = np.exp(-LOG2 * np.einsum("i,ixh->xh", trial, dm))
+        q0 = qs[np.argmin(-np.log(np.maximum(qs @ a.T, 1e-300)) @ px)]
+        r, c, fl, _ = _slope_points(px, dm, trial[None], q0=q0)
+        certified = float(fl[0]) / LOG2
+        rate = max(rate, certified - trial @ target)
+        trial_point = point(float(r[0]), c[0], trial)
+        # a trial within the kernel's tolerance of the incumbent is no worse;
+        # after a failed one the next step is damped toward the gradient
+        if certified - trial @ aim > val - RATE_TOL / LOG2:
+            s, val, (chan, e, warm) = trial, certified - trial @ aim, trial_point
+            damping /= 3.0
+        else:
+            # at least the damping that cuts the failed step to a quarter
+            damping = max(10.0 * damping, 4.0 * np.linalg.norm(grad[free]) / np.linalg.norm(trial - s))
 
-    # a peak on a slope axis sits at a kink of the dual surface, which the
-    # quadratic fit cannot represent; polish the free coordinate by golden
-    # section (valid because the dual is concave along any line)
-    if min(bs1, bs2) <= 1e-12 < max(bs1, bs2):
-        on_s1 = bs2 <= 1e-12
-        center = bs1 if on_s1 else bs2
-
-        def g1d(s):
-            c1, c2 = (s, 0.0) if on_s1 else (0.0, s)
-            t1, t2, r, a1, a2, c, fl = _sweep_joint(px, d1, d2, [c1], [c2], q0=warm)
-            if float(a1[0]) <= D1 + JOINT_SLACK and float(a2[0]) <= D2 + JOINT_SLACK:
-                dom_pts.append(
-                    (float(r[0]), c[0], float(a1[0]), float(a2[0]), c1, c2)
-                )
-            return float(fl[0]) / LOG2 - c1 * D1 - c2 * D2
-
-        w = max(1.0, 0.5 * center)
-        lo, hi = max(0.0, center - w), min(SLOPE_CAP, center + w)
-        invphi = 0.5 * (np.sqrt(5.0) - 1.0)
-        a, b = lo + (1.0 - invphi) * (hi - lo), lo + invphi * (hi - lo)
-        fa, fb = g1d(a), g1d(b)
-        for _ in range(28):
-            if fa >= fb:
-                hi, b, fb = b, a, fa
-                a = lo + (1.0 - invphi) * (hi - lo)
-                fa = g1d(a)
-            else:
-                lo, a, fa = a, b, fb
-                b = lo + invphi * (hi - lo)
-                fb = g1d(b)
-        s_best, f_best = (a, fa) if fa >= fb else (b, fb)
-        if f_best > best_val:
-            best_val = f_best
-            bs1, bs2 = (s_best, 0.0) if on_s1 else (0.0, s_best)
-
-    if not dom_pts:
-        raise SweepResolutionError(
-            f"no sweep point met ({D1}, {D2}) within slack {JOINT_SLACK}"
-        )
-    dom_pts.sort(key=lambda t: t[0])
-    _, chan, a1, a2, t1, t2 = dom_pts[0]
+    if np.any(e > target):
+        if not dominating:
+            raise SweepResolutionError(
+                f"no sweep point met {tuple(target)} within slack {JOINT_SLACK}"
+            )
+        _, chan, e = min(dominating, key=lambda pt: pt[0])
     channel = ConditionalPmf(px.size, (chan.shape[1],), chan)
-    return RdPoint((a1, a2), max(best_val, 0.0), (bs1, bs2), channel)
+    return RdPoint((float(e[0]), float(e[1])), max(rate, 0.0), (float(s[0]), float(s[1])), channel)
 
 
 def trace_rd_curve(p: JointPmf, d: DistortionSpec, multipliers) -> list[RdPoint]:
@@ -512,32 +494,20 @@ def trace_rd_curve(p: JointPmf, d: DistortionSpec, multipliers) -> list[RdPoint]
     if not multipliers:
         raise ProbabilityError("multiplier grid must be nonempty")
     if p.ncoords == 1:
-        px = p.mass
-        dmat = d.matrices[0]
-        lams = [float(lam) for lam in multipliers]
-        rates, cond, _ = _ba_batch(px, (np.array(lams) * LOG2)[:, None, None] * dmat)
-        dist = _expected_distortions(px, cond, [dmat])[0]
-        return [
-            RdPoint(
-                (float(dist[i]),), float(rates[i]), (lam,),
-                ConditionalPmf(px.size, (dmat.shape[1],), cond[i]),
-            )
-            for i, lam in enumerate(lams)
-        ]
-    if p.ncoords != 2:
+        px, dm = p.mass, np.stack(d.matrices[:1])
+    elif p.ncoords == 2:
+        px, dm = _joint_problem(p, d)
+    else:
         raise ProbabilityError("trace_rd_curve supports 1 or 2 coordinates")
-    px, d1, d2, _ = _joint_problem(p, d)
-    pairs = [(float(a), float(b)) for a, b in multipliers]
-    cost = LOG2 * np.array([a * d1 + b * d2 for a, b in pairs])
-    rates, cond, _ = _ba_batch(px, cost)
-    dd1, dd2 = _expected_distortions(px, cond, [d1, d2])
-    out = []
-    for i, (a, b) in enumerate(pairs):
-        channel = ConditionalPmf(px.size, (d1.shape[1],), cond[i])
-        out.append(
-            RdPoint((float(dd1[i]), float(dd2[i])), float(rates[i]), (a, b), channel)
+    slopes = np.array(multipliers, dtype=float).reshape(len(multipliers), -1)
+    rates, cond, _, dd = _slope_points(px, dm, slopes)
+    return [
+        RdPoint(
+            tuple(float(x) for x in dd[i]), float(rates[i]), tuple(float(x) for x in slopes[i]),
+            ConditionalPmf(px.size, (dm.shape[2],), cond[i]),
         )
-    return out
+        for i in range(len(slopes))
+    ]
 
 
 def marginal_rd_value(p: JointPmf, d: DistortionSpec, coord: int, D: float) -> float:

@@ -261,6 +261,14 @@ class TestFailureModes:
         assert result.exit_code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", [["dsbs", "--a1", "0.1"], ["gauss", "--rho", "0.5"]])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_grid_rejects_empty_table(self, runner, tmp_path, family, n):
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, [family[0], "grid", *family[1:], "--grid", n, "-o", str(out)])
+        assert result.exit_code == 2
+        assert not out.exists()
+
     def test_threads_validation(self, runner):
         result = runner.invoke(main, ["--threads", "0", "dsbs", "ci", "--a1", "0.1"])
         assert result.exit_code == 2

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import witl.rd as rd
+from witl.audit import audit_lemma1
 from witl.closed_form import DsbsParams, RegionLabel, dsbs_joint_rd, dsbs_region
 from witl.prob import JointPmf, ProbabilityError, binary_entropy, marginalize
 from witl.rd import (
@@ -150,6 +154,78 @@ class TestJointRd:
         ]
         assert len(excess) >= 300
         assert max(excess) <= 1e-9
+
+
+    @pytest.mark.parametrize(
+        "a1, i, j",
+        [(0.3, 6, 14), (0.3, 8, 13), (0.3, 2, 2), (0.3, 11, 11), (0.1, 5, 9), (0.1, 5, 1)],
+    )
+    def test_reaches_dsbs_closed_form(self, a1, i, j):
+        # grid points of the acceptance grid where a search that stops short
+        # of the dual maximum reads 2.5e-5 to 6.6e-4 bits low
+        axis = np.linspace(0.02, 0.5, 20)
+        D = (axis[i], axis[j])
+        rate = ba_joint_rd(dsbs(a1), DistortionSpec.hamming((2, 2)), D).rate
+        assert rate == pytest.approx(dsbs_joint_rd(DsbsParams.from_a1(a1), *D), abs=1e-5)
+
+    def test_lemma1_defect_source(self):
+        # a perturbed 3x3 source on which a joint value 1.4e-4 bits short of
+        # the dual maximum fails Rd3 and Rd5 of the lemma-1 audit
+        mass = np.array([[0.119788, 0.43522, 0.03964],
+                         [0.031546, 0.036825, 0.045212],
+                         [0.070926, 0.063506, 0.157337]])
+        p = JointPmf((3, 3), mass / mass.sum())
+        d = DistortionSpec.hamming((3, 3))
+        D = (0.060035, 0.058945)
+        assert ba_joint_rd(p, d, D).rate == pytest.approx(1.7816447, abs=1e-6)
+        assert audit_lemma1(p, d, *D).passed
+
+    def test_one_sweep_per_source(self, monkeypatch):
+        # every kernel call after the cached sweep carries one slope pair, so
+        # a multi-entry call under ba_joint_rd marks a sweep-cache miss
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        sizes = []
+        real = rd._ba_batch
+
+        def recorded(px, cost, *args, **kwargs):
+            sizes[-1].append(len(cost))
+            return real(px, cost, *args, **kwargs)
+
+        monkeypatch.setattr(rd, "_ba_batch", recorded)
+        d = DistortionSpec.hamming((2, 2))
+        for D in ((0.05, 0.08), (0.12, 0.1)):
+            sizes.append([])
+            ba_joint_rd(dsbs(0.2), d, D)
+        assert sum(b > 1 for b in sizes[0]) == 1
+        assert sizes[1] and all(b == 1 for b in sizes[1])
+
+
+weights = st.lists(st.integers(0, 9), min_size=6, max_size=6).filter(lambda m: sum(m) > 0)
+
+
+class TestJointRdProperties:
+    @given(
+        st.sampled_from([(2, 2), (2, 3)]),
+        weights,
+        st.floats(0.1, 1.0),
+        st.floats(0.1, 1.0),
+        st.floats(0.05, 0.5),
+    )
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_symmetric_and_nonincreasing(self, sizes, raw, share1, share2, step):
+        n1, n2 = sizes
+        mass = np.array(raw[: n1 * n2], dtype=float).reshape(sizes)
+        p = JointPmf(sizes, mass / mass.sum())
+        d = DistortionSpec.hamming(sizes)
+        zero = [float(np.min(marginalize(p, [i]).mass @ d.matrices[i])) for i in range(2)]
+        D1, D2 = share1 * zero[0], share2 * zero[1]
+        rate = ba_joint_rd(p, d, (D1, D2)).rate
+        swapped = ba_joint_rd(
+            JointPmf((n2, n1), p.mass.T), DistortionSpec.hamming((n2, n1)), (D2, D1)
+        ).rate
+        assert swapped == pytest.approx(rate, abs=1e-7)
+        assert ba_joint_rd(p, d, (D1 + step * zero[0], D2)).rate <= rate + 1e-9
+        assert ba_joint_rd(p, d, (D1, D2 + step * zero[1])).rate <= rate + 1e-9
 
 
 class TestTraceAndHelpers:
