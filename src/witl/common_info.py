@@ -140,49 +140,49 @@ def _solution_from_mixture(p, pw, channels, status):
     )
 
 
+def _product_of_marginals(p: JointPmf, k: int):
+    """The W of k equal-weight letters, each carrying the product of the
+    marginals: it reproduces exactly the independent sources, with I(X; W) = 0."""
+    channels = tuple(
+        ConditionalPmf(k, (s,), np.tile(marginalize(p, [i]).mass, (k, 1)))
+        for i, s in enumerate(p.alphabet_sizes)
+    )
+    return _solution_from_mixture(p, np.full(k, 1.0 / k), channels, "exhaustive-optimal")
+
+
 def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
     """Global grid search for a 2x2 source with |W| = 2.
 
     Free parameters are b1 = p(X1=1 | w) for w in {0, 1}; the weight and the
-    X2 channel follow from the three marginal-matching equations.
+    X2 channel follow from the three marginal-matching equations. These
+    separate: b20 = f(b11) and b21 = f(b10) with f(t) = (p11 - p2 t)/(p1 - t),
+    and the weight lies in (0, 1) only when b10 and b11 straddle p1, so only
+    such pairs of grid points with f near [0, 1] are candidates.
     """
     p1 = float(p.mass[1, :].sum())
     p2 = float(p.mass[:, 1].sum())
     p11 = float(p.mass[1, 1])
     res = budget.grid_resolution
     grid = np.linspace(0.0, 1.0, int(round(1.0 / res)) + 1)
-    b10, b11 = np.meshgrid(grid, grid, indexing="ij")
-    b10 = b10.reshape(-1)
-    b11 = b11.reshape(-1)
-    diff = b10 - b11
-    ok = np.abs(diff) > 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
-        piw = np.where(ok, (p1 - b11) / np.where(ok, diff, 1.0), -1.0)
+        f = (p11 - p2 * grid) / (p1 - grid)
+        # candidate (b10, b11) pairs straddle p1, in the grid's row-major order
+        side = np.where((f >= -1e-9) & (f <= 1 + 1e-9), np.sign(grid - p1), 0.0)
+        i0, i1 = np.nonzero(side[:, None] * side[None, :] < 0)
+        b10, b11 = grid[i0], grid[i1]
+        piw = (p1 - b11) / (b10 - b11)
         # (b20, b21) solve pi*b20 + (1-pi)*b21 = p2 and
         # pi*b10*b20 + (1-pi)*b11*b21 = p11
-        b20 = (b11 * p2 - p11) / np.where(ok, piw * (b11 - b10), 1.0)
-        b21 = (p11 - b10 * p2) / np.where(ok, (1.0 - piw) * (b11 - b10), 1.0)
-    eps = 1e-9
-    feas = (
-        ok
-        & (piw > eps)
-        & (piw < 1 - eps)
-        & (b20 >= -1e-12)
-        & (b20 <= 1 + 1e-12)
-        & (b21 >= -1e-12)
-        & (b21 <= 1 + 1e-12)
-    )
+        b20 = (b11 * p2 - p11) / (piw * (b11 - b10))
+        b21 = (p11 - b10 * p2) / ((1.0 - piw) * (b11 - b10))
+    feas = (piw > 1e-9) & (piw < 1 - 1e-9)
+    for b in (b20, b21):
+        feas &= (b >= -1e-12) & (b <= 1 + 1e-12)
     # the grid excludes b10 == b11 (degenerate W); an independent source's
     # optimum lives exactly there, so test the constant-W candidate separately
-    independent = None
-    prod = marginalize(p, [0]).mass[:, None] * marginalize(p, [1]).mass[None, :]
-    if total_variation(prod, p.mass) <= FEASIBILITY_TOL:
-        pw = np.array([0.5, 0.5])
-        channels = tuple(
-            ConditionalPmf(2, (2,), np.tile(marginalize(p, [i]).mass, (2, 1)))
-            for i in range(2)
-        )
-        independent = _solution_from_mixture(p, pw, channels, "exhaustive-optimal")
+    independent = _product_of_marginals(p, 2)
+    if independent.marginal_residual > FEASIBILITY_TOL:
+        independent = None
     if not np.any(feas):
         if independent is not None:
             return independent
@@ -191,13 +191,10 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
     def h(v):
         return -(xlogy(v, v) + xlogy(1.0 - v, 1.0 - v)) / LOG2
 
-    # score the feasible points only; with indexing="ij", point k of the
-    # grid is (b10, b11) = (grid[k // n], grid[k % n]) for n = grid.size
-    idx = np.flatnonzero(feas)
-    i0, i1 = np.divmod(idx, grid.size)
-    piw, b10, b11 = piw[idx], grid[i0], grid[i1]
-    b20 = np.clip(b20[idx], 0.0, 1.0)
-    b21 = np.clip(b21[idx], 0.0, 1.0)
+    # score the feasible points only
+    i0, i1, piw, b10, b11 = i0[feas], i1[feas], piw[feas], b10[feas], b11[feas]
+    b20 = np.clip(b20[feas], 0.0, 1.0)
+    b21 = np.clip(b21[feas], 0.0, 1.0)
     hg = h(grid)
     hxw = piw * (hg[i0] + h(b20)) + (1.0 - piw) * (hg[i1] + h(b21))
     j = int(np.argmin(entropy(p) - hxw))
@@ -338,11 +335,7 @@ def solve_common_info(
     if K < 1:
         raise ProbabilityError("cardinality bound must be >= 1")
     if K == 1:
-        channels = tuple(
-            ConditionalPmf(1, (s,), marginalize(p, [i]).mass[None, :])
-            for i, s in enumerate(p.alphabet_sizes)
-        )
-        sol = _solution_from_mixture(p, np.array([1.0]), channels, "exhaustive-optimal")
+        sol = _product_of_marginals(p, 1)
         if sol.marginal_residual > FEASIBILITY_TOL:
             raise CommonInfoInfeasible(
                 f"K=1 requires an independent source; residual {sol.marginal_residual:.3e}"

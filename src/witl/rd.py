@@ -32,11 +32,11 @@ JOINT_SLACK = 1e-6  # a sweep point "meets" (D1, D2) if achieved <= D_i + slack
 
 
 class InfeasibleDistortion(ValueError):
-    """Negative or otherwise unreachable distortion constraint."""
+    """A distortion target below the least reachable distortion."""
 
 
 class SweepResolutionError(RuntimeError):
-    """No sweep point came within the distortion slack of the query."""
+    """No evaluated slope reached a reachable distortion target."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class RdPoint:
     test_channel: ConditionalPmf | None = field(default=None, repr=False)
 
 
-def _ba_batch(px, cost, max_iter=MAX_ITER, tol=RATE_TOL, q0=None):
+def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None):
     """Batched alternating minimization at fixed slopes.
 
     px: (nx,) source pmf shared by every entry, or (B, nx) one per entry;
@@ -168,7 +168,7 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, tol=RATE_TOL, q0=None):
             continue
         support = px > 0
         v, gap = dual_certificate(q, a, px, support)
-        done = gap < tol
+        done = gap < RATE_TOL
         if it == max_iter:
             done = np.ones_like(done)
         if np.any(done):
@@ -191,17 +191,17 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, tol=RATE_TOL, q0=None):
 
 
 def _zero_distortion_rate(pxgw, dmat):
-    """R at exactly zero distortion for each (W, nx) source row: BA restricted
-    to the d = 0 support. Returns rates (W,) and conditionals (W, nx, nxh)."""
-    mask = dmat == 0
-    if np.any(~mask.any(axis=1) & (pxgw > 0)):
-        raise InfeasibleDistortion("no zero-distortion reproduction for some symbol")
+    """R at the least reachable distortion (zero when every row of dmat has a
+    zero) for each (W, nx) source row: BA restricted to each symbol's
+    least-distortion reproductions. Returns certified lower bounds (W,) in
+    bits and conditionals (W, nx, nxh)."""
+    mask = dmat == dmat.min(axis=1, keepdims=True)
     cost = np.broadcast_to(np.where(mask, 0.0, np.inf), (len(pxgw), *dmat.shape))
-    rates, conds, _ = _ba_batch(pxgw, cost)
-    return rates, conds
+    _, conds, flb = _ba_batch(pxgw, cost)
+    return flb / LOG2, conds
 
 
-def _scalar_query(pxgw, pw, dmat, target):
+def _scalar_query(pxgw, pw, dmat, target) -> RdPoint:
     """R_{X|W}(target) by a batched slope bracket search; W = 1 gives R_X.
 
     pxgw: (W, nx) component source pmfs with weights pw (W,). At a common
@@ -213,70 +213,62 @@ def _scalar_query(pxgw, pw, dmat, target):
     round's slope nearest the crossing, until the bracket is narrower than
     1e-12.
 
-    Returns (rate_bits, slope_bits, distortion, conds, bracketed). The rate is
-    the best supporting-line value rate + slope * (D(slope) - target) over the
-    evaluated slopes; slope, distortion and the (W, nx, nxh) channels are
-    those of that point. bracketed is False when even SLOPE_CAP leaves the
-    distortion above target.
+    The rate is the best certified dual bound pw . F*_w(s) / ln 2 - s * target
+    over the evaluated slopes. The slope and distortion are those of the least
+    evaluated slope whose distortion meets the target, and so is the test
+    channel when W = 1. A target below the least reachable distortion raises
+    InfeasibleDistortion; one that even SLOPE_CAP leaves unbracketed raises
+    SweepResolutionError.
     """
-    if target < 0:
-        raise InfeasibleDistortion(f"negative distortion {target}")
     nw = len(pxgw)
     shape = dmat.shape
+    least = float(pw @ (pxgw @ dmat.min(axis=1)))
+    if target < 0 or target < least - 1e-15:
+        raise InfeasibleDistortion(f"distortion {target} below least reachable {least}")
     zero_rate = pxgw @ dmat
     d_at_zero = float(pw @ zero_rate.min(axis=1))
     if target >= d_at_zero - 1e-15:
         conds = np.zeros((nw, *shape))
         conds[np.arange(nw), :, zero_rate.argmin(axis=1)] = 1.0
-        return 0.0, 0.0, d_at_zero, conds, True
-    if target <= 1e-13:
+        rate, point = 0.0, (0.0, d_at_zero, conds)
+    elif target <= least + 1e-13:
         rates, conds = _zero_distortion_rate(pxgw, dmat)
-        return float(pw @ rates), SLOPE_CAP, 0.0, conds, True
-    best = (-np.inf,)
-    lo, hi = 0.0, None
-    slopes, q0 = _DOUBLING_SLOPES, None
-    for _ in range(60):
-        k = slopes.size
-        cost = np.broadcast_to((slopes * LOG2)[:, None, None] * dmat, (nw, k, *shape))
-        rates, conds, _ = _ba_batch(np.repeat(pxgw, k, axis=0), cost.reshape(-1, *shape), q0=q0)
-        conds = conds.reshape(nw, k, *shape)
-        r = pw @ rates.reshape(nw, k)
-        dd = pw @ np.einsum("wx,wkxh,xh->wk", pxgw, conds, dmat)
-        bound = r + slopes * (dd - target)
-        j = int(np.argmax(bound))
-        if bound[j] > best[0]:
-            best = (float(bound[j]), float(slopes[j]), float(dd[j]), conds[:, j])
-        below = dd <= target
-        first = int(np.argmax(below)) if below.any() else k
-        if first == k and hi is None:
-            return max(best[0], 0.0), best[1], best[2], best[3], False
-        if first > 0:
-            lo = slopes[first - 1]
-        if first < k:
-            hi = slopes[first]
-        near = min(first, k - 1)
-        if hi - lo < 1e-12:
-            break
-        slopes = lo + (hi - lo) * np.arange(1, BRACKET_POINTS + 1) / (BRACKET_POINTS + 1)
-        q0 = np.repeat(np.einsum("wx,wxh->wh", pxgw, conds[:, near]), BRACKET_POINTS, axis=0)
-    return max(best[0], 0.0), best[1], best[2], best[3], True
+        rate, point = float(pw @ rates), (SLOPE_CAP, least, conds)
+    else:
+        rate = -np.inf
+        lo, hi = 0.0, None
+        slopes, q0 = _DOUBLING_SLOPES, None
+        for _ in range(60):
+            k = slopes.size
+            cost = np.broadcast_to((slopes * LOG2)[:, None, None] * dmat, (nw, k, *shape))
+            _, conds, flb = _ba_batch(np.repeat(pxgw, k, axis=0), cost.reshape(-1, *shape), q0=q0)
+            conds = conds.reshape(nw, k, *shape)
+            dd = pw @ np.einsum("wx,wkxh,xh->wk", pxgw, conds, dmat)
+            rate = max(rate, float(np.max(pw @ flb.reshape(nw, k) / LOG2 - slopes * target)))
+            below = dd <= target
+            first = int(np.argmax(below)) if below.any() else k
+            if first == k and hi is None:
+                raise SweepResolutionError(f"slope {SLOPE_CAP} does not reach distortion {target}")
+            if first > 0:
+                lo = slopes[first - 1]
+            if first < k:
+                hi = slopes[first]
+                point = (float(hi), float(dd[first]), conds[:, first])
+            near = min(first, k - 1)
+            if hi - lo < 1e-12:
+                break
+            slopes = lo + (hi - lo) * np.arange(1, BRACKET_POINTS + 1) / (BRACKET_POINTS + 1)
+            q0 = np.repeat(np.einsum("wx,wxh->wh", pxgw, conds[:, near]), BRACKET_POINTS, axis=0)
+    slope, dist, conds = point
+    channel = ConditionalPmf(shape[0], (shape[1],), conds[0]) if nw == 1 else None
+    return RdPoint((dist,), max(rate, 0.0), (slope,), channel)
 
 
 def ba_rate_distortion(p: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
     """Marginal R_X(D) for a single-coordinate source."""
     if p.ncoords != 1:
         raise ProbabilityError("ba_rate_distortion expects a 1-coordinate pmf")
-    px = p.mass
-    dmat = d.matrices[0]
-    rate, slope, _, conds, bracketed = _scalar_query(px[None, :], np.ones(1), dmat, float(D))
-    if not bracketed:
-        # query below the reachable sweep; fall back to the lossless point
-        rates, conds = _zero_distortion_rate(px[None, :], dmat)
-        rate, slope = float(rates[0]), SLOPE_CAP
-    cond = conds[0]
-    achieved = float(np.einsum("x,xh,xh->", px, cond, dmat))
-    channel = ConditionalPmf(px.size, (dmat.shape[1],), cond)
-    return RdPoint((achieved,), rate, (slope,), channel)
+    return _scalar_query(p.mass[None, :], np.ones(1), d.matrices[0], float(D))
 
 
 def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
@@ -290,8 +282,7 @@ def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
     pw = pxw.mass.sum(axis=0)
     active = pw > 0
     pxgw = (pxw.mass[:, active] / pw[active]).T
-    rate, slope, dist, _, _ = _scalar_query(pxgw, pw[active], d.matrices[0], float(D))
-    return RdPoint((dist,), rate, (slope,))
+    return _scalar_query(pxgw, pw[active], d.matrices[0], float(D))
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +320,11 @@ def _slope_points(px, dm, slopes, q0=None, max_iter=MAX_ITER):
     return rates, cond, flb, np.einsum("x,nxh,ixh->ni", px, cond, dm)
 
 
-def _joint_sweep_cached(p, d):
+def _joint_sweep_cached(p, d, px, dm):
     key = (p.alphabet_sizes, p.mass.tobytes(), tuple(m.tobytes() for m in d.matrices), d.repro_sizes)
     if key not in _SWEEP_CACHE:
-        px, dm = _joint_problem(p, d)
         grid = np.stack(np.meshgrid(_DEFAULT_GRID, _DEFAULT_GRID, indexing="ij"), axis=-1).reshape(-1, 2)
-        _SWEEP_CACHE[key] = (grid, *_slope_points(px, dm, grid, max_iter=JOINT_MAX_ITER), px, dm)
+        _SWEEP_CACHE[key] = (grid, *_slope_points(px, dm, grid, max_iter=JOINT_MAX_ITER))
         if len(_SWEEP_CACHE) > 16:
             _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
     return _SWEEP_CACHE[key]
@@ -404,11 +394,13 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
     within JOINT_SLACK.
     """
     target = np.array([float(D[0]), float(D[1])])
-    if np.any(target < 0):
-        raise InfeasibleDistortion(f"negative distortion {tuple(target)}")
     if p.ncoords != 2:
         raise ProbabilityError("ba_joint_rd expects a 2-coordinate pmf")
-    slopes, rates, cond, flb, dd, px, dm = _joint_sweep_cached(p, d)
+    px, dm = _joint_problem(p, d)
+    least = np.einsum("x,ix->i", px, dm.min(axis=2))
+    if np.any((target < 0) | (target < least - 1e-15)):
+        raise InfeasibleDistortion(f"distortion {target.tolist()} below least reachable {least.tolist()}")
+    slopes, rates, cond, flb, dd = _joint_sweep_cached(p, d, px, dm)
 
     # zero-rate feasibility: a single reproduction pair dominating the target
     zero = px @ dm

@@ -5,7 +5,11 @@ import pytest
 from click.testing import CliRunner
 
 from witl import closed_form as cf
-from witl.cli import main
+from witl.cli import _round12, main
+from witl.common_info import SolveBudget
+from witl.gray_wyner import c3_tilde, c_star
+from witl.prob import JointPmf
+from witl.rd import DistortionSpec
 
 C_DSBS_01 = 0.74208585854971740
 HALF_LOG2_3 = 0.79248125036057809
@@ -15,6 +19,19 @@ REFLECTED_NOTE = "negative rho mapped to |rho| (one coordinate reflected)"
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def bit_file(tmp_path):
+    path = tmp_path / "bit.json"
+    path.write_text(json.dumps({"alphabet_sizes": [2], "pmf": [0.5, 0.5]}))
+    return str(path)
+
+
+def dist_file(tmp_path, matrix):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"matrices": [matrix]}))
+    return str(path)
 
 
 @pytest.fixture
@@ -183,6 +200,30 @@ class TestSolverCommands:
         doc = run_json(runner, ["rd", "--source", dsbs_file, "--D", "0.05,0.05"])
         assert doc["result"]["rate_bits"] == pytest.approx(1.10728313149636758, abs=1e-4)
 
+    def test_rd_single_coordinate(self, runner, bit_file):
+        doc = run_json(runner, ["rd", "--source", bit_file, "--D", "0.1"])
+        assert doc["result"]["rate_bits"] == pytest.approx(0.53100440641071878, abs=1e-8)
+        assert doc["result"]["distortion"][0] == pytest.approx(0.1, abs=1e-6)
+
+    def test_rd_distortion_from_json_file(self, runner, bit_file, tmp_path):
+        # every reproduction costs 0.1 more than under Hamming, so the curve
+        # is the Hamming curve shifted right by 0.1
+        shifted = dist_file(tmp_path, [[0.1, 1.1], [1.1, 0.1]])
+        doc = run_json(runner, ["rd", "--source", bit_file, "--dist", shifted, "--D", "0.2"])
+        assert doc["config"]["dist"] == shifted
+        assert doc["result"]["rate_bits"] == pytest.approx(0.53100440641071878, abs=1e-8)
+
+    def test_c3_both_methods(self, runner, dsbs_file):
+        doc = run_json(
+            runner,
+            ["c3", "--source", dsbs_file, "--D", "0.05,0.05", "--method", "both",
+             "--restarts", "1"],
+        )
+        p = JointPmf((2, 2), np.array([[0.41, 0.09], [0.09, 0.41]]))
+        d, budget = DistortionSpec.hamming((2, 2)), SolveBudget(restarts=1)
+        assert doc["result"]["tilde"] == _round12(c3_tilde(p, d, (0.05, 0.05), budget).to_json_obj())
+        assert doc["result"]["star"] == _round12(c_star(p, d, (0.05, 0.05), budget).to_json_obj())
+
     def test_member_with_witness(self, runner, dsbs_file, tmp_path):
         rates = tmp_path / "rates.json"
         rates.write_text(json.dumps({"R0": 1.0, "privates": [1.0, 1.0]}))
@@ -217,6 +258,18 @@ class TestFailureModes:
         )
         assert result.exit_code == 2
         assert not out.exists()
+
+    def test_rd_unreachable_distortion_exit_two(self, runner, bit_file, tmp_path):
+        shifted = dist_file(tmp_path, [[0.1, 1.1], [1.1, 0.1]])
+        result = runner.invoke(main, ["rd", "--source", bit_file, "--dist", shifted, "--D", "0.05"])
+        assert result.exit_code == 2
+
+    def test_rd_unresolved_distortion_exit_three(self, runner, bit_file, tmp_path):
+        # R = 0.531 at D = 0.001 under 0.01 Hamming, but the slope it needs
+        # is beyond SLOPE_CAP
+        scaled = dist_file(tmp_path, [[0.0, 0.01], [0.01, 0.0]])
+        result = runner.invoke(main, ["rd", "--source", bit_file, "--dist", scaled, "--D", "0.001"])
+        assert result.exit_code == 3
 
     def test_budget_exhaustion_exit_three(self, runner, dsbs_file):
         result = runner.invoke(

@@ -7,6 +7,7 @@ from scipy.special import xlogy
 
 from witl.common_info import (
     FEASIBILITY_TOL,
+    CommonInfoInfeasible,
     CommonInfoSolution,
     SolveBudget,
     _descent_terms,
@@ -99,6 +100,19 @@ class TestExhaustiveSolver:
         p = JointPmf((2, 2), np.array([[0.5, 0.0], [0.0, 0.5]]))
         sol = solve_common_info(p, K=2)
         assert sol.achieved_I == pytest.approx(1.0, abs=1e-3)
+
+
+class TestSingleLetterW:
+    def test_independent_source_gives_zero(self):
+        p = JointPmf((2, 3), np.outer([0.3, 0.7], [0.5, 0.2, 0.3]))
+        sol = solve_common_info(p, K=1)
+        assert sol.achieved_I == pytest.approx(0.0, abs=1e-12)
+        assert sol.status == "exhaustive-optimal"
+        assert sol.marginal_residual <= FEASIBILITY_TOL
+
+    def test_dependent_source_infeasible(self):
+        with pytest.raises(CommonInfoInfeasible):
+            solve_common_info(dsbs(), K=1)
 
 
 class TestDescentSolver:

@@ -132,6 +132,16 @@ class TestJointRd:
         with pytest.raises(InfeasibleDistortion):
             ba_joint_rd(dsbs(), DistortionSpec.hamming((2, 2)), (-0.1, 0.1))
 
+    def test_below_least_distortion_rejected_before_sweep(self, monkeypatch):
+        # X2 costs at least 0.1 to reproduce; D2 = 0.05 is out of reach
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        m = np.array([[0.1, 1.0], [1.0, 0.1]])
+        d = DistortionSpec((1.0 - np.eye(2), m), (2, 2))
+        with pytest.raises(InfeasibleDistortion):
+            ba_joint_rd(dsbs(), d, (0.3, 0.05))
+        assert rd._SWEEP_CACHE == {}
+        assert ba_joint_rd(dsbs(), d, (0.3, 0.12)).distortion[1] <= 0.12
+
     def test_monotone_in_both_coordinates(self):
         d = DistortionSpec.hamming((2, 2))
         r_fine = ba_joint_rd(dsbs(), d, (0.05, 0.05)).rate

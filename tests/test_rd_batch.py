@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witl.closed_form import DsbsParams, dsbs_conditional_rd
-from witl.prob import LOG2, JointPmf, entropy, marginalize
+from witl.prob import LOG2, JointPmf, binary_entropy, entropy, marginalize
 from witl.rd import (
     DistortionSpec,
+    InfeasibleDistortion,
+    SweepResolutionError,
     _ba_batch,
     _zero_distortion_rate,
     ba_conditional_rd,
@@ -104,6 +106,70 @@ class TestNearZeroRateBoundary:
         D = share * a1
         pt = ba_conditional_rd(p, DistortionSpec.hamming((2,)), D)
         assert pt.rate == pytest.approx(dsbs_conditional_rd(DsbsParams.from_a1(a1), D), abs=1e-7)
+
+
+#: shares of the zero-rate distortion, up to the kink where the rate reaches 0
+CERTIFIED_SHARES = [0.5, 0.9, 0.99, 0.999, 0.9999]
+
+
+class TestCertifiedScalarRate:
+    """The reported rate is a certified dual bound: never above the closed
+    form beyond rounding, and close below it away from the kink. The
+    reported point meets the target."""
+
+    @staticmethod
+    def check(pt, D, exact, share):
+        assert pt.rate - exact <= 1e-12
+        if share <= 0.99:
+            assert exact - pt.rate <= 1e-9
+        assert pt.distortion[0] <= D
+
+    @pytest.mark.parametrize("share", CERTIFIED_SHARES)
+    def test_dsbs_conditional(self, share):
+        for a1 in np.linspace(0.05, 0.3, 11):
+            p = JointPmf((2, 2), 0.5 * np.array([[1 - a1, a1], [a1, 1 - a1]]))
+            D = share * a1
+            pt = ba_conditional_rd(p, DistortionSpec.hamming((2,)), D)
+            self.check(pt, D, dsbs_conditional_rd(DsbsParams.from_a1(a1), D), share)
+
+    @pytest.mark.parametrize("share", CERTIFIED_SHARES)
+    def test_bernoulli_marginal(self, share):
+        for theta in np.linspace(0.1, 0.5, 9):
+            p = JointPmf((2,), np.array([1 - theta, theta]))
+            D = share * theta
+            pt = ba_rate_distortion(p, DistortionSpec.hamming((2,)), D)
+            self.check(pt, D, binary_entropy(theta) - binary_entropy(D), share)
+
+
+class TestFailurePolicy:
+    def test_conditional_below_least_distortion(self):
+        # every reproduction costs at least 0.1, whatever W says
+        d = DistortionSpec((np.array([[0.1, 1.0], [1.0, 0.1]]),), (2,))
+        p = JointPmf((2, 2), np.array([[0.3, 0.2], [0.1, 0.4]]))
+        with pytest.raises(InfeasibleDistortion):
+            ba_conditional_rd(p, d, 0.05)
+        assert ba_conditional_rd(p, d, 0.1).distortion == pytest.approx((0.1,), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "dmat",
+        [1.0 - np.eye(2), np.array([[0.1, 1.0], [1.0, 0.1]]), 0.01 * (1.0 - np.eye(2)),
+         np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 0.3]])],
+    )
+    @pytest.mark.parametrize("mass", [[0.5, 0.5], [0.3, 0.7]])
+    def test_marginal_equals_single_letter_conditional(self, dmat, mass):
+        # 0.01 Hamming at D = 0.001 needs a slope beyond SLOPE_CAP, so both
+        # raise instead of reporting a lossless or an unresolved point
+        px = JointPmf((2,), np.array(mass))
+        pxw = JointPmf((2, 1), np.array(mass)[:, None])
+        d = DistortionSpec((dmat,), (dmat.shape[1],))
+        for D in (-0.01, 0.0, 0.001, 0.004, 0.05, 0.1, 0.15, 0.3, 0.6):
+            outcomes = []
+            for query in (lambda: ba_rate_distortion(px, d, D), lambda: ba_conditional_rd(pxw, d, D)):
+                try:
+                    outcomes.append(query().rate)
+                except (InfeasibleDistortion, SweepResolutionError) as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1], D
 
 
 class TestSubnormalMass:
