@@ -4,7 +4,7 @@ rate-distortion functions on finite alphabets.
 Distortion-constrained queries are answered by sweeping the Lagrangian slope:
 the alternating update traces (D(lambda), R(lambda)) points on the curve, and a
 query R(D) is recovered by a batched slope bracket search (marginal and
-conditional problems) or by a cached two-multiplier sweep followed by a
+conditional problems) or by a cached 16x16 two-multiplier start sweep and a
 projected Newton ascent on the concave dual (joint problems). Every query runs
 on one batched kernel, ``_ba_batch``, which takes a source pmf per batch
 entry: the bracket search solves all components w of a conditional problem at
@@ -232,8 +232,13 @@ def _scalar_query(pxgw, pw, dmat, target) -> RdPoint:
         conds[np.arange(nw), :, zero_rate.argmin(axis=1)] = 1.0
         rate, point = 0.0, (0.0, d_at_zero, conds)
     elif target <= least + 1e-13:
+        # the supporting line at SLOPE_CAP; R(least) bounds R only at or below least
+        _, _, flb = _ba_batch(pxgw, np.broadcast_to(SLOPE_CAP * LOG2 * dmat, (nw, *shape)))
+        rate = float(pw @ flb) / LOG2 - SLOPE_CAP * target
         rates, conds = _zero_distortion_rate(pxgw, dmat)
-        rate, point = float(pw @ rates), (SLOPE_CAP, least, conds)
+        if target <= least:
+            rate = max(rate, float(pw @ rates))
+        point = (SLOPE_CAP, least, conds)
     else:
         rate = -np.inf
         lo, hi = 0.0, None
@@ -300,7 +305,7 @@ def _joint_problem(p: JointPmf, d: DistortionSpec):
 
 
 _SWEEP_CACHE: dict = {}
-_DEFAULT_GRID = np.concatenate(([0.0], np.geomspace(1.0 / 32.0, 48.0, 30)))
+_DEFAULT_GRID = np.concatenate(([0.0], np.geomspace(1.0 / 32.0, 48.0, 15)))
 
 
 #: iteration cap for joint sweeps; certified dual bounds stay valid at any cap
@@ -378,14 +383,14 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
     """Joint R_{X1X2}(D1, D2) as the maximum of the concave dual
     g(s) = F*(s)/ln 2 - s1 D1 - s2 D2 over 0 <= s <= SLOPE_CAP.
 
-    The cached slope sweep gives the start. A projected Newton ascent then
-    takes the exact gradient E[d_i] - D_i (one-sided on an axis s_i = 0, see
-    _axis_channel) and the exact Hessian from each channel, and makes one
-    warm-started single-entry kernel call per trial step. A trial is kept
-    unless its certified value falls short of the incumbent's by more than
-    the kernel's tolerance; after a failed trial the next step is damped
-    toward the gradient. The ascent stops once the predicted gain is below
-    ASCENT_GAIN_TOL bits, or after ASCENT_CALLS calls.
+    A cached 16x16 slope sweep, one kernel call per source, gives the start. A
+    projected Newton ascent then takes the exact gradient E[d_i] - D_i
+    (one-sided on an axis s_i = 0, see _axis_channel) and the exact Hessian
+    from each channel, and makes one warm-started single-entry kernel call per
+    trial step. A trial is kept unless its certified value falls short of the
+    incumbent's by more than the kernel's tolerance; after a failed trial the
+    next step is damped toward the gradient. The ascent stops once the
+    predicted gain is below ASCENT_GAIN_TOL bits, or after ASCENT_CALLS calls.
 
     The returned rate is the best certified value of g at D over all evaluated
     slopes. The ascent aims at D - JOINT_SLACK / 2, so that the channel where

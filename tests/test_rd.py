@@ -4,9 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import witl.rd as rd
-from witl.audit import audit_lemma1
+from witl.audit import audit_lemma1, random_source
 from witl.closed_form import DsbsParams, RegionLabel, dsbs_joint_rd, dsbs_region
-from witl.prob import JointPmf, ProbabilityError, binary_entropy, marginalize
+from witl.prob import (
+    LOG2,
+    JointPmf,
+    ProbabilityError,
+    binary_entropy,
+    marginalize,
+    mutual_information,
+)
 from witl.rd import (
     DistortionSpec,
     InfeasibleDistortion,
@@ -208,6 +215,56 @@ class TestJointRd:
             ba_joint_rd(dsbs(0.2), d, D)
         assert sum(b > 1 for b in sizes[0]) == 1
         assert sizes[1] and all(b == 1 for b in sizes[1])
+
+
+def zero_rate_distortions(p, d):
+    return [float(np.min(marginalize(p, [i]).mass @ d.matrices[i])) for i in range(2)]
+
+
+class TestJointStart:
+    """The ascent needs only a start from the cached sweep: a coarse sweep
+    must not cost rate against a fine one, nor split into several calls."""
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("seed", range(1000, 1004))
+    def test_no_worse_than_fine_sweep(self, monkeypatch, seed, sizes):
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        p, d = random_source(seed, sizes), DistortionSpec.hamming(sizes)
+        px, dm = rd._joint_problem(p, d)
+        axis = np.concatenate(([0.0], np.geomspace(1.0 / 32.0, 48.0, 30)))
+        fine = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        _, _, flb, _ = rd._slope_points(px, dm, fine, max_iter=rd.JOINT_MAX_ITER)
+        sizes_seen = []
+        real = rd._ba_batch
+
+        def recorded(px, cost, *args, **kwargs):
+            sizes_seen.append(len(cost))
+            return real(px, cost, *args, **kwargs)
+
+        monkeypatch.setattr(rd, "_ba_batch", recorded)
+        zero = zero_rate_distortions(p, d)
+        for share in (0.2, 0.5, 0.8):
+            D = np.array([share * zero[0], share * zero[1]])
+            fine_bound = float(np.max(flb / LOG2 - fine @ D))
+            assert ba_joint_rd(p, d, D).rate >= fine_bound - 1e-10, share
+        assert [b for b in sizes_seen if b > 1] == [256]
+
+    @pytest.mark.parametrize("a1", [0.1, 0.3])
+    def test_dsbs_test_channel_is_tight(self, a1):
+        # the returned channel meets D with no slack, and its I(X; Xhat) is
+        # within 1e-5 bits of the reported rate
+        p, d, par = dsbs(a1), DistortionSpec.hamming((2, 2)), DsbsParams.from_a1(a1)
+        axis = np.linspace(0.01, 0.45, 8)
+        checked = 0
+        for D in ((d1, d2) for d1 in axis for d2 in axis):
+            if dsbs_region(par, *D) is RegionLabel.ZERO:
+                continue
+            pt = ba_joint_rd(p, d, D)
+            assert pt.distortion[0] <= D[0] and pt.distortion[1] <= D[1], D
+            joint = JointPmf((4, 4), p.mass.reshape(-1)[:, None] * pt.test_channel.rows)
+            assert mutual_information(joint, [0]) - pt.rate <= 1e-5, D
+            checked += 1
+        assert checked >= 40
 
 
 weights = st.lists(st.integers(0, 9), min_size=6, max_size=6).filter(lambda m: sum(m) > 0)

@@ -141,6 +141,17 @@ class TestCertifiedScalarRate:
             self.check(pt, D, binary_entropy(theta) - binary_entropy(D), share)
 
 
+class TestNearLeastDistortion:
+    @pytest.mark.parametrize("D", [1e-13, 5e-14])
+    @pytest.mark.parametrize("mass", [[0.5, 0.5], [0.3, 0.7]])
+    def test_certified_within_1e13_of_least(self, mass, D):
+        # R at the least distortion would be an upper value here; the
+        # supporting line at SLOPE_CAP is a certified lower one
+        p = JointPmf((2,), np.array(mass))
+        rate = ba_rate_distortion(p, DistortionSpec.hamming((2,)), D).rate
+        assert -1e-10 <= rate - (entropy(p) - binary_entropy(D)) <= 1e-15
+
+
 class TestFailurePolicy:
     def test_conditional_below_least_distortion(self):
         # every reproduction costs at least 0.1, whatever W says
