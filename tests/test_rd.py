@@ -217,10 +217,6 @@ class TestJointRd:
         assert sizes[1] and all(b == 1 for b in sizes[1])
 
 
-def zero_rate_distortions(p, d):
-    return [float(np.min(marginalize(p, [i]).mass @ d.matrices[i])) for i in range(2)]
-
-
 class TestJointStart:
     """The ascent needs only a start from the cached sweep: a coarse sweep
     must not cost rate against a fine one, nor split into several calls."""
@@ -242,7 +238,7 @@ class TestJointStart:
             return real(px, cost, *args, **kwargs)
 
         monkeypatch.setattr(rd, "_ba_batch", recorded)
-        zero = zero_rate_distortions(p, d)
+        zero = [float(np.min(marginalize(p, [i]).mass @ d.matrices[i])) for i in range(2)]
         for share in (0.2, 0.5, 0.8):
             D = np.array([share * zero[0], share * zero[1]])
             fine_bound = float(np.max(flb / LOG2 - fine @ D))
