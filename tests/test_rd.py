@@ -197,6 +197,30 @@ class TestJointRd:
         assert ba_joint_rd(p, d, D).rate == pytest.approx(1.7816447, abs=1e-6)
         assert audit_lemma1(p, d, *D).passed
 
+    def test_dsbs_ascent_reaches_closed_form(self, monkeypatch):
+        # a point where trial calls that stop on the iteration cap left the
+        # ascent 5e-9 bits short of the closed form
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        D = (0.2726, 0.3232)
+        rate = ba_joint_rd(dsbs(0.3), DistortionSpec.hamming((2, 2)), D).rate
+        assert 0.0 <= dsbs_joint_rd(DsbsParams.from_a1(0.3), *D) - rate <= 1e-10
+
+    def test_kink_ascent_stops_on_its_gain(self, monkeypatch):
+        # D sits near a marginal's zero-rate distortion, where the dual has a
+        # kink: sweep and ascent together stay within the ASCENT_CALLS guard
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        calls = []
+        real = rd._ba_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rd, "_ba_batch", counted)
+        p = JointPmf((2, 3), np.array([[9, 2, 9], [0, 8, 0]]) / 28)
+        ba_joint_rd(p, DistortionSpec.hamming((2, 3)), (0.2478, 0.6068))
+        assert len(calls) <= rd.ASCENT_CALLS
+
     def test_one_sweep_per_source(self, monkeypatch):
         # every kernel call after the cached sweep carries one slope pair, so
         # a multi-entry call under ba_joint_rd marks a sweep-cache miss

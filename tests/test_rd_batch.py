@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import witl.rd as rd
+from witl.audit import random_source
 from witl.closed_form import DsbsParams, dsbs_conditional_rd
 from witl.prob import LOG2, JointPmf, binary_entropy, entropy, marginalize
 from witl.rd import (
@@ -65,6 +67,64 @@ class TestPerEntryKernel:
             r1, c1 = _zero_distortion_rate(px[b : b + 1], dmat)
             assert abs(rates[b] - r1[0]) <= 1e-12
             assert np.abs(conds[b] - c1[0]).max() <= 1e-12
+
+
+def certified_gaps(monkeypatch):
+    """Record every kernel call's per-entry dual gap in nats, recomputed from
+    the returned channel W alone: log max_y sum_x p(x) a(x, y) / (a q)(x) at
+    q = p W. A converged entry reads below RATE_TOL; one cut off by the
+    iteration cap reads above it."""
+    gaps = []
+    real = rd._ba_batch
+
+    def recorded(px, cost, *args, **kwargs):
+        out = real(px, cost, *args, **kwargs)
+        a = np.exp(-np.asarray(cost, dtype=float))
+        p = np.broadcast_to(np.asarray(px, dtype=float), a.shape[:2])
+        q = np.einsum("bx,bxh->bh", p, out[1])
+        z = np.einsum("bxh,bh->bx", a, q)
+        ratio = np.divide(p, z, out=np.zeros_like(p), where=p > 0)
+        gaps.append(np.log(np.einsum("bx,bxh->bh", ratio, a).max(axis=1)))
+        return out
+
+    monkeypatch.setattr(rd, "_ba_batch", recorded)
+    return gaps
+
+
+class TestKernelCertifies:
+    """Queries near critical slopes, where plain alternation crawls: every
+    kernel call ends on its certificate, not on its iteration cap."""
+
+    @staticmethod
+    def assert_certified(gaps):
+        assert gaps
+        capped = [i for i, g in enumerate(gaps) if np.any(g >= rd.RATE_TOL)]
+        assert not capped, f"calls {capped} of {len(gaps)} ended above RATE_TOL"
+
+    def test_cold_joint_sweep(self, monkeypatch):
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        gaps = certified_gaps(monkeypatch)
+        p, d = random_source(1000, (3, 3)), DistortionSpec.hamming((3, 3))
+        zero = [float(np.min(marginalize(p, [i]).mass @ d.matrices[i])) for i in range(2)]
+        rd.ba_joint_rd(p, d, (0.8 * zero[0], 0.8 * zero[1]))
+        self.assert_certified(gaps)
+
+    def test_conditional_near_kink(self, monkeypatch):
+        # X1 | X2 at 0.95 of the distortion of guessing X1 from X2
+        gaps = certified_gaps(monkeypatch)
+        p = random_source(1002, (3, 3))
+        zero = float(1.0 - p.mass.max(axis=0).sum())
+        ba_conditional_rd(p, DistortionSpec.hamming((3,)), 0.95 * zero)
+        self.assert_certified(gaps)
+
+    def test_dsbs_joint_ascent(self, monkeypatch):
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        gaps = certified_gaps(monkeypatch)
+        a1 = 0.3
+        same, diff = 0.5 * ((1 - a1) ** 2 + a1**2), a1 * (1 - a1)
+        p = JointPmf((2, 2), np.array([[same, diff], [diff, same]]))
+        rd.ba_joint_rd(p, DistortionSpec.hamming((2, 2)), (0.2726, 0.3232))
+        self.assert_certified(gaps)
 
 
 #: integer weights: zero-mass letters and zero-mass w occur, tiny masses do not
