@@ -166,9 +166,13 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
     grid = np.linspace(0.0, 1.0, int(round(1.0 / res)) + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = (p11 - p2 * grid) / (p1 - grid)
-        # candidate (b10, b11) pairs straddle p1, in the grid's row-major order
-        side = np.where((f >= -1e-9) & (f <= 1 + 1e-9), np.sign(grid - p1), 0.0)
-        i0, i1 = np.nonzero(side[:, None] * side[None, :] < 0)
+        # candidate (b10, b11) pairs straddle p1, in the grid's row-major
+        # order: every grid point below p1 precedes every point above it
+        near = (f >= -1e-9) & (f <= 1 + 1e-9)
+        below = np.flatnonzero(near & (grid < p1))
+        above = np.flatnonzero(near & (grid > p1))
+        i0 = np.concatenate([np.repeat(below, above.size), np.repeat(above, below.size)])
+        i1 = np.concatenate([np.tile(above, below.size), np.tile(below, above.size)])
         b10, b11 = grid[i0], grid[i1]
         piw = (p1 - b11) / (b10 - b11)
         # (b20, b21) solve pi*b20 + (1-pi)*b21 = p2 and

@@ -26,6 +26,13 @@ class BudgetExceeded(RuntimeError):
     """The exact enumeration would exceed the state x codeword budget."""
 
 
+def _check_budget(alphabet: int, n: int, M: int) -> None:
+    if float(alphabet) ** n * M > ENUMERATION_BUDGET:
+        raise BudgetExceeded(
+            f"alphabet^n * M = {alphabet}^{n} * {M} exceeds {ENUMERATION_BUDGET}"
+        )
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     n: int
@@ -93,11 +100,7 @@ def build_generator(
     if R0 < 0:
         raise ProbabilityError("common rate must be >= 0")
     M = max(1, math.ceil(2.0 ** (n * R0)))
-    alphabet = int(np.prod([c.out_sizes[0] for c in sol.channels]))
-    if float(alphabet) ** n * M > ENUMERATION_BUDGET:
-        raise BudgetExceeded(
-            f"alphabet^n * M = {alphabet}^{n} * {M} exceeds {ENUMERATION_BUDGET}"
-        )
+    _check_budget(int(np.prod([c.out_sizes[0] for c in sol.channels])), n, M)
     k = sol.pw.size
     if mode == "random":
         rng = np.random.default_rng(seed)
@@ -125,28 +128,37 @@ def _per_symbol_tables(gen: GeneratorSpec, p: JointPmf):
     return v
 
 
+def _kron_rows(v, codewords):
+    """Row r is v[codewords[r, 0]] ⊗ v[codewords[r, 1]] ⊗ ..., one row of
+    v per letter; a zero-letter codeword gives the row [1]."""
+    rows = np.ones((codewords.shape[0], 1))
+    for letter in codewords.T:
+        rows = (rows[:, :, None] * v[letter][:, None, :]).reshape(rows.shape[0], -1)
+    return rows
+
+
 def exact_delta(gen: GeneratorSpec, p: JointPmf) -> SynthesisResult:
     """Normalized divergence of the generator's output law from the i.i.d.
-    target, by exact summation over all n-sequences of joint symbols."""
+    target, by exact summation over all n-sequences of joint symbols.
+
+    The output law q is the mixture over codewords of the n-fold Kronecker
+    products of per-symbol tables. For a k-letter W and j joint symbols, each
+    of the M' = min(M, k^n) distinct codewords is split into a prefix of
+    h = ceil(n/2) letters and a suffix of n - h; with A the prefix rows
+    weighted by count / M and B the suffix rows, q reshaped to
+    (j^h, j^(n-h)) is A^T B, one matrix product. A and B hold at most
+    M' * j^h entries each, within ``ENUMERATION_BUDGET``.
+    """
     n, m = gen.n, gen.M
     j = int(np.prod(p.alphabet_sizes))
-    if float(j) ** n * m > ENUMERATION_BUDGET:
-        raise BudgetExceeded(
-            f"alphabet^n * M = {j}^{n} * {m} exceeds {ENUMERATION_BUDGET}"
-        )
+    _check_budget(j, n, m)
     v = _per_symbol_tables(gen, p)
     codewords, counts = np.unique(gen.codebook, axis=0, return_counts=True)
-    q = np.zeros(j**n)
-    for cw, cnt in zip(codewords, counts):
-        t = v[cw[0]]
-        for k in range(1, n):
-            t = (t[:, None] * v[cw[k]][None, :]).reshape(-1)
-        q += (cnt / m) * t
-    pn = p.mass.reshape(-1)
-    t = pn
-    for _ in range(1, n):
-        t = (t[:, None] * pn[None, :]).reshape(-1)
-    pn_full = t
+    h = (n + 1) // 2
+    prefix = _kron_rows(v, codewords[:, :h]) * (counts / m)[:, None]
+    q = (prefix.T @ _kron_rows(v, codewords[:, h:])).reshape(-1)
+    # p^n is the Kronecker power of p: the one-row table p along an all-zero word
+    pn_full = _kron_rows(p.mass.reshape(1, -1), np.zeros((1, n), dtype=np.int64))[0]
     if np.any((q > 0) & (pn_full == 0)):
         raise SupportViolation("generator output puts mass outside the target support")
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from witl.audit import random_source
 from witl.common_info import solve_common_info
-from witl.prob import ConditionalPmf, JointPmf, ProbabilityError
+from witl.prob import ConditionalPmf, JointPmf, ProbabilityError, SupportViolation
 from witl.synthesis import (
+    ENUMERATION_BUDGET,
     BudgetExceeded,
     GeneratorSpec,
     build_generator,
@@ -25,6 +28,37 @@ def marginal_product_generator(n):
     """Single codeword, channels equal to the coordinate marginals."""
     uni = ConditionalPmf(1, (2,), np.array([[0.5, 0.5]]))
     return GeneratorSpec(n=n, M=1, codebook=np.zeros((1, n), dtype=int), channels=(uni, uni))
+
+
+def brute_force_delta(gen, p):
+    """Delta in bits by summing the output law over every n-sequence of joint
+    letters, one sequence and one codeword at a time."""
+    letters = list(itertools.product(*(range(s) for s in p.alphabet_sizes)))
+    total = 0.0
+    for seq in itertools.product(letters, repeat=gen.n):
+        target = math.prod(p.mass[x] for x in seq)
+        q = sum(
+            math.prod(
+                ch.rows[w, xi]
+                for w, x in zip(cw, seq)
+                for ch, xi in zip(gen.channels, x)
+            )
+            for cw in gen.codebook
+        ) / gen.M
+        if q > 0:
+            total += q * math.log2(q / target)
+    return total / gen.n
+
+
+def three_letter_generator(n, codebook, seed=0):
+    """A K = 3 W driving a 2x3 source, rows drawn at random."""
+    rng = np.random.default_rng(seed)
+    channels = (
+        ConditionalPmf(3, (2,), rng.dirichlet(np.ones(2), size=3)),
+        ConditionalPmf(3, (3,), rng.dirichlet(np.ones(3), size=3)),
+    )
+    codebook = np.asarray(codebook).reshape(-1, n)
+    return GeneratorSpec(n=n, M=codebook.shape[0], codebook=codebook, channels=channels)
 
 
 class TestBuildGenerator:
@@ -124,3 +158,53 @@ class TestExactDelta:
         assert exact_delta(g1, dsbs()).delta == pytest.approx(
             exact_delta(g2, dsbs()).delta, abs=1e-15
         )
+
+
+class TestExactDeltaBruteForce:
+    @pytest.mark.parametrize("mode", ["random", "type"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_built_generators(self, n, mode):
+        p = random_source(5)
+        gen = build_generator(solve_common_info(p, K=2), n, 0.94, seed=n, mode=mode)
+        assert abs(exact_delta(gen, p).delta - brute_force_delta(gen, p)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "codebook",
+        [
+            [[1, 0, 1]],  # M = 1
+            [[0, 1, 1], [0, 1, 1], [1, 0, 1], [0, 1, 1]],  # repeated rows
+            [[0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [0, 0, 0, 0, 0]],
+            [[0, 1, 0, 1], [0, 1, 0, 1]],  # one row, twice
+        ],
+    )
+    def test_hand_built_codebooks(self, codebook):
+        p = dsbs(0.2)
+        sol = solve_common_info(p, K=2)
+        cb = np.array(codebook)
+        gen = GeneratorSpec(n=cb.shape[1], M=cb.shape[0], codebook=cb, channels=sol.channels)
+        assert abs(exact_delta(gen, p).delta - brute_force_delta(gen, p)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, codebook",
+        [
+            (1, [[0], [1], [2], [2]]),
+            (2, [[0, 2], [1, 1], [2, 0], [0, 2]]),
+            (3, [[2, 1, 0], [0, 0, 1], [1, 2, 2], [2, 1, 0], [0, 1, 2]]),
+            (4, [[0, 1, 2, 0], [2, 2, 1, 1]]),
+        ],
+    )
+    def test_three_letter_w_on_2x3_source(self, n, codebook):
+        p = random_source(9, (2, 3))
+        gen = three_letter_generator(n, codebook, seed=n)
+        assert abs(exact_delta(gen, p).delta - brute_force_delta(gen, p)) <= 1e-12
+
+    def test_support_violation(self):
+        # uniform channels put mass on the joint letter (0, 1), which has none
+        p = JointPmf((2, 2), np.array([[0.5, 0.0], [0.25, 0.25]]))
+        for n in (1, 2, 3):
+            with pytest.raises(SupportViolation):
+                exact_delta(marginal_product_generator(n), p)
+
+    def test_budget_guard_on_hand_built_spec(self):
+        with pytest.raises(BudgetExceeded, match=rf"= 4\^16 \* 1 exceeds {ENUMERATION_BUDGET}$"):
+            exact_delta(marginal_product_generator(16), dsbs())
