@@ -3,7 +3,7 @@ on concrete sources, producing reproducible pass/fail reports.
 
 Audit tolerances are deliberately looser than solver tolerances so solver
 noise cannot flip a verdict. Claims the underlying theory leaves open are
-emitted as "bracket" or "frontier" records, never asserted.
+emitted as "frontier" records, never asserted.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class AuditCheck:
     lhs: float
     rhs: float
     slack: float
-    verdict: str  # "pass" | "fail" | "equal" | "bracket" | "frontier" | "skipped"
+    verdict: str  # "pass" | "fail" | "equal" | "frontier" | "skipped"
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .prob import (
     entropy,
     joint_with_mixture,
     marginalize,
+    mix_channels,
     mutual_information,
     total_variation,
 )
@@ -120,13 +121,8 @@ def bsc_broadcast_source(theta: float, a1: float, N: int) -> JointPmf:
         raise ProbabilityError(f"theta {theta!r} outside [0, 1]")
     if N < 2:
         raise ProbabilityError("broadcast source needs N >= 2")
-    mass = np.zeros((2,) * N)
-    for bits in itertools.product((0, 1), repeat=N):
-        t = sum(bits)
-        mass[bits] = theta * a1**t * (1 - a1) ** (N - t) + (1 - theta) * (
-            1 - a1
-        ) ** t * a1 ** (N - t)
-    return JointPmf((2,) * N, mass)
+    bsc = ConditionalPmf(2, (2,), [[1 - a1, a1], [a1, 1 - a1]])
+    return mix_channels([theta, 1 - theta], [bsc] * N)
 
 
 def _solution_from_mixture(p, pw, channels, status):

@@ -169,6 +169,19 @@ def total_variation(q: JointPmf | np.ndarray, p: JointPmf | np.ndarray) -> float
     return 0.5 * float(np.abs(qm - pm).sum())
 
 
+def kron_rows(*factors) -> np.ndarray:
+    """Row-wise Kronecker product: row r is f0[r] ⊗ f1[r] ⊗ ... .
+
+    Each factor is (R, n_i); the result is (R, n_0 n_1 ...), row-major over
+    the factors as a :class:`JointPmf` lays out its coordinates. Products
+    are taken left to right, so a leading factor of ones changes no bit.
+    """
+    rows = np.asarray(factors[0], dtype=float)
+    for f in factors[1:]:
+        rows = (rows[:, :, None] * f[:, None, :]).reshape(len(rows), -1)
+    return rows
+
+
 def joint_with_mixture(pw, channels) -> JointPmf:
     """Joint pmf over (W, X_1..X_N) for the mixture p(w) prod_i p(x_i | w).
 
@@ -185,10 +198,7 @@ def joint_with_mixture(pw, channels) -> JointPmf:
         if len(ch.out_sizes) != 1:
             raise ProbabilityError("mixtures take single-coordinate channels")
     sizes = tuple(ch.out_sizes[0] for ch in channels)
-    mass = pw.copy()
-    for i, ch in enumerate(channels):
-        mass = mass[..., None] * ch.rows.reshape((k,) + (1,) * i + (sizes[i],))
-    return JointPmf((k, *sizes), mass)
+    return JointPmf((k, *sizes), kron_rows(pw[:, None], *(ch.rows for ch in channels)))
 
 
 def mix_channels(pw, channels) -> JointPmf:

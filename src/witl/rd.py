@@ -9,11 +9,12 @@ projected Newton ascent on the concave dual (joint problems). Every query runs
 on one batched kernel, ``_ba_batch``, which takes a source pmf per batch
 entry: the bracket search solves all components w of a conditional problem at
 several slopes per call, warm-started from the previous round, and each ascent
-step is one single-entry call. The kernel alternates as Blahut-Arimoto does
-and, at each dual-gap check, takes one Newton step on the alternation's fixed
-point, so that calls near critical slopes end on their certificate rather than
-on their iteration cap. Multipliers are in bits per distortion unit
-throughout.
+step is one single-entry call, warm-started from the output pmf that the
+incumbent's linearization predicts at the trial slopes. The kernel alternates
+as Blahut-Arimoto does and, at each dual-gap check, takes one Newton step on
+the alternation's fixed point, so that calls near critical slopes end on their
+certificate rather than on their iteration cap. Multipliers are in bits per
+distortion unit throughout.
 """
 
 from __future__ import annotations
@@ -87,17 +88,6 @@ class DistortionSpec:
             "matrices": [m.tolist() for m in self.matrices],
             "repro_sizes": list(self.repro_sizes),
         }
-
-    def audit_mode_ok(self) -> bool:
-        """d_i(x, x) = 0 and d_i(x, xhat) > 0 off-diagonal, square alphabets."""
-        for m in self.matrices:
-            if m.shape[0] != m.shape[1]:
-                return False
-            if np.any(np.diag(m) != 0):
-                return False
-            if np.any(m[~np.eye(m.shape[0], dtype=bool)] <= 0):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -414,14 +404,17 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
     """Joint R_{X1X2}(D1, D2) as the maximum of the concave dual
     g(s) = F*(s)/ln 2 - s1 D1 - s2 D2 over 0 <= s <= SLOPE_CAP.
 
-    A cached 16x16 slope sweep, one kernel call per source, gives the start. A
+    A cached 16x16 slope sweep, one kernel call per source, gives the start,
+    the first supporting lines and the least-rate sweep point that meets D. A
     projected Newton ascent then takes the exact gradient E[d_i] - D_i
     (one-sided on an axis s_i = 0, see _axis_channel) and the exact Hessian
-    from each channel, and makes one warm-started single-entry kernel call per
-    trial step. A trial is kept unless its certified value falls short of the
-    incumbent's by more than the kernel's tolerance; after a failed trial the
-    next step is damped toward the gradient. The ascent stops once the
-    predicted gain is below ASCENT_GAIN_TOL bits, or after ASCENT_CALLS calls.
+    from each channel, and makes one single-entry kernel call per trial step,
+    warm-started from the output pmf the incumbent predicts at the trial (its
+    slope derivative from _dual_hessian). A trial is kept unless its certified
+    value falls short of the incumbent's by more than the kernel's tolerance;
+    after a failed trial the next step is damped toward the gradient. The
+    ascent stops once the predicted gain is below ASCENT_GAIN_TOL bits, or
+    after ASCENT_CALLS calls.
 
     The returned rate is the best certified value of g at D over all evaluated
     slopes. The ascent aims at D - JOINT_SLACK / 2, so that the channel where
@@ -471,7 +464,6 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
     k = int(np.argmax(flb / LOG2 - slopes @ aim))
     s, val = slopes[k], float(flb[k] / LOG2 - slopes[k] @ aim)
     chan, e, warm = point(float(rates[k]), cond[k], s)
-    sweep_q = np.einsum("x,nxh->nh", px, cond)
     damping = 0.0
     for _ in range(ASCENT_CALLS):
         grad = e - aim
@@ -487,13 +479,9 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
         trial = np.clip(s + step, 0.0, SLOPE_CAP)
         if np.all(trial == s):
             break
-        # warm start: the output pmf, predicted from the incumbent or cached by
-        # the sweep, whose dual value V(q) >= F* at the trial is least
+        # warm start: the incumbent's output pmf moved by its slope derivative
         pred = np.maximum(warm + dq @ (LOG2 * (trial - s)), 1e-12)
-        qs = np.vstack([pred / pred.sum(), sweep_q])
-        a = np.exp(-LOG2 * np.einsum("i,ixh->xh", trial, dm))
-        q0 = qs[np.argmin(-np.log(np.maximum(qs @ a.T, 1e-300)) @ px)]
-        r, c, fl, _ = _slope_points(px, dm, trial[None], q0=q0)
+        r, c, fl, _ = _slope_points(px, dm, trial[None], q0=pred / pred.sum())
         certified = float(fl[0]) / LOG2
         rate = max(rate, certified - trial @ target)
         trial_point = point(float(r[0]), c[0], trial)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .common_info import CommonInfoSolution
-from .prob import LOG2, ConditionalPmf, JointPmf, ProbabilityError, SupportViolation
+from .prob import LOG2, ConditionalPmf, JointPmf, ProbabilityError, SupportViolation, kron_rows
 
 #: enumeration budget: (joint alphabet size)^n * codebook size
 ENUMERATION_BUDGET = 50_000_000
@@ -39,7 +39,6 @@ class GeneratorSpec:
     M: int
     codebook: np.ndarray = field(repr=False)  # (M, n) symbols over the W alphabet
     channels: tuple[ConditionalPmf, ...]
-    seed: int | None = None
 
     def __post_init__(self):
         cb = np.asarray(self.codebook, dtype=np.int64).reshape(self.M, self.n)
@@ -55,7 +54,6 @@ class SynthesisResult:
     n: int
     M: int
     delta: float  # bits per symbol
-    method: str = "exact"
 
 
 def _type_class_prefix(base, M: int) -> list[tuple[int, ...]]:
@@ -113,28 +111,15 @@ def build_generator(
         codebook = np.array([distinct[i % len(distinct)] for i in range(M)])
     else:
         raise ProbabilityError(f"unknown codebook mode {mode!r}")
-    return GeneratorSpec(n=n, M=M, codebook=codebook, channels=sol.channels, seed=seed)
+    return GeneratorSpec(n=n, M=M, codebook=codebook, channels=sol.channels)
 
 
 def _per_symbol_tables(gen: GeneratorSpec, p: JointPmf):
     """v[w, j] = prod_i p(x_i(j) | w) over flattened joint symbols j."""
-    k = gen.channels[0].given_size
     sizes = tuple(c.out_sizes[0] for c in gen.channels)
     if sizes != p.alphabet_sizes:
         raise ProbabilityError("generator channels do not match the target alphabet")
-    v = np.ones((k, 1))
-    for ch in gen.channels:
-        v = (v[:, :, None] * ch.rows[:, None, :]).reshape(k, -1)
-    return v
-
-
-def _kron_rows(v, codewords):
-    """Row r is v[codewords[r, 0]] ⊗ v[codewords[r, 1]] ⊗ ..., one row of
-    v per letter; a zero-letter codeword gives the row [1]."""
-    rows = np.ones((codewords.shape[0], 1))
-    for letter in codewords.T:
-        rows = (rows[:, :, None] * v[letter][:, None, :]).reshape(rows.shape[0], -1)
-    return rows
+    return kron_rows(*(ch.rows for ch in gen.channels))
 
 
 def exact_delta(gen: GeneratorSpec, p: JointPmf) -> SynthesisResult:
@@ -155,10 +140,13 @@ def exact_delta(gen: GeneratorSpec, p: JointPmf) -> SynthesisResult:
     v = _per_symbol_tables(gen, p)
     codewords, counts = np.unique(gen.codebook, axis=0, return_counts=True)
     h = (n + 1) // 2
-    prefix = _kron_rows(v, codewords[:, :h]) * (counts / m)[:, None]
-    q = (prefix.T @ _kron_rows(v, codewords[:, h:])).reshape(-1)
-    # p^n is the Kronecker power of p: the one-row table p along an all-zero word
-    pn_full = _kron_rows(p.mass.reshape(1, -1), np.zeros((1, n), dtype=np.int64))[0]
+    # row r of v[codewords[:, i]] is codeword r's table at letter i; the
+    # leading ones give a zero-letter suffix (n = 1) the row [1]
+    ones = np.ones((len(codewords), 1))
+    prefix = kron_rows(ones, *v[codewords[:, :h].T]) * (counts / m)[:, None]
+    q = (prefix.T @ kron_rows(ones, *v[codewords[:, h:].T])).reshape(-1)
+    # p^n is the n-fold Kronecker power of p
+    pn_full = kron_rows(*[p.mass.reshape(1, -1)] * n)[0]
     if np.any((q > 0) & (pn_full == 0)):
         raise SupportViolation("generator output puts mass outside the target support")
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -233,9 +233,24 @@ class TestSolverCommands:
         )
         assert doc["result"]["member"] is not None
 
+    def test_member_at_starved_rates_has_no_witness(self, runner, dsbs_file, tmp_path):
+        rates = tmp_path / "rates.json"
+        rates.write_text(json.dumps({"R0": 0.0, "privates": [0.0, 0.0]}))
+        doc = run_json(
+            runner,
+            ["member", "--source", dsbs_file, "--rates", str(rates), "--D", "0.05,0.05"],
+        )
+        assert doc["result"]["member"] is None
+
     def test_audit_pass_exit_zero(self, runner):
         result = runner.invoke(main, ["audit", "--suite", "t9", "--family", "dsbs"])
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("suite", ["lemma1", "t4", "bounds"])
+    def test_audit_suite_reports_its_name(self, runner, suite):
+        doc = run_json(runner, ["audit", "--suite", suite])
+        assert doc["result"]["suite"] == suite
+        assert doc["config"]["suite"] == suite
 
 
 class TestFailureModes:

@@ -63,6 +63,16 @@ class TestBroadcastFamily:
             val = entropy(src) - n * binary_entropy(0.1)
             assert val == pytest.approx(expect, abs=1e-9)
 
+    @pytest.mark.parametrize("theta", [0.3, 0.5])
+    @pytest.mark.parametrize("a1", [0.1, 0.27])
+    def test_mass_matches_enumerated_formula(self, theta, a1):
+        for n in range(2, 6):
+            t = np.indices((2,) * n).sum(axis=0)  # the number of ones in each word
+            expect = theta * a1**t * (1 - a1) ** (n - t) + (1 - theta) * (1 - a1) ** t * a1 ** (n - t)
+            np.testing.assert_allclose(
+                bsc_broadcast_source(theta, a1, n).mass, expect, rtol=0, atol=1e-15
+            )
+
     def test_nondecreasing_in_coordinates(self):
         vals = [
             entropy(bsc_broadcast_source(0.5, 0.1, n)) - n * binary_entropy(0.1)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import witl.rd as rd
@@ -57,11 +57,6 @@ class TestDistortionSpec:
         d = DistortionSpec.hamming((2, 2))
         d2 = DistortionSpec.from_json(d.to_json_obj())
         np.testing.assert_allclose(d2.matrices[0], d.matrices[0])
-
-    def test_audit_mode_check(self):
-        assert DistortionSpec.hamming((2, 2)).audit_mode_ok()
-        skew = DistortionSpec((np.array([[0.0, 1.0, 2.0]]),), (3,))
-        assert not skew.audit_mode_ok()
 
 
 class TestScalarRd:
@@ -302,6 +297,7 @@ class TestJointRdProperties:
     def test_symmetric_and_nonincreasing(self, sizes, raw, share1, share2, step):
         n1, n2 = sizes
         mass = np.array(raw[: n1 * n2], dtype=float).reshape(sizes)
+        assume(mass.sum() > 0)  # a 2x2 draw reads only the first 4 weights
         p = JointPmf(sizes, mass / mass.sum())
         d = DistortionSpec.hamming(sizes)
         zero = [float(np.min(marginalize(p, [i]).mass @ d.matrices[i])) for i in range(2)]
