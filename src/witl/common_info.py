@@ -5,8 +5,9 @@ Two search routes:
 
 * exhaustive mode for 2x2 sources with |W| = 2: the three marginal-matching
   equations are solved in closed form and the two residual free parameters are
-  gridded, so the returned minimum is global up to grid resolution; only the
-  grid points that satisfy the equations are scored;
+  gridded, so the returned minimum is global up to grid resolution; every
+  candidate pair is scored from per-point entropies and a near-optimal
+  shortlist is rescored exactly;
 * penalized descent for everything else: q(w|x) is optimized by L-BFGS-B with
   the closed-form gradient under a ramped conditional-total-correlation
   penalty, which keeps the X-marginal exact by construction. Results on this
@@ -46,6 +47,10 @@ MU_INIT = 1.0
 MU_FACTOR = 10.0
 DESCENT_STAGES = 9
 DESCENT_MAXITER = 300
+#: bits below the best surely feasible approximate H(X|W) within which the
+#: 2x2 grid rescores block-1 pairs exactly: a bound on rounding, not a
+#: tolerance on the optimum (see :func:`_exhaustive_2x2`)
+_SCORE_SLACK = 1e-9
 
 
 class CommonInfoInfeasible(RuntimeError):
@@ -146,6 +151,39 @@ def _product_of_marginals(p: JointPmf, k: int):
     return _solution_from_mixture(p, np.full(k, 1.0 / k), channels, "exhaustive-optimal")
 
 
+def _h(v):
+    """Binary entropy in bits, elementwise."""
+    return -(xlogy(v, v) + xlogy(1.0 - v, 1.0 - v)) / LOG2
+
+
+def _block1_scores(p1: float, p2: float, p11: float, grid: np.ndarray):
+    """Block 1 of the 2x2 grid, b10 < p1 < b11, scored from per-point entropies.
+
+    With f(t) = (p11 - p2 t)/(p1 - t), the pair (b10, b11) has b20 = f(b11),
+    b21 = f(b10) and weight pi = (p1 - b11)/(b10 - b11), so
+    H(X|W) = h(b11) + h(f(b10)) + pi (u(b10) - u(b11)) with u = h - h∘f: two
+    entropies per grid point instead of four per pair. Returns the grid
+    indices ``below`` and ``above`` of the candidate points (f within 1e-9 of
+    [0, 1]), that approximate H(X|W) in bits as a (below.size, above.size)
+    array, and the mask of the pairs that are surely feasible: pi in
+    (1e-6, 1 - 1e-6) and f in [1e-9, 1 - 1e-9] at both points.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = (p11 - p2 * grid) / (p1 - grid)
+    near = (f >= -1e-9) & (f <= 1 + 1e-9)
+    below = np.flatnonzero(near & (grid < p1))
+    above = np.flatnonzero(near & (grid > p1))
+    hf = np.zeros_like(grid)
+    hf[near] = _h(np.clip(f[near], 0.0, 1.0))
+    u = _h(grid) - hf
+    sure_f = (f >= 1e-9) & (f <= 1 - 1e-9)
+    b, a = grid[below], grid[above]
+    piw = (p1 - a) / (b[:, None] - a)
+    score = (_h(a) + hf[below][:, None]) + piw * (u[below][:, None] - u[above])
+    sure = (piw > 1e-6) & (piw < 1 - 1e-6) & sure_f[below][:, None] & sure_f[above]
+    return below, above, score, sure
+
+
 def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
     """Global grid search for a 2x2 source with |W| = 2.
 
@@ -153,23 +191,36 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
     X2 channel follow from the three marginal-matching equations. These
     separate: b20 = f(b11) and b21 = f(b10) with f(t) = (p11 - p2 t)/(p1 - t),
     and the weight lies in (0, 1) only when b10 and b11 straddle p1, so only
-    such pairs of grid points with f near [0, 1] are candidates.
+    such pairs of grid points with f near [0, 1] are candidates. They come in
+    two blocks, b10 < p1 < b11 and then b10 > p1 > b11, each in row-major
+    order; block 2 is block 1 with the labels of W swapped, so each of its
+    pairs has the H(X|W) of its mirror in block 1.
+
+    :func:`_block1_scores` scores block 1 from per-point entropies. Those
+    scores differ from the pairwise formulas by rounding only (about 1e-14
+    bits), so the block-1 pairs within ``_SCORE_SLACK`` of the best surely
+    feasible score, followed by their block-2 mirrors, hold the optimum and
+    every pair that ties with it. The slack bounds that rounding with room to
+    spare; it is not a tolerance on the optimum, and its size changes only
+    how many pairs are rescored. The shortlist is rescored with the pairwise
+    formulas and the first minimum in candidate order wins, so the pick is
+    the one that scoring every candidate makes. Where no pair is surely
+    feasible (the diagonal source, and most sources with a zero cell) every
+    candidate is kept.
     """
     p1 = float(p.mass[1, :].sum())
     p2 = float(p.mass[:, 1].sum())
     p11 = float(p.mass[1, 1])
     res = budget.grid_resolution
     grid = np.linspace(0.0, 1.0, int(round(1.0 / res)) + 1)
+    below, above, score, sure = _block1_scores(p1, p2, p11, grid)
+    best = np.max(score, initial=-np.inf, where=sure)
+    r, c = np.nonzero(score >= best - _SCORE_SLACK)
+    mirror = np.lexsort((r, c))
+    i0 = np.concatenate([below[r], above[c[mirror]]])
+    i1 = np.concatenate([above[c], below[r[mirror]]])
+    b10, b11 = grid[i0], grid[i1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = (p11 - p2 * grid) / (p1 - grid)
-        # candidate (b10, b11) pairs straddle p1, in the grid's row-major
-        # order: every grid point below p1 precedes every point above it
-        near = (f >= -1e-9) & (f <= 1 + 1e-9)
-        below = np.flatnonzero(near & (grid < p1))
-        above = np.flatnonzero(near & (grid > p1))
-        i0 = np.concatenate([np.repeat(below, above.size), np.repeat(above, below.size)])
-        i1 = np.concatenate([np.tile(above, below.size), np.tile(below, above.size)])
-        b10, b11 = grid[i0], grid[i1]
         piw = (p1 - b11) / (b10 - b11)
         # (b20, b21) solve pi*b20 + (1-pi)*b21 = p2 and
         # pi*b10*b20 + (1-pi)*b11*b21 = p11
@@ -188,15 +239,11 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
             return independent
         raise CommonInfoInfeasible("no feasible point on the exhaustive grid")
 
-    def h(v):
-        return -(xlogy(v, v) + xlogy(1.0 - v, 1.0 - v)) / LOG2
-
-    # score the feasible points only
-    i0, i1, piw, b10, b11 = i0[feas], i1[feas], piw[feas], b10[feas], b11[feas]
+    # score the feasible points of the shortlist
+    piw, b10, b11 = piw[feas], b10[feas], b11[feas]
     b20 = np.clip(b20[feas], 0.0, 1.0)
     b21 = np.clip(b21[feas], 0.0, 1.0)
-    hg = h(grid)
-    hxw = piw * (hg[i0] + h(b20)) + (1.0 - piw) * (hg[i1] + h(b21))
+    hxw = piw * (_h(b10) + _h(b20)) + (1.0 - piw) * (_h(b11) + _h(b21))
     j = int(np.argmin(entropy(p) - hxw))
     pw = np.array([piw[j], 1.0 - piw[j]])
     channels = (

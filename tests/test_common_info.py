@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import approx_fprime
 from scipy.special import xlogy
 
@@ -9,13 +11,16 @@ from witl.common_info import (
     FEASIBILITY_TOL,
     CommonInfoInfeasible,
     CommonInfoSolution,
+    _SCORE_SLACK,
     SolveBudget,
+    _block1_scores,
     _descent_terms,
     _exhaustive_2x2,
     bsc_broadcast_source,
     common_info_bounds,
     solve_common_info,
 )
+from witl.audit import random_source
 from witl.prob import (
     LOG2,
     JointPmf,
@@ -198,6 +203,10 @@ class TestDescentGradient:
         _assert_gradient_matches(z, 1.0, pxu, (2, 3))
 
 
+def _h_bits(v):
+    return -(xlogy(v, v) + xlogy(1.0 - v, 1.0 - v)) / LOG2
+
+
 def _grid_reference(p, res):
     """(p(w), p(x1|w), p(x2|w)) from every grid point scored, infeasible ones
     at +inf; an independent source keeps the constant W, whose I(X; W) = 0 is
@@ -217,10 +226,7 @@ def _grid_reference(p, res):
     for b in (b20, b21):
         feas &= (b >= -1e-12) & (b <= 1 + 1e-12)
     b20, b21 = np.clip(b20, 0.0, 1.0), np.clip(b21, 0.0, 1.0)
-
-    def h(v):
-        return -(xlogy(v, v) + xlogy(1.0 - v, 1.0 - v)) / LOG2
-
+    h = _h_bits
     hxw = piw * (h(b10) + h(b20)) + (1.0 - piw) * (h(b11) + h(b21))
     j = int(np.argmin(np.where(feas, entropy(p) - hxw, np.inf)))
     return (
@@ -245,6 +251,47 @@ class TestExhaustiveGrid:
             np.testing.assert_array_equal(sol.pw, pw)
             np.testing.assert_array_equal(sol.channels[0].rows, rows1)
             np.testing.assert_array_equal(sol.channels[1].rows, rows2)
+
+    def test_shortlist_matches_full_grid_at_default_resolution(self):
+        sources = [
+            dsbs(0.1),  # p1 = 0.5 lies on the grid
+            random_source(0, (2, 2)),
+            random_source(1, (2, 2)),
+            JointPmf((2, 2), np.array([[0.3, 0.0], [0.25, 0.45]])),
+            JointPmf((2, 2), np.outer([0.3, 0.7], [0.6, 0.4])),
+            # no pair is surely feasible: every candidate is rescored
+            JointPmf((2, 2), np.array([[0.5, 0.0], [0.0, 0.5]])),
+        ]
+        for p in sources:
+            sol = _exhaustive_2x2(p, SolveBudget())
+            pw, rows1, rows2 = _grid_reference(p, 1e-3)
+            np.testing.assert_array_equal(sol.pw, pw)
+            np.testing.assert_array_equal(sol.channels[0].rows, rows1)
+            np.testing.assert_array_equal(sol.channels[1].rows, rows2)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_shortlist_pick_and_rounding_margin(self, seed):
+        p = JointPmf((2, 2), np.random.default_rng(seed).dirichlet(np.ones(4)).reshape(2, 2))
+        sol = _exhaustive_2x2(p, SolveBudget(grid_resolution=1e-2))
+        pw, rows1, rows2 = _grid_reference(p, 1e-2)
+        np.testing.assert_array_equal(sol.pw, pw)
+        np.testing.assert_array_equal(sol.channels[0].rows, rows1)
+        np.testing.assert_array_equal(sol.channels[1].rows, rows2)
+        # the approximate block-1 scores stay far inside the shortlist's slack
+        p1, p2, p11 = float(p.mass[1].sum()), float(p.mass[:, 1].sum()), float(p.mass[1, 1])
+        grid = np.linspace(0.0, 1.0, 101)
+        below, above, score, _ = _block1_scores(p1, p2, p11, grid)
+        b10, b11 = grid[below][:, None], grid[above][None, :]
+        piw = (p1 - b11) / (b10 - b11)
+        b20 = (b11 * p2 - p11) / (piw * (b11 - b10))
+        b21 = (p11 - b10 * p2) / ((1.0 - piw) * (b11 - b10))
+        feas = (piw > 1e-9) & (piw < 1 - 1e-9)
+        for b in (b20, b21):
+            feas &= (b >= -1e-12) & (b <= 1 + 1e-12)
+        hxw = piw * (_h_bits(b10) + _h_bits(np.clip(b20, 0.0, 1.0)))
+        hxw += (1.0 - piw) * (_h_bits(b11) + _h_bits(np.clip(b21, 0.0, 1.0)))
+        assert np.all(np.abs(score - hxw)[feas] <= _SCORE_SLACK / 1000)
 
 
 class TestSerialization:
