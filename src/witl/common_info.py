@@ -215,10 +215,13 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
     grid = np.linspace(0.0, 1.0, int(round(1.0 / res)) + 1)
     below, above, score, sure = _block1_scores(p1, p2, p11, grid)
     best = np.max(score, initial=-np.inf, where=sure)
-    r, c = np.nonzero(score >= best - _SCORE_SLACK)
-    mirror = np.lexsort((r, c))
-    i0 = np.concatenate([below[r], above[c[mirror]]])
-    i1 = np.concatenate([above[c], below[r[mirror]]])
+    keep = score >= best - _SCORE_SLACK
+    r, c = np.nonzero(keep)
+    # block 2 is row-major over (b10 above p1, b11 below p1): the mirrors of
+    # the kept pairs in that order are the kept pairs in column-major order
+    c2, r2 = np.nonzero(keep.T)
+    i0 = np.concatenate([below[r], above[c2]])
+    i1 = np.concatenate([above[c], below[r2]])
     b10, b11 = grid[i0], grid[i1]
     with np.errstate(divide="ignore", invalid="ignore"):
         piw = (p1 - b11) / (b10 - b11)
@@ -240,10 +243,11 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
         raise CommonInfoInfeasible("no feasible point on the exhaustive grid")
 
     # score the feasible points of the shortlist
-    piw, b10, b11 = piw[feas], b10[feas], b11[feas]
+    i0, i1, piw, b10, b11 = i0[feas], i1[feas], piw[feas], b10[feas], b11[feas]
     b20 = np.clip(b20[feas], 0.0, 1.0)
     b21 = np.clip(b21[feas], 0.0, 1.0)
-    hxw = piw * (_h(b10) + _h(b20)) + (1.0 - piw) * (_h(b11) + _h(b21))
+    hg = _h(grid)
+    hxw = piw * (hg[i0] + _h(b20)) + (1.0 - piw) * (hg[i1] + _h(b21))
     j = int(np.argmin(entropy(p) - hxw))
     pw = np.array([piw[j], 1.0 - piw[j]])
     channels = (
