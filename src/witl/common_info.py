@@ -175,11 +175,12 @@ def _block1_scores(p1: float, p2: float, p11: float, grid: np.ndarray):
     above = np.flatnonzero(near & (grid > p1))
     hf = np.zeros_like(grid)
     hf[near] = _h(np.clip(f[near], 0.0, 1.0))
-    u = _h(grid) - hf
+    hg = _h(grid)
+    u = hg - hf
     sure_f = (f >= 1e-9) & (f <= 1 - 1e-9)
     b, a = grid[below], grid[above]
     piw = (p1 - a) / (b[:, None] - a)
-    score = (_h(a) + hf[below][:, None]) + piw * (u[below][:, None] - u[above])
+    score = (hg[above] + hf[below][:, None]) + piw * (u[below][:, None] - u[above])
     sure = (piw > 1e-6) & (piw < 1 - 1e-6) & sure_f[below][:, None] & sure_f[above]
     return below, above, score, sure
 

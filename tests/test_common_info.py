@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.optimize import approx_fprime
 from scipy.special import xlogy
 
+from witl.audit import random_source
 from witl.common_info import (
+    _SCORE_SLACK,
     FEASIBILITY_TOL,
     CommonInfoInfeasible,
     CommonInfoSolution,
-    _SCORE_SLACK,
     SolveBudget,
     _block1_scores,
     _descent_terms,
@@ -20,7 +21,6 @@ from witl.common_info import (
     common_info_bounds,
     solve_common_info,
 )
-from witl.audit import random_source
 from witl.prob import (
     LOG2,
     JointPmf,
@@ -226,8 +226,7 @@ def _grid_reference(p, res):
     for b in (b20, b21):
         feas &= (b >= -1e-12) & (b <= 1 + 1e-12)
     b20, b21 = np.clip(b20, 0.0, 1.0), np.clip(b21, 0.0, 1.0)
-    h = _h_bits
-    hxw = piw * (h(b10) + h(b20)) + (1.0 - piw) * (h(b11) + h(b21))
+    hxw = piw * (_h_bits(b10) + _h_bits(b20)) + (1.0 - piw) * (_h_bits(b11) + _h_bits(b21))
     j = int(np.argmin(np.where(feas, entropy(p) - hxw, np.inf)))
     return (
         np.array([piw[j], 1.0 - piw[j]]),
