@@ -47,9 +47,8 @@ MU_INIT = 1.0
 MU_FACTOR = 10.0
 DESCENT_STAGES = 9
 DESCENT_MAXITER = 300
-#: bits below the best surely feasible approximate H(X|W) within which the
-#: 2x2 grid rescores block-1 pairs exactly: a bound on rounding, not a
-#: tolerance on the optimum (see :func:`_exhaustive_2x2`)
+#: bits of rounding the 2x2 grid allows its approximate scores when it picks
+#: the pairs to rescore exactly; not a tolerance (see :func:`_exhaustive_2x2`)
 _SCORE_SLACK = 1e-9
 
 
@@ -206,8 +205,8 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
     how many pairs are rescored. The shortlist is rescored with the pairwise
     formulas and the first minimum in candidate order wins, so the pick is
     the one that scoring every candidate makes. Where no pair is surely
-    feasible (the diagonal source, and most sources with a zero cell) every
-    candidate is kept.
+    feasible (the diagonal source, a constant coordinate, many sources with
+    a zero cell) every candidate is kept.
     """
     p1 = float(p.mass[1, :].sum())
     p2 = float(p.mass[:, 1].sum())
