@@ -1,20 +1,17 @@
 """Alternating-minimization solvers for marginal, conditional, and joint
 rate-distortion functions on finite alphabets.
 
-Distortion-constrained queries are answered by sweeping the Lagrangian slope:
-the alternating update traces (D(lambda), R(lambda)) points on the curve, and a
-query R(D) is recovered by a batched slope bracket search (marginal and
-conditional problems) or by a cached 16x16 two-multiplier start sweep and a
-projected Newton ascent on the concave dual (joint problems). Every query runs
-on one batched kernel, ``_ba_batch``, which takes a source pmf per batch
-entry: the bracket search solves all components w of a conditional problem at
-several slopes per call, warm-started from the previous round, and each ascent
-step is one single-entry call, warm-started from the output pmf that the
-incumbent's linearization predicts at the trial slopes. The kernel alternates
-as Blahut-Arimoto does and, at each dual-gap check, takes one Newton step on
-the alternation's fixed point, so that calls near critical slopes end on their
-certificate rather than on their iteration cap. Multipliers are in bits per
-distortion unit throughout.
+A query R(D) maximizes the concave dual g(s) = F*(s)/ln 2 - s D over slopes s,
+F* being the Lagrangian minimum: by a safeguarded Newton search on the scalar s
+after one call on doubling slopes (marginal and conditional queries), or by a
+projected Newton ascent after a cached 16x16 start sweep (joint queries). Both
+take their curvature from ``_dual_hessian`` and make one call of the batched
+kernel ``_ba_batch`` per step, warm-started from the output pmf that the
+linearization predicts. The kernel takes a source pmf per batch entry, so the
+components w of a conditional problem share each call; it alternates as
+Blahut-Arimoto does and, at each dual-gap check, takes one Newton step on the
+alternation's fixed point, so that calls near critical slopes end on their
+certificate. Multipliers are in bits per distortion unit throughout.
 """
 
 from __future__ import annotations
@@ -30,8 +27,10 @@ RATE_TOL = 1e-10  # nats; certified dual-gap stopping criterion
 SLOPE_CAP = 64.0  # bits per distortion unit
 #: slopes of the scalar search's first round: 1, 2, 4, ..., SLOPE_CAP
 _DOUBLING_SLOPES = 2.0 ** np.arange(int(np.log2(SLOPE_CAP)) + 1)
-#: interior slopes per later round of the scalar search
-BRACKET_POINTS = 7
+#: guard on the kernel calls of a scalar or joint ascent; it normally stops on its gain
+ASCENT_CALLS = 20
+#: an ascent stops once its predicted dual gain is below this many bits
+ASCENT_GAIN_TOL = 1e-12
 JOINT_SLACK = 1e-6  # a sweep point "meets" (D1, D2) if achieved <= D_i + slack
 
 
@@ -114,7 +113,7 @@ def _fixed_point_pinv(joint, cond, q, c):
     return np.linalg.pinv(m, hermitian=True)
 
 
-def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None):
+def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
     """Batched alternating minimization at fixed slopes, Newton-polished.
 
     px: (nx,) source pmf shared by every entry, or (B, nx) one per entry;
@@ -185,7 +184,7 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None):
             continue
         support = px > 0
         v, gap, ch = dual_certificate(q, a, px, support)
-        done = gap < RATE_TOL
+        done = gap < tol
         if it == max_iter:
             done = np.ones_like(done)
         if np.any(done):
@@ -226,16 +225,20 @@ def _zero_distortion_rate(pxgw, dmat):
 
 
 def _scalar_query(pxgw, pw, dmat, target) -> RdPoint:
-    """R_{X|W}(target) by a batched slope bracket search; W = 1 gives R_X.
+    """R_{X|W}(target) by a Newton search on the scalar dual; W = 1 gives R_X.
 
     pxgw: (W, nx) component source pmfs with weights pw (W,). At a common
-    slope the components decouple, so one kernel call solves every
-    (component, slope) pair of a round and the pw-averaged rate and distortion
-    trace the curve. The first round evaluates the doubling grid 1, 2, ...,
-    SLOPE_CAP; each later round evaluates BRACKET_POINTS equally spaced slopes
-    inside the bracket, warm-started from the output pmfs at the previous
-    round's slope nearest the crossing, until the bracket is narrower than
-    1e-12.
+    slope the components decouple, so each kernel call solves them all, and
+    g(s) = pw . F*_w(s) / ln 2 - s * target has g' = E[d] - target. One cold
+    call on the doubling slopes 1, 2, ..., SLOPE_CAP brackets the target between
+    lo and hi, the least slope that meets it. From the slope of best certified
+    g, Newton steps s - g'/g'' (g'' pw-weighted from _dual_hessian) aim 1e-10 of
+    the distortion range below the target, so that the last iterate meets it; a
+    step out of (lo, hi) bisects. Each is one call run to a gap of RATE_TOL/1000
+    from the output pmfs that the incumbent's slope derivative predicts, floored
+    at 1e-3. The search stops once the predicted gain is below ASCENT_GAIN_TOL
+    and hi's distortion is within 1e-7 of the range of the target, once
+    hi - lo < 1e-12, or after ASCENT_CALLS calls.
 
     The rate is the best certified dual bound pw . F*_w(s) / ln 2 - s * target
     over the evaluated slopes. The slope and distortion are those of the least
@@ -264,30 +267,39 @@ def _scalar_query(pxgw, pw, dmat, target) -> RdPoint:
             rate = max(rate, float(pw @ rates))
         point = (SLOPE_CAP, least, conds)
     else:
-        rate = -np.inf
-        lo, hi = 0.0, None
-        slopes, q0 = _DOUBLING_SLOPES, None
-        for _ in range(60):
-            k = slopes.size
-            cost = np.broadcast_to((slopes * LOG2)[:, None, None] * dmat, (nw, k, *shape))
-            _, conds, flb = _ba_batch(np.repeat(pxgw, k, axis=0), cost.reshape(-1, *shape), q0=q0)
-            conds = conds.reshape(nw, k, *shape)
-            dd = pw @ np.einsum("wx,wkxh,xh->wk", pxgw, conds, dmat)
-            rate = max(rate, float(np.max(pw @ flb.reshape(nw, k) / LOG2 - slopes * target)))
-            below = dd <= target
-            first = int(np.argmax(below)) if below.any() else k
-            if first == k and hi is None:
-                raise SweepResolutionError(f"slope {SLOPE_CAP} does not reach distortion {target}")
-            if first > 0:
-                lo = slopes[first - 1]
-            if first < k:
-                hi = slopes[first]
-                point = (float(hi), float(dd[first]), conds[:, first])
-            near = min(first, k - 1)
-            if hi - lo < 1e-12:
+        cost = (_DOUBLING_SLOPES * LOG2)[:, None, None] * dmat
+        _, conds, flb = _ba_batch(np.repeat(pxgw, len(cost), axis=0), np.tile(cost, (nw, 1, 1)))
+        conds = conds.reshape(nw, -1, *shape)
+        dd = pw @ np.einsum("wx,wkxh,xh->wk", pxgw, conds, dmat)
+        bound = pw @ flb.reshape(nw, -1) / LOG2
+        rate = float(np.max(bound - _DOUBLING_SLOPES * target))
+        if not np.any(dd <= target):
+            raise SweepResolutionError(f"slope {SLOPE_CAP} does not reach distortion {target}")
+        first = int(np.argmax(dd <= target))
+        lo, hi = (_DOUBLING_SLOPES[first - 1] if first else 0.0), _DOUBLING_SLOPES[first]
+        point = (float(hi), float(dd[first]), conds[:, first])
+        span = d_at_zero - least
+        aim = target - 1e-10 * span
+        j = int(np.argmax(bound - _DOUBLING_SLOPES * aim))
+        s, val, chan, e = _DOUBLING_SLOPES[j], bound[j] - _DOUBLING_SLOPES[j] * aim, conds[:, j], dd[j]
+        for _ in range(ASCENT_CALLS):
+            hess, dq = _dual_hessian(pxgw, chan, dmat[None], np.array([s]))
+            curv = -LOG2 * float(pw @ hess[:, 0, 0])
+            step = (e - aim) / curv if curv > 0 else np.inf
+            if hi - lo < 1e-12 or (
+                0.5 * (e - aim) * step < ASCENT_GAIN_TOL and point[1] >= target - 1e-7 * span
+            ):
                 break
-            slopes = lo + (hi - lo) * np.arange(1, BRACKET_POINTS + 1) / (BRACKET_POINTS + 1)
-            q0 = np.repeat(np.einsum("wx,wxh->wh", pxgw, conds[:, near]), BRACKET_POINTS, axis=0)
+            trial = s + step if lo < s + step < hi else 0.5 * (lo + hi)
+            pred = np.einsum("wx,wxh->wh", pxgw, chan) + dq[:, :, 0] * (LOG2 * (trial - s))
+            pred = np.maximum(pred, 1e-3)  # so that a letter the incumbent froze out can regrow
+            _, c, fl = _ba_batch(pxgw, trial * LOG2 * np.broadcast_to(dmat, (nw, *shape)),
+                                 q0=pred / pred.sum(axis=1, keepdims=True), tol=1e-3 * RATE_TOL)
+            et, bt = float(np.einsum("w,wx,wxh,xh->", pw, pxgw, c, dmat)), float(pw @ fl) / LOG2
+            rate = max(rate, bt - trial * target)
+            lo, hi, point = (lo, trial, (float(trial), et, c)) if et <= target else (trial, hi, point)
+            if bt - trial * aim > val - RATE_TOL / LOG2:
+                s, val, chan, e = trial, bt - trial * aim, c, et
     slope, dist, conds = point
     channel = ConditionalPmf(shape[0], (shape[1],), conds[0]) if nw == 1 else None
     return RdPoint((dist,), max(rate, 0.0), (slope,), channel)
@@ -334,10 +346,6 @@ _DEFAULT_GRID = np.concatenate(([0.0], np.geomspace(1.0 / 32.0, 48.0, 15)))
 
 #: iteration cap for joint sweeps; certified dual bounds stay valid at any cap
 JOINT_MAX_ITER = 2500
-#: guard on the kernel calls of one ascent; it normally stops on its gain
-ASCENT_CALLS = 20
-#: the ascent stops once its predicted dual gain is below this many bits
-ASCENT_GAIN_TOL = 1e-12
 
 
 def _slope_points(px, dm, slopes, q0=None, max_iter=MAX_ITER):
@@ -380,24 +388,24 @@ def _axis_channel(px, cond, dm, repro, s):
 
 
 def _dual_hessian(px, cond, dm, s):
-    """Hessian of the Lagrangian minimum F*(s), nats with s in nats, at the
-    channel's slopes s (bits), and the slope derivative (nxh, 2) of its output
-    pmf q.
+    """Hessian (..., k, k) of the Lagrangian minimum F*(s), nats with s in
+    nats, at the channel's slopes s (k,) in bits, and the slope derivative
+    (..., nxh, k) of its output pmf q, over the leading axes of px and cond.
 
     The Hessian is the fixed-output curvature -E_x Cov(d_i, d_j) less the
     response of q, from the kernel's fixed-point linearization
     (_fixed_point_pinv): with dq = q u, (M + diag(q (1 - c))) u = -B ds,
     B[y, i] = sum_x p(x) W(y|x) (d_i - E[d_i | x]).
     """
-    joint = px[:, None] * cond
-    dev = dm - np.einsum("xh,ixh->ix", cond, dm)[:, :, None]
-    b = np.einsum("xh,ixh->hi", joint, dev)
+    joint = px[..., None] * cond
+    dev = dm - np.einsum("...xh,ixh->...ix", cond, dm)[..., None]
+    b = np.einsum("...xh,...ixh->...hi", joint, dev)
     a = np.exp(-LOG2 * np.einsum("i,ixh->xh", s, dm))
-    q = joint.sum(axis=0)
-    c = a.T @ (px / np.maximum(a @ q, 1e-300))
+    q = joint.sum(axis=-2)
+    c = (px / np.maximum(q @ a.T, 1e-300)) @ a
     resp = _fixed_point_pinv(joint, cond, q, c) @ b
-    fixed = np.einsum("xh,ixh,jxh->ij", joint, dev, dev)
-    return -fixed - b.T @ resp, -q[:, None] * resp
+    fixed = np.einsum("...xh,...ixh,...jxh->...ij", joint, dev, dev)
+    return -fixed - np.swapaxes(b, -1, -2) @ resp, -q[..., None] * resp
 
 
 def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
