@@ -11,7 +11,9 @@ linearization predicts. The kernel takes a source pmf per batch entry, so the
 components w of a conditional problem share each call; it alternates as
 Blahut-Arimoto does and, at each dual-gap check, takes one Newton step on the
 alternation's fixed point, so that calls near critical slopes end on their
-certificate. Multipliers are in bits per distortion unit throughout.
+certificate. That step solves against one eigendecomposition of the fixed
+point's linearization and never forms a pseudo-inverse; so does the curvature.
+Multipliers are in bits per distortion unit throughout.
 """
 
 from __future__ import annotations
@@ -99,18 +101,23 @@ class RdPoint:
     test_channel: ConditionalPmf | None = field(default=None, repr=False)
 
 
-def _fixed_point_pinv(joint, cond, q, c):
-    """Pseudo-inverse of M + diag(q (1 - c)), stacked over leading axes.
+def _fixed_point_solve(joint, cond, q, c, rhs):
+    """(M + diag(q (1 - c)))^+ rhs, rhs (..., nxh, k), stacked over leading axes.
 
     This linearizes the fixed point q(y) (c(y) - 1) = 0 of the alternating
     update q <- q c, c = a^T (p / a q), in log coordinates dq = q u:
     M = sum_x p(x) W(.|x) W(.|x)^T with joint = p(x) W(y|x). The diagonal
     term, floored at zero, keeps a letter that is being driven out (c < 1)
-    from reading as a free direction of q.
+    from reading as a free direction of q. One eigendecomposition applies the
+    pseudo-inverse to rhs without forming it, dropping as np.linalg.pinv does
+    |lam| <= 1e-15 max|lam| (zero-mass letters, X̂_i duplicates at s_i = 0).
     """
     m = np.einsum("...xh,...xk->...hk", joint, cond)
-    m = m + (q * np.maximum(1.0 - c, 0.0))[..., None] * np.eye(q.shape[-1])
-    return np.linalg.pinv(m, hermitian=True)
+    np.einsum("...hh->...h", m)[...] += q * np.maximum(1.0 - c, 0.0)
+    lam, v = np.linalg.eigh(m)
+    keep = np.abs(lam) > 1e-15 * np.abs(lam).max(axis=-1, keepdims=True)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
+    return v @ (inv[..., None] * (np.swapaxes(v, -1, -2) @ rhs))
 
 
 def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
@@ -127,7 +134,7 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
     An entry stops once its gap is below RATE_TOL. Checks come every 16
     iterations, and each takes one Newton step per open entry on the fixed
     point q (c - 1) = 0: u = (M + diag(q (1 - c)))^+ q (c - 1) in log
-    coordinates dq = q u (see _fixed_point_pinv), applied as
+    coordinates dq = q u (solved by _fixed_point_solve), applied as
     q <- q (1 + t u), t = min(1, 0.99 / max(-u)), renormalized, and kept only
     where it certifies a finite, smaller gap. When some gap fell at least
     tenfold, the next check is the next iteration.
@@ -172,9 +179,9 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
     for it in range(1, max_iter + 1):
         checking = it == next_check or it == max_iter
         if not checking:
-            z = np.einsum("bxh,bh->bx", a, q)
+            z = (a @ q[..., None])[..., 0]
             if z.min() > 0:
-                q = q * np.einsum("bxh,bx->bh", a, px / z)
+                q = q * ((px / z)[:, None, :] @ a)[:, 0]
                 continue
         raw = q[:, None, :] * a
         norm = raw.sum(axis=2, keepdims=True)
@@ -201,8 +208,8 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
             keep = ~done
             active, a, q, px, support = active[keep], a[keep], q[keep], px[keep], support[keep]
             cond, gap, ch = cond[keep], gap[keep], ch[keep]
-        pinv = _fixed_point_pinv(px[:, :, None] * cond, cond, q, ch)
-        u = np.einsum("bhk,bk->bh", pinv, q * (ch - 1.0))
+        rhs = (q * (ch - 1.0))[..., None]
+        u = _fixed_point_solve(px[:, :, None] * cond, cond, q, ch, rhs)[..., 0]
         t = 0.99 / np.maximum(-u.min(axis=1), 0.99)
         qn = np.maximum(q * (1.0 + t[:, None] * u), 0.0)
         qn = qn / qn.sum(axis=1, keepdims=True)
@@ -394,7 +401,7 @@ def _dual_hessian(px, cond, dm, s):
 
     The Hessian is the fixed-output curvature -E_x Cov(d_i, d_j) less the
     response of q, from the kernel's fixed-point linearization
-    (_fixed_point_pinv): with dq = q u, (M + diag(q (1 - c))) u = -B ds,
+    (_fixed_point_solve): with dq = q u, (M + diag(q (1 - c))) u = -B ds,
     B[y, i] = sum_x p(x) W(y|x) (d_i - E[d_i | x]).
     """
     joint = px[..., None] * cond
@@ -403,7 +410,7 @@ def _dual_hessian(px, cond, dm, s):
     a = np.exp(-LOG2 * np.einsum("i,ixh->xh", s, dm))
     q = joint.sum(axis=-2)
     c = (px / np.maximum(q @ a.T, 1e-300)) @ a
-    resp = _fixed_point_pinv(joint, cond, q, c) @ b
+    resp = _fixed_point_solve(joint, cond, q, c, b)
     fixed = np.einsum("...xh,...ixh,...jxh->...ij", joint, dev, dev)
     return -fixed - np.swapaxes(b, -1, -2) @ resp, -q[..., None] * resp
 

@@ -1,6 +1,6 @@
-"""The batched Blahut-Arimoto kernel and the scalar Newton search built on it:
-one cold call on doubling slopes, then safeguarded Newton steps on the dual,
-one warm-started kernel call each."""
+"""The batched Blahut-Arimoto kernel, its fixed-point solve and dual Hessian,
+and the scalar Newton search built on them: one cold call on doubling slopes,
+then safeguarded Newton steps on the dual, one warm-started kernel call each."""
 
 import numpy as np
 import pytest
@@ -157,6 +157,49 @@ class TestConditionalProperties:
         assert r_lo >= r_hi - 1e-9
         assert r_lo <= ba_rate_distortion(px, d, D_lo).rate + 1e-9
         assert r_hi <= ba_rate_distortion(px, d, D_hi).rate + 1e-9
+
+
+class TestFixedPointSolve:
+    @given(weights, weights, st.floats(0.2, 40.0), st.floats(0.2, 40.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_pseudo_inverse_applied(self, raw_px, raw_q, s1, s2, seed):
+        # a 3x2 source under Hamming at slopes (s1, s2) and (s1, 0): at s2 = 0
+        # the cost ignores X̂2, so each X̂1 letter appears twice and M is
+        # singular; slopes up to 40 give letters near 2^-40 mass, whose
+        # eigenvalues are kept only under a cutoff as small as pinv's
+        p = JointPmf((3, 2), np.array(raw_px, dtype=float).reshape(3, 2) / sum(raw_px))
+        px, dm = rd._joint_problem(p, DistortionSpec.hamming((3, 2)))
+        a = np.exp(-LOG2 * np.einsum("ni,ixh->nxh", np.array([[s1, s2], [s1, 0.0]]), dm))
+        raw = np.array(raw_q, dtype=float) * a
+        cond = raw / raw.sum(axis=-1, keepdims=True)
+        joint = px[:, None] * cond
+        q = joint.sum(axis=-2)
+        c = np.einsum("x,nxh->nh", px, a / (a @ q[..., None]))
+        m = np.einsum("nxh,nxk->nhk", joint, cond) + (q * np.maximum(1.0 - c, 0.0))[..., None] * np.eye(6)
+        # random right-hand sides reach the dropped directions too
+        rng = np.random.default_rng(seed)
+        for rhs in (rng.standard_normal((2, 6, 1)), rng.standard_normal((2, 6, 2))):
+            got = rd._fixed_point_solve(joint, cond, q, c, rhs)
+            ref = np.linalg.pinv(m, hermitian=True) @ rhs
+            err = np.linalg.norm(got - ref, axis=(1, 2))
+            assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=(1, 2)))
+
+
+class TestDualHessian:
+    @pytest.mark.parametrize("seed, sizes", [(1000, (3, 3)), (1001, (2, 2)), (1002, (2, 3))])
+    def test_matches_central_differences(self, seed, sizes):
+        # certified F* (nats) on a 3x3 stencil of slopes in bits around s; the
+        # Hessian is per nat of slope, hence the LOG2**2
+        px, dm = rd._joint_problem(random_source(seed, sizes), DistortionSpec.hamming(sizes))
+        s, h = np.array([1.3, 0.8]), 1e-3
+        stencil = h * np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)])
+        _, cond, flb, _ = rd._slope_points(px, dm, s + stencil)
+        f = flb.reshape(3, 3)
+        cross = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
+        fd = np.array([[f[2, 1] - 2.0 * f[1, 1] + f[0, 1], cross],
+                       [cross, f[1, 2] - 2.0 * f[1, 1] + f[1, 0]]]) / h**2
+        hess, _ = rd._dual_hessian(px, cond[4], dm, s)
+        assert np.abs(LOG2**2 * hess - fd).max() <= 1e-4 * np.abs(fd).max()
 
 
 class TestNearZeroRateBoundary:
