@@ -16,7 +16,7 @@ import numpy as np
 from . import closed_form as cf
 from .common_info import SolveBudget, bsc_broadcast_source, common_info_bounds, solve_common_info
 from .prob import JointPmf, ProbabilityError, binary_entropy, entropy, mutual_information
-from .rd import DistortionSpec, ba_conditional_rd, ba_joint_rd, marginal_rd_value
+from .rd import DistortionSpec, ba_joint_rd, conditional_rd_value, marginal_rd_value
 
 AUDIT_TOL = 1e-4
 
@@ -72,23 +72,13 @@ def _ineq(name, lhs, rhs, tol=AUDIT_TOL) -> AuditCheck:
     return AuditCheck(name, lhs, rhs, slack, "pass" if slack >= -tol else "fail")
 
 
-def _cond_rd(p: JointPmf, d: DistortionSpec, source: int, given: int, D: float) -> float:
-    pair = JointPmf(
-        (p.alphabet_sizes[source], p.alphabet_sizes[given]),
-        p.mass if source < given else p.mass.T,
-    )
-    spec = DistortionSpec((d.matrices[source],), (d.repro_sizes[source],))
-    return ba_conditional_rd(pair, spec, D).rate
-
-
 def audit_lemma1(p: JointPmf, d: DistortionSpec, D1: float, D2: float) -> AuditReport:
     """The five joint/marginal/conditional rate-distortion inequalities."""
     if p.ncoords != 2:
         raise ProbabilityError("lemma-1 audit is for pairs")
     r1 = marginal_rd_value(p, d, 0, D1)
     r2 = marginal_rd_value(p, d, 1, D2)
-    r1g2 = _cond_rd(p, d, 0, 1, D1)
-    r2g1 = _cond_rd(p, d, 1, 0, D2)
+    r1g2 = conditional_rd_value(p, d, 0, 1, D1)
     rj = ba_joint_rd(p, d, (D1, D2)).rate
     mi = mutual_information(p, [0])
     checks = [

@@ -204,10 +204,15 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
     spare; it is not a tolerance on the optimum, and its size changes only
     how many pairs are rescored. The shortlist is rescored with the pairwise
     formulas and the first minimum in candidate order wins, so the pick is
-    the one that scoring every candidate makes. Where no pair is surely
-    feasible (the diagonal source, a constant coordinate, many sources with
-    a zero cell) every candidate is kept.
+    the one that scoring every candidate makes. An independent source returns
+    the constant W before the grid. Where no pair is surely feasible (the
+    diagonal source, many sources with a zero cell) every candidate is kept.
     """
+    # the grid excludes b10 == b11 (degenerate W), where an independent
+    # source's optimum lies: the constant W of I(X; W) = 0
+    independent = _product_of_marginals(p, 2)
+    if independent.marginal_residual <= FEASIBILITY_TOL:
+        return independent
     p1 = float(p.mass[1, :].sum())
     p2 = float(p.mass[:, 1].sum())
     p11 = float(p.mass[1, 1])
@@ -232,14 +237,7 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
     feas = (piw > 1e-9) & (piw < 1 - 1e-9)
     for b in (b20, b21):
         feas &= (b >= -1e-12) & (b <= 1 + 1e-12)
-    # the grid excludes b10 == b11 (degenerate W); an independent source's
-    # optimum lives exactly there, so test the constant-W candidate separately
-    independent = _product_of_marginals(p, 2)
-    if independent.marginal_residual > FEASIBILITY_TOL:
-        independent = None
     if not np.any(feas):
-        if independent is not None:
-            return independent
         raise CommonInfoInfeasible("no feasible point on the exhaustive grid")
 
     # score the feasible points of the shortlist
@@ -254,10 +252,7 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
         ConditionalPmf(2, (2,), np.array([[1 - b10[j], b10[j]], [1 - b11[j], b11[j]]])),
         ConditionalPmf(2, (2,), np.array([[1 - b20[j], b20[j]], [1 - b21[j], b21[j]]])),
     )
-    sol = _solution_from_mixture(p, pw, channels, "exhaustive-optimal")
-    if independent is not None and independent.achieved_I < sol.achieved_I:
-        return independent
-    return sol
+    return _solution_from_mixture(p, pw, channels, "exhaustive-optimal")
 
 
 def _softmax(z, axis=-1):

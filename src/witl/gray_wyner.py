@@ -2,18 +2,18 @@
 rate at joint-decoding total rate, computed through both characterizations
 (the equality-constrained minimization and the reproduction-pair route).
 
-Every public solver makes one joint-RD solve and tries a fixed list of
-candidate auxiliaries W, in this order:
-
-* ``c3_tilde`` and ``check_membership``: constant W, the common-information
-  auxiliary of :func:`witl.common_info.solve_common_info`, and W = X̂, the
-  reproduction pair of the joint-RD test channel (pairs only);
-* ``c_star``: constant W, the common-information descent run on U = X̂ instead
-  of U = X, the exhaustive split of a 2x2 reproduction pair, and W = X̂.
-
-Each W except the constant one and the common-information auxiliary sees the
-source only through X̂: p(w, x) = sum_xh p(x, xh) q(w | xh), one choice of q
-per candidate.
+Every public solver makes one joint-RD solve and scores one list of candidate
+auxiliaries W (:func:`_candidate_joints`): the constant W, then the solver's
+own auxiliaries, then W = X̂, the reproduction pair of the joint-RD test
+channel, whenever a joint-RD point exists (pairs only). The own auxiliaries
+are the common-information auxiliary of
+:func:`witl.common_info.solve_common_info` for ``c3_tilde`` and
+``check_membership``, and for ``c_star`` that descent run on U = X̂ instead of
+U = X and the exhaustive split of a 2x2 reproduction pair. Those of ``c_star``
+and W = X̂ see the source only through X̂: p(w, x) = sum_xh p(x, xh) q(w | xh),
+one choice of q per candidate. The common-rate lower side is the Gray-Wyner
+converse, read off the scores of the first and last candidates
+(:func:`_c3_from_candidates`), with no RD query of its own.
 
 Auxiliary-variable witnesses are represented as a joint pmf over
 (W, X_1, X_2); every reported number can be recomputed from that object alone.
@@ -27,16 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .common_info import CommonInfoInfeasible, SolveBudget, _penalized_descent, solve_common_info
-from .prob import JointPmf, ProbabilityError, joint_with_mixture, marginalize, mutual_information
+from .prob import JointPmf, ProbabilityError, joint_with_mixture, mutual_information
 from .rd import (DistortionSpec, InfeasibleDistortion, RdPoint, SweepResolutionError,
-                 ba_conditional_rd, ba_joint_rd, marginal_rd_value)
+                 ba_joint_rd, conditional_rd_value)
 
 #: Theorem-3 equality tolerance (bits) for accepting a witness, and the looser
 #: sensitivity tolerance reported alongside.
 RESIDUAL_TOL = 1e-3
 RESIDUAL_TOL_LOOSE = 1e-2
-#: premise tolerance for activating the common-information lower bound
-PREMISE_TOL = 1e-4
 #: slack (bits) by which a membership rate may fall short of what a witness needs
 MEMBERSHIP_TOL = 1e-6
 
@@ -88,15 +86,21 @@ class C3Estimate:
 
 def witness_conditional_rate(joint: JointPmf, coord: int, d: DistortionSpec, D: float) -> float:
     """R_{X_coord | W}(D) evaluated for a (W, X...) witness joint."""
-    m = marginalize(joint, [0, coord])  # (W, X_coord); the solver takes W second
-    spec = DistortionSpec((d.matrices[coord - 1],), (d.repro_sizes[coord - 1],))
-    xw = JointPmf((m.alphabet_sizes[1], m.alphabet_sizes[0]), m.mass.T)
-    return ba_conditional_rd(xw, spec, D).rate
+    xw = JointPmf((*joint.alphabet_sizes[1:], joint.alphabet_sizes[0]), np.moveaxis(joint.mass, 0, -1))
+    return conditional_rd_value(xw, d, coord - 1, joint.ncoords - 1, D)
 
 
 def witness_common_rate(joint: JointPmf) -> float:
     """I(X; W) for a (W, X...) witness joint."""
     return mutual_information(joint, [0])
+
+
+def _scores(joint: JointPmf, d: DistortionSpec, D):
+    """I(X; W), then R_{X_i|W}(D_i) for each coordinate i, computed only as
+    they are consumed, so that a search can stop at the first shortfall."""
+    yield witness_common_rate(joint)
+    for i, Di in enumerate(D):
+        yield witness_conditional_rate(joint, i + 1, d, Di)
 
 
 def _constant_w(p: JointPmf) -> JointPmf:
@@ -116,19 +120,22 @@ def _through_reproduction(p: JointPmf, pxxh: np.ndarray, q: np.ndarray) -> Joint
     return JointPmf((k, *p.alphabet_sizes), (pxxh @ q).T.reshape((k, *p.alphabet_sizes)))
 
 
-def _candidate_joints(p: JointPmf, rp: RdPoint | None, budget: SolveBudget):
-    """W candidates of the membership and c3_tilde searches; W = X̂ only when
-    the joint-RD point rp exists."""
-    candidates = [_constant_w(p)]
-    try:
-        sol = solve_common_info(p, K=None if p.alphabet_sizes != (2, 2) else 2, budget=budget)
-        candidates.append(joint_with_mixture(sol.pw, sol.channels))
-    except (CommonInfoInfeasible, ProbabilityError):
-        pass  # no feasible auxiliary within the budget
+def _candidate_joints(p: JointPmf, rp: RdPoint | None, own) -> list[JointPmf]:
+    """The constant W, the solver's own auxiliaries, then W = X̂ if rp exists."""
+    candidates = [_constant_w(p), *own]
     if rp is not None:
         pxxh = _source_reproduction(p, rp)
         candidates.append(_through_reproduction(p, pxxh, np.eye(pxxh.shape[1])))
     return candidates
+
+
+def _common_info_auxiliary(p: JointPmf, budget: SolveBudget) -> list[JointPmf]:
+    """The auxiliary of :func:`solve_common_info`, if the budget finds one."""
+    try:
+        sol = solve_common_info(p, K=None if p.alphabet_sizes != (2, 2) else 2, budget=budget)
+    except (CommonInfoInfeasible, ProbabilityError):
+        return []
+    return [joint_with_mixture(sol.pw, sol.channels)]
 
 
 def check_membership(
@@ -149,30 +156,30 @@ def check_membership(
             rp = ba_joint_rd(p, d, D)
         except (InfeasibleDistortion, SweepResolutionError):
             pass  # no reproduction pair at this distortion
-    for joint in _candidate_joints(p, rp, budget):
-        common = witness_common_rate(joint)
-        if rates.R0 < common - MEMBERSHIP_TOL:
-            continue
+    for joint in _candidate_joints(p, rp, _common_info_auxiliary(p, budget)):
         needed = []
-        for i in range(p.ncoords):
-            needed.append(witness_conditional_rate(joint, i + 1, d, D[i]))
-            if rates.privates[i] < needed[-1] - MEMBERSHIP_TOL:
+        for have, need in zip((rates.R0, *rates.privates), _scores(joint, d, D)):
+            if have < need - MEMBERSHIP_TOL:
                 break
+            needed.append(need)
         else:
-            return MembershipWitness(joint, common, tuple(needed))
+            return MembershipWitness(joint, needed[0], tuple(needed[1:]))
     return None
 
 
-def _c3_from_candidates(p, d, D, rp, candidates):
+def _c3_from_candidates(d, D, rp, candidates):
     """Least I(X; W) among the candidates that meet the Theorem-3 equality
-    I(X; W) + sum_i R_{X_i|W}(D_i) = R(D1, D2) within tolerance."""
+    I(X; W) + sum_i R_{X_i|W}(D_i) = R(D1, D2) within tolerance. The lower
+    side is the Gray-Wyner converse R0 >= R_{X1}(D1) + R_{X2}(D2) - R(D1, D2):
+    the constant W (first) scores the certified marginal rates, and W = X̂
+    (last) scores I(X; X̂), an upper value of R(D1, D2) if the test channel
+    meets D; otherwise the lower side is 0."""
     joint_rate = rp.rate
-    scored = []
-    for joint in candidates:
-        common = witness_common_rate(joint)
-        cond_sum = sum(witness_conditional_rate(joint, i + 1, d, D[i]) for i in range(2))
-        scored.append((common, abs(cond_sum + common - joint_rate), joint))
-    lower = _lower_bound(p, d, D, joint_rate)
+    scores = [list(_scores(joint, d, D)) for joint in candidates]
+    lower = 0.0
+    if all(e <= t for e, t in zip(rp.distortion, D)):
+        lower = max(0.0, scores[0][1] + scores[0][2] - scores[-1][0])
+    scored = [(s[0], abs(sum(s) - joint_rate), joint) for s, joint in zip(scores, candidates)]
 
     def pick(tol):
         return min((s for s in scored if s[1] <= tol), key=lambda s: s[0], default=None)
@@ -180,25 +187,14 @@ def _c3_from_candidates(p, d, D, rp, candidates):
     best = pick(RESIDUAL_TOL)
     loose = pick(RESIDUAL_TOL_LOOSE)
     upper, residual, witness = best or (joint_rate, float("nan"), None)
-    upper = max(upper, lower)  # numeric guard; lower is exact-side information
     return C3Estimate(
-        value_lower=min(lower, upper),
-        value_upper=upper,
+        value_lower=lower,
+        value_upper=max(upper, lower),  # numeric guard; lower is certified
         witness=witness,
         constraint_residual=residual,
         value_upper_loose=max(loose[0], lower) if loose else joint_rate,
         joint_rate=joint_rate,
     )
-
-
-def _lower_bound(p, d, D, joint_rate):
-    """I(X1; X2) when the marginal-sum premise holds within tolerance, else 0."""
-    mi = mutual_information(p, [0])
-    r1 = marginal_rd_value(p, d, 0, D[0])
-    r2 = marginal_rd_value(p, d, 1, D[1])
-    if abs(r1 + r2 - mi - joint_rate) <= PREMISE_TOL:
-        return mi
-    return 0.0
 
 
 def _joint_point(p: JointPmf, d: DistortionSpec, D):
@@ -214,7 +210,8 @@ def c3_tilde(
 ) -> C3Estimate:
     """Common rate via the equality-constrained minimization of I(X1,X2; W)."""
     D, rp = _joint_point(p, d, D)
-    return _c3_from_candidates(p, d, D, rp, _candidate_joints(p, rp, budget or SolveBudget()))
+    own = _common_info_auxiliary(p, budget or SolveBudget())
+    return _c3_from_candidates(d, D, rp, _candidate_joints(p, rp, own))
 
 
 def c_star(
@@ -240,6 +237,5 @@ def c_star(
             qs.append(qex / np.maximum(qex.sum(axis=1, keepdims=True), 1e-300))
         except (CommonInfoInfeasible, ProbabilityError):
             pass  # the exhaustive grid found no split
-    qs.append(np.eye(nxh))
-    candidates = [_constant_w(p)] + [_through_reproduction(p, pxxh, q) for q in qs]
-    return _c3_from_candidates(p, d, D, rp, candidates)
+    own = [_through_reproduction(p, pxxh, q) for q in qs]
+    return _c3_from_candidates(d, D, rp, _candidate_joints(p, rp, own))

@@ -419,17 +419,18 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
     """Joint R_{X1X2}(D1, D2) as the maximum of the concave dual
     g(s) = F*(s)/ln 2 - s1 D1 - s2 D2 over 0 <= s <= SLOPE_CAP.
 
-    A cached 16x16 slope sweep, one kernel call per source, gives the start,
-    the first supporting lines and the least-rate sweep point that meets D. A
-    projected Newton ascent then takes the exact gradient E[d_i] - D_i
-    (one-sided on an axis s_i = 0, see _axis_channel) and the exact Hessian
-    from each channel, and makes one single-entry kernel call per trial step,
-    warm-started from the output pmf the incumbent predicts at the trial (its
-    slope derivative from _dual_hessian). A trial is kept unless its certified
-    value falls short of the incumbent's by more than the kernel's tolerance;
-    after a failed trial the next step is damped toward the gradient. The
-    ascent stops once the predicted gain is below ASCENT_GAIN_TOL bits, or
-    after ASCENT_CALLS calls.
+    A target that one reproduction pair meets is answered at zero rate first.
+    Otherwise a cached 16x16 slope sweep, one kernel call per source, gives
+    the start, the first supporting lines and the least-rate sweep point that
+    meets D. A projected Newton ascent then takes the exact gradient
+    E[d_i] - D_i (one-sided on an axis s_i = 0, see _axis_channel) and the
+    exact Hessian from each channel, and makes one single-entry kernel call
+    per trial step, warm-started from the output pmf the incumbent predicts at
+    the trial (its slope derivative from _dual_hessian). A trial is kept
+    unless its certified value falls short of the incumbent's by more than the
+    kernel's tolerance; after a failed trial the next step is damped toward
+    the gradient. The ascent stops once the predicted gain is below
+    ASCENT_GAIN_TOL bits, or after ASCENT_CALLS calls.
 
     The returned rate is the best certified value of g at D over all evaluated
     slopes. The ascent aims at D - JOINT_SLACK / 2, so that the channel where
@@ -444,7 +445,6 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
     least = np.einsum("x,ix->i", px, dm.min(axis=2))
     if np.any((target < 0) | (target < least - 1e-15)):
         raise InfeasibleDistortion(f"distortion {target.tolist()} below least reachable {least.tolist()}")
-    slopes, rates, cond, flb, dd = _joint_sweep_cached(p, d, px, dm)
 
     # zero-rate feasibility: a single reproduction pair dominating the target
     zero = px @ dm
@@ -456,6 +456,7 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
         channel = ConditionalPmf(px.size, (c.shape[1],), c)
         return RdPoint((float(zero[0, j]), float(zero[1, j])), 0.0, (0.0, 0.0), channel)
 
+    slopes, rates, cond, flb, dd = _joint_sweep_cached(p, d, px, dm)
     aim = target - 0.5 * JOINT_SLACK
     dominating = []
 
@@ -546,3 +547,12 @@ def marginal_rd_value(p: JointPmf, d: DistortionSpec, coord: int, D: float) -> f
     marg = marginalize(p, [coord])
     spec = DistortionSpec((d.matrices[coord],), (d.repro_sizes[coord],))
     return ba_rate_distortion(marg, spec, D).rate
+
+
+def conditional_rd_value(p: JointPmf, d: DistortionSpec, coord: int, given: int, D: float) -> float:
+    """Convenience: R_{X_coord | X_given}(D) for a multi-coordinate source."""
+    pair = marginalize(p, [coord, given])
+    if coord > given:
+        pair = JointPmf(pair.alphabet_sizes[::-1], pair.mass.T)
+    spec = DistortionSpec((d.matrices[coord],), (d.repro_sizes[coord],))
+    return ba_conditional_rd(pair, spec, D).rate

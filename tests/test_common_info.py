@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import approx_fprime
 from scipy.special import xlogy
 
+import witl.common_info as common_info
 from witl.audit import random_source
 from witl.common_info import (
     _SCORE_SLACK,
@@ -267,6 +268,19 @@ class TestExhaustiveGrid:
             np.testing.assert_array_equal(sol.pw, pw)
             np.testing.assert_array_equal(sol.channels[0].rows, rows1)
             np.testing.assert_array_equal(sol.channels[1].rows, rows2)
+
+    def test_independent_sources_return_before_the_grid(self, monkeypatch):
+        # the constant W is the answer the grid cannot hold (b10 == b11), so
+        # an independent source never reaches block-1 scoring
+        def scored(*args):
+            raise AssertionError("the grid was scored")
+
+        monkeypatch.setattr(common_info, "_block1_scores", scored)
+        for mass in ([[0.0, 0.45], [0.0, 0.55]], [[0.0, 0.756], [2.4e-10, 0.244]],
+                     np.outer([0.3, 0.7], [0.6, 0.4])):
+            sol = _exhaustive_2x2(JointPmf((2, 2), np.array(mass)), SolveBudget())
+            np.testing.assert_array_equal(sol.pw, [0.5, 0.5])
+            assert sol.achieved_I == pytest.approx(0.0, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from witl.closed_form import DsbsParams, dsbs_c3
+import witl.rd as rd
+from witl.audit import random_source
+from witl.closed_form import DsbsParams, RegionLabel, dsbs_c3, dsbs_region
 from witl import gray_wyner
 from witl.common_info import SolveBudget
 from witl.gray_wyner import (
@@ -13,7 +17,7 @@ from witl.gray_wyner import (
     witness_conditional_rate,
 )
 from witl.prob import JointPmf, ProbabilityError
-from witl.rd import DistortionSpec
+from witl.rd import DistortionSpec, marginal_rd_value
 
 C_DSBS_01 = 0.74208585854971740
 
@@ -122,3 +126,59 @@ class TestOneJointSolvePerCall:
         monkeypatch.setattr(gray_wyner, "ba_joint_rd", counted)
         solve(dsbs(), hamming22(), SolveBudget(restarts=1))
         assert len(calls) == 1
+
+
+class TestConverseLowerSide:
+    """value_lower = R_{X1|W=const}(D1) + R_{X2|W=const}(D2) - I(X; X̂), the
+    Gray-Wyner converse read off the scores of the first and last candidates."""
+
+    @pytest.mark.parametrize("solve", [c3_tilde, c_star], ids=["c3_tilde", "c_star"])
+    def test_no_marginal_query_and_two_conditional_per_candidate(self, monkeypatch, solve):
+        counts = {"marginal": 0, "conditional": 0, "candidates": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(rd, "ba_rate_distortion", counted("marginal", rd.ba_rate_distortion))
+        monkeypatch.setattr(rd, "ba_conditional_rd", counted("conditional", rd.ba_conditional_rd))
+        real = gray_wyner._c3_from_candidates
+
+        def scored(d, D, rp, candidates):
+            counts["candidates"] += len(candidates)
+            return real(d, D, rp, candidates)
+
+        monkeypatch.setattr(gray_wyner, "_c3_from_candidates", scored)
+        solve(dsbs(), hamming22(), (0.05, 0.05), SolveBudget(restarts=1))
+        assert counts["marginal"] == 0
+        assert counts["candidates"] >= 3
+        assert counts["conditional"] == 2 * counts["candidates"]
+
+    @pytest.mark.parametrize("a1", [0.1, 0.3])
+    def test_below_dsbs_closed_form(self, a1):
+        par = DsbsParams.from_a1(a1)
+        axis = np.linspace(0.02, 0.45, 6)
+        for D in itertools.product(axis, axis):
+            if dsbs_region(par, *D) is RegionLabel.ZERO:
+                continue
+            for solve in (c3_tilde, c_star):
+                est = solve(dsbs(a1), hamming22(), D, SolveBudget(restarts=1))
+                assert est.value_lower <= dsbs_c3(par, *D)[1]
+                assert est.value_lower <= est.value_upper
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lifts_lower_side_on_3x3(self, seed):
+        # the premise of I(X1; X2) fails here, and the lower side read 0
+        p, d = random_source(seed, (3, 3)), DistortionSpec.hamming((3, 3))
+        tilde = c3_tilde(p, d, (0.05, 0.05), SolveBudget(restarts=1))
+        star = c_star(p, d, (0.05, 0.05), SolveBudget(restarts=1))
+        assert tilde.value_lower > 0.1
+        assert tilde.value_lower <= star.value_upper
+
+    @pytest.mark.parametrize("coord, D", [(1, 0.05), (2, 0.3)])
+    def test_constant_w_scores_marginal_rates(self, coord, D):
+        p, d = random_source(2, (2, 3)), DistortionSpec.hamming((2, 3))
+        rate = witness_conditional_rate(gray_wyner._constant_w(p), coord, d, D)
+        assert rate == pytest.approx(marginal_rd_value(p, d, coord - 1, D), abs=1e-12)

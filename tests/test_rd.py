@@ -20,6 +20,7 @@ from witl.rd import (
     ba_conditional_rd,
     ba_joint_rd,
     ba_rate_distortion,
+    conditional_rd_value,
     marginal_rd_value,
     trace_rd_curve,
 )
@@ -143,6 +144,22 @@ class TestJointRd:
             ba_joint_rd(dsbs(), d, (0.3, 0.05))
         assert rd._SWEEP_CACHE == {}
         assert ba_joint_rd(dsbs(), d, (0.3, 0.12)).distortion[1] <= 0.12
+
+    @pytest.mark.parametrize("seed, sizes", [(0, (2, 2)), (1, (3, 3))])
+    def test_zero_rate_answered_before_sweep(self, monkeypatch, seed, sizes):
+        # one reproduction pair meets D = (0.99, 0.99): no kernel call is needed
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        calls = []
+        real = rd._ba_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rd, "_ba_batch", counted)
+        pt = ba_joint_rd(random_source(seed, sizes), DistortionSpec.hamming(sizes), (0.99, 0.99))
+        assert pt.rate == 0.0 and max(pt.distortion) <= 0.99
+        assert calls == [] and rd._SWEEP_CACHE == {}
 
     def test_monotone_in_both_coordinates(self):
         d = DistortionSpec.hamming((2, 2))
@@ -332,3 +349,12 @@ class TestTraceAndHelpers:
         ).rate
         assert via_helper == pytest.approx(direct, abs=1e-12)
         assert via_helper == pytest.approx(1.0 - binary_entropy(0.1), abs=1e-8)
+
+    def test_conditional_helper_matches_direct(self):
+        p = random_source(2, (2, 3))
+        via_helper = conditional_rd_value(p, DistortionSpec.hamming((2, 3)), 1, 0, 0.2)
+        direct = ba_conditional_rd(
+            JointPmf((3, 2), p.mass.T), DistortionSpec.hamming((3,)), 0.2
+        ).rate
+        assert via_helper == pytest.approx(direct, abs=1e-12)
+        assert 0.0 < via_helper < marginal_rd_value(p, DistortionSpec.hamming((2, 3)), 1, 0.2)
