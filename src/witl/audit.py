@@ -16,7 +16,7 @@ import numpy as np
 from . import closed_form as cf
 from .common_info import SolveBudget, bsc_broadcast_source, common_info_bounds, solve_common_info
 from .prob import JointPmf, ProbabilityError, binary_entropy, entropy, mutual_information
-from .rd import DistortionSpec, ba_joint_rd, conditional_rd_value, marginal_rd_value
+from .rd import DistortionSpec, ba_joint_rd, coordinate_rd_values
 
 AUDIT_TOL = 1e-4
 
@@ -76,9 +76,8 @@ def audit_lemma1(p: JointPmf, d: DistortionSpec, D1: float, D2: float) -> AuditR
     """The five joint/marginal/conditional rate-distortion inequalities."""
     if p.ncoords != 2:
         raise ProbabilityError("lemma-1 audit is for pairs")
-    r1 = marginal_rd_value(p, d, 0, D1)
-    r2 = marginal_rd_value(p, d, 1, D2)
-    r1g2 = conditional_rd_value(p, d, 0, 1, D1)
+    queries = [(0, None, D1), (1, None, D2), (0, 1, D1)]
+    r1, r2, r1g2 = (pt.rate for pt in coordinate_rd_values(p, d, queries))
     rj = ba_joint_rd(p, d, (D1, D2)).rate
     mi = mutual_information(p, [0])
     checks = [

@@ -120,22 +120,27 @@ def _through_reproduction(p: JointPmf, pxxh: np.ndarray, q: np.ndarray) -> Joint
     return JointPmf((k, *p.alphabet_sizes), (pxxh @ q).T.reshape((k, *p.alphabet_sizes)))
 
 
-def _candidate_joints(p: JointPmf, rp: RdPoint | None, own) -> list[JointPmf]:
-    """The constant W, the solver's own auxiliaries, then W = X̂ if rp exists."""
-    candidates = [_constant_w(p), *own]
+def _candidate_joints(p: JointPmf, own, joint_point):
+    """The constant W, the solver's own auxiliaries (iterated lazily), then W = X̂
+    if ``joint_point()``, called only once they are consumed, is an RdPoint."""
+    yield _constant_w(p)
+    yield from own
+    try:
+        rp = joint_point()
+    except (InfeasibleDistortion, SweepResolutionError):
+        return  # no reproduction pair at this distortion
     if rp is not None:
         pxxh = _source_reproduction(p, rp)
-        candidates.append(_through_reproduction(p, pxxh, np.eye(pxxh.shape[1])))
-    return candidates
+        yield _through_reproduction(p, pxxh, np.eye(pxxh.shape[1]))
 
 
-def _common_info_auxiliary(p: JointPmf, budget: SolveBudget) -> list[JointPmf]:
-    """The auxiliary of :func:`solve_common_info`, if the budget finds one."""
+def _common_info_auxiliary(p: JointPmf, budget: SolveBudget):
+    """The auxiliary of :func:`solve_common_info`, searched when first iterated."""
     try:
         sol = solve_common_info(p, K=None if p.alphabet_sizes != (2, 2) else 2, budget=budget)
     except (CommonInfoInfeasible, ProbabilityError):
-        return []
-    return [joint_with_mixture(sol.pw, sol.channels)]
+        return
+    yield joint_with_mixture(sol.pw, sol.channels)
 
 
 def check_membership(
@@ -150,13 +155,9 @@ def check_membership(
     D = tuple(float(x) for x in D)
     if len(D) != p.ncoords or len(rates.privates) != p.ncoords:
         raise ProbabilityError("distortion/rate dimension mismatch")
-    rp = None
-    if p.ncoords == 2:  # the joint solver takes pairs only
-        try:
-            rp = ba_joint_rd(p, d, D)
-        except (InfeasibleDistortion, SweepResolutionError):
-            pass  # no reproduction pair at this distortion
-    for joint in _candidate_joints(p, rp, _common_info_auxiliary(p, budget)):
+    # the joint solver takes pairs only
+    for joint in _candidate_joints(p, _common_info_auxiliary(p, budget),
+                                   lambda: ba_joint_rd(p, d, D) if p.ncoords == 2 else None):
         needed = []
         for have, need in zip((rates.R0, *rates.privates), _scores(joint, d, D)):
             if have < need - MEMBERSHIP_TOL:
@@ -211,7 +212,7 @@ def c3_tilde(
     """Common rate via the equality-constrained minimization of I(X1,X2; W)."""
     D, rp = _joint_point(p, d, D)
     own = _common_info_auxiliary(p, budget or SolveBudget())
-    return _c3_from_candidates(d, D, rp, _candidate_joints(p, rp, own))
+    return _c3_from_candidates(d, D, rp, list(_candidate_joints(p, own, lambda: rp)))
 
 
 def c_star(
@@ -238,4 +239,4 @@ def c_star(
         except (CommonInfoInfeasible, ProbabilityError):
             pass  # the exhaustive grid found no split
     own = [_through_reproduction(p, pxxh, q) for q in qs]
-    return _c3_from_candidates(d, D, rp, _candidate_joints(p, rp, own))
+    return _c3_from_candidates(d, D, rp, list(_candidate_joints(p, own, lambda: rp)))

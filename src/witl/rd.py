@@ -3,17 +3,18 @@ rate-distortion functions on finite alphabets.
 
 A query R(D) maximizes the concave dual g(s) = F*(s)/ln 2 - s D over slopes s,
 F* being the Lagrangian minimum: by a safeguarded Newton search on the scalar s
-after one call on doubling slopes (marginal and conditional queries), or by a
-projected Newton ascent after a cached 16x16 start sweep (joint queries). Both
-take their curvature from ``_dual_hessian`` and make one call of the batched
-kernel ``_ba_batch`` per step, warm-started from the output pmf that the
-linearization predicts. The kernel takes a source pmf per batch entry, so the
-components w of a conditional problem share each call; it alternates as
-Blahut-Arimoto does and, at each dual-gap check, takes one Newton step on the
-alternation's fixed point, so that calls near critical slopes end on their
-certificate. That step solves against one eigendecomposition of the fixed
-point's linearization and never forms a pseudo-inverse; so does the curvature.
-Multipliers are in bits per distortion unit throughout.
+after one call on doubling slopes (marginal and conditional queries, searched in
+lockstep), or by a projected Newton ascent after a cached 16x16 start sweep
+(joint queries). Both take their curvature from ``_dual_hessian`` and make one
+call of the batched kernel ``_ba_batch`` per step, warm-started from the output
+pmf that the linearization predicts. The kernel takes a source pmf per batch
+entry, so the components w of a conditional problem, and the lockstep's
+independent queries, share each call; it alternates as Blahut-Arimoto does
+and, at each dual-gap check, takes one Newton step on the alternation's fixed
+point, so that calls near critical slopes end on their certificate. That step
+solves against one eigendecomposition of the fixed point's linearization and
+never forms a pseudo-inverse; so does the curvature. Multipliers are in bits
+per distortion unit throughout.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prob import LOG2, ConditionalPmf, JointPmf, ProbabilityError, marginalize
+from .prob import LOG2, ConditionalPmf, JointPmf, ProbabilityError
 
 MAX_ITER = 10_000
 RATE_TOL = 1e-10  # nats; certified dual-gap stopping criterion
@@ -231,29 +232,9 @@ def _zero_distortion_rate(pxgw, dmat):
     return flb / LOG2, conds
 
 
-def _scalar_query(pxgw, pw, dmat, target) -> RdPoint:
-    """R_{X|W}(target) by a Newton search on the scalar dual; W = 1 gives R_X.
-
-    pxgw: (W, nx) component source pmfs with weights pw (W,). At a common
-    slope the components decouple, so each kernel call solves them all, and
-    g(s) = pw . F*_w(s) / ln 2 - s * target has g' = E[d] - target. One cold
-    call on the doubling slopes 1, 2, ..., SLOPE_CAP brackets the target between
-    lo and hi, the least slope that meets it. From the slope of best certified
-    g, Newton steps s - g'/g'' (g'' pw-weighted from _dual_hessian) aim 1e-10 of
-    the distortion range below the target, so that the last iterate meets it; a
-    step out of (lo, hi) bisects. Each is one call run to a gap of RATE_TOL/1000
-    from the output pmfs that the incumbent's slope derivative predicts, floored
-    at 1e-3. The search stops once the predicted gain is below ASCENT_GAIN_TOL
-    and hi's distortion is within 1e-7 of the range of the target, once
-    hi - lo < 1e-12, or after ASCENT_CALLS calls.
-
-    The rate is the best certified dual bound pw . F*_w(s) / ln 2 - s * target
-    over the evaluated slopes. The slope and distortion are those of the least
-    evaluated slope whose distortion meets the target, and so is the test
-    channel when W = 1. A target below the least reachable distortion raises
-    InfeasibleDistortion; one that even SLOPE_CAP leaves unbracketed raises
-    SweepResolutionError.
-    """
+def _scalar_search(pxgw, pw, dmat, target):
+    """One query of _scalar_query as a generator: it yields the (px, cost, q0, tol)
+    of each kernel call it needs, is sent back (conditionals, bounds), and returns its RdPoint."""
     nw = len(pxgw)
     shape = dmat.shape
     least = float(pw @ (pxgw @ dmat.min(axis=1)))
@@ -267,15 +248,15 @@ def _scalar_query(pxgw, pw, dmat, target) -> RdPoint:
         rate, point = 0.0, (0.0, d_at_zero, conds)
     elif target <= least + 1e-13:
         # the supporting line at SLOPE_CAP; R(least) bounds R only at or below least
-        _, _, flb = _ba_batch(pxgw, np.broadcast_to(SLOPE_CAP * LOG2 * dmat, (nw, *shape)))
+        _, flb = yield pxgw, np.broadcast_to(SLOPE_CAP * LOG2 * dmat, (nw, *shape)), None, RATE_TOL
         rate = float(pw @ flb) / LOG2 - SLOPE_CAP * target
         rates, conds = _zero_distortion_rate(pxgw, dmat)
         if target <= least:
             rate = max(rate, float(pw @ rates))
         point = (SLOPE_CAP, least, conds)
     else:
-        cost = (_DOUBLING_SLOPES * LOG2)[:, None, None] * dmat
-        _, conds, flb = _ba_batch(np.repeat(pxgw, len(cost), axis=0), np.tile(cost, (nw, 1, 1)))
+        cost = np.tile((_DOUBLING_SLOPES * LOG2)[:, None, None] * dmat, (nw, 1, 1))
+        conds, flb = yield np.repeat(pxgw, len(_DOUBLING_SLOPES), axis=0), cost, None, RATE_TOL
         conds = conds.reshape(nw, -1, *shape)
         dd = pw @ np.einsum("wx,wkxh,xh->wk", pxgw, conds, dmat)
         bound = pw @ flb.reshape(nw, -1) / LOG2
@@ -300,8 +281,8 @@ def _scalar_query(pxgw, pw, dmat, target) -> RdPoint:
             trial = s + step if lo < s + step < hi else 0.5 * (lo + hi)
             pred = np.einsum("wx,wxh->wh", pxgw, chan) + dq[:, :, 0] * (LOG2 * (trial - s))
             pred = np.maximum(pred, 1e-3)  # so that a letter the incumbent froze out can regrow
-            _, c, fl = _ba_batch(pxgw, trial * LOG2 * np.broadcast_to(dmat, (nw, *shape)),
-                                 q0=pred / pred.sum(axis=1, keepdims=True), tol=1e-3 * RATE_TOL)
+            c, fl = yield (pxgw, trial * LOG2 * np.broadcast_to(dmat, (nw, *shape)),
+                           pred / pred.sum(axis=1, keepdims=True), 1e-3 * RATE_TOL)
             et, bt = float(np.einsum("w,wx,wxh,xh->", pw, pxgw, c, dmat)), float(pw @ fl) / LOG2
             rate = max(rate, bt - trial * target)
             lo, hi, point = (lo, trial, (float(trial), et, c)) if et <= target else (trial, hi, point)
@@ -312,11 +293,66 @@ def _scalar_query(pxgw, pw, dmat, target) -> RdPoint:
     return RdPoint((dist,), max(rate, 0.0), (slope,), channel)
 
 
+def _scalar_query(queries) -> list[RdPoint]:
+    """R_{X|W}(target) for each query (pxgw, pw, dmat, target) by Newton searches
+    on the scalar dual, run in lockstep; W = 1 gives R_X.
+
+    pxgw: (W, nx) component source pmfs with weights pw (W,). At a common
+    slope the components decouple, so each kernel call solves them all, and
+    g(s) = pw . F*_w(s) / ln 2 - s * target has g' = E[d] - target. One cold
+    call on the doubling slopes 1, 2, ..., SLOPE_CAP brackets the target between
+    lo and hi, the least slope that meets it. From the slope of best certified
+    g, Newton steps s - g'/g'' (g'' pw-weighted from _dual_hessian) aim 1e-10 of
+    the distortion range below the target, so that the last iterate meets it; a
+    step out of (lo, hi) bisects. Each is one call run to a gap of RATE_TOL/1000
+    from the output pmfs that the incumbent's slope derivative predicts, floored
+    at 1e-3. A search stops once the predicted gain is below ASCENT_GAIN_TOL
+    and hi's distortion is within 1e-7 of the range of the target, once
+    hi - lo < 1e-12, or after ASCENT_CALLS calls. The queries are independent, so
+    a round is one kernel call per dmat shape over the components of every open
+    search; only the kernel's stopping tolerance sees the other queries.
+
+    The rate is the best certified dual bound pw . F*_w(s) / ln 2 - s * target
+    over the evaluated slopes. The slope and distortion are those of the least
+    evaluated slope whose distortion meets the target, and so is the test
+    channel when W = 1. A target below the least reachable distortion raises
+    InfeasibleDistortion before any kernel call; one that even SLOPE_CAP leaves
+    unbracketed raises SweepResolutionError.
+    """
+    searches = [_scalar_search(*q) for q in queries]
+    points, replies = [None] * len(queries), dict.fromkeys(range(len(queries)))
+    while replies:
+        asked = []
+        for i, reply in replies.items():
+            try:
+                asked.append((i, searches[i].send(reply)))
+            except StopIteration as stop:
+                points[i] = stop.value
+        # a round holds the k-th call of every open search: all cold or all warm
+        replies = {}
+        for shape in dict.fromkeys(args[1].shape[1:] for _, args in asked):
+            ids, group = zip(*((i, args) for i, args in asked if args[1].shape[1:] == shape))
+            px, cost, q0, tol = zip(*group)
+            _, conds, flb = _ba_batch(np.concatenate(px), np.concatenate(cost), tol=tol[0],
+                                      q0=None if q0[0] is None else np.concatenate(q0))
+            at = 0
+            for i, c in zip(ids, cost):
+                replies[i], at = (conds[at:at + len(c)], flb[at:at + len(c)]), at + len(c)
+    return points
+
+
+def _problem(p: JointPmf, d: DistortionSpec, D) -> tuple:
+    """The _scalar_query query of R_{X|W}(D) for an (X, W) p, or of R_X(D) for a 1-coordinate p."""
+    pxw = p.mass.reshape(p.alphabet_sizes[0], -1)
+    pw = pxw.sum(axis=0)
+    return (pxw[:, pw > 0] / pw[pw > 0]).T, pw[pw > 0], d.matrices[0], float(D)
+
+
 def ba_rate_distortion(p: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
     """Marginal R_X(D) for a single-coordinate source."""
     if p.ncoords != 1:
         raise ProbabilityError("ba_rate_distortion expects a 1-coordinate pmf")
-    return _scalar_query(p.mass[None, :], np.ones(1), d.matrices[0], float(D))
+    return _scalar_query([_problem(p, d, D)])[0]
 
 
 def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
@@ -327,10 +363,7 @@ def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
     """
     if pxw.ncoords != 2:
         raise ProbabilityError("ba_conditional_rd expects an (X, W) pmf")
-    pw = pxw.mass.sum(axis=0)
-    active = pw > 0
-    pxgw = (pxw.mass[:, active] / pw[active]).T
-    return _scalar_query(pxgw, pw[active], d.matrices[0], float(D))
+    return _scalar_query([_problem(pxw, d, D)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +575,24 @@ def trace_rd_curve(p: JointPmf, d: DistortionSpec, multipliers) -> list[RdPoint]
     ]
 
 
+def _coordinate_pmf(p: JointPmf, d: DistortionSpec, coord: int, given: int | None):
+    """The pmf of X_coord, or of (X_coord, X_given), and X_coord's spec."""
+    keep = [coord] if given is None else [coord, given]
+    mass = np.moveaxis(p.mass, keep, range(len(keep))).sum(axis=tuple(range(len(keep), p.ncoords)))
+    return JointPmf(mass.shape, mass), DistortionSpec((d.matrices[coord],), (d.repro_sizes[coord],))
+
+
+def coordinate_rd_values(p: JointPmf, d: DistortionSpec, queries) -> list[RdPoint]:
+    """R_{X_coord}(D), or R_{X_coord | X_given}(D), for each (coord, given or
+    None, D) of a multi-coordinate source, in order, by one lockstep search."""
+    return _scalar_query([_problem(*_coordinate_pmf(p, d, c, g), D) for c, g, D in queries])
+
+
 def marginal_rd_value(p: JointPmf, d: DistortionSpec, coord: int, D: float) -> float:
     """Convenience: R_{X_coord}(D) for a multi-coordinate source."""
-    marg = marginalize(p, [coord])
-    spec = DistortionSpec((d.matrices[coord],), (d.repro_sizes[coord],))
-    return ba_rate_distortion(marg, spec, D).rate
+    return ba_rate_distortion(*_coordinate_pmf(p, d, coord, None), D).rate
 
 
 def conditional_rd_value(p: JointPmf, d: DistortionSpec, coord: int, given: int, D: float) -> float:
     """Convenience: R_{X_coord | X_given}(D) for a multi-coordinate source."""
-    pair = marginalize(p, [coord, given])
-    if coord > given:
-        pair = JointPmf(pair.alphabet_sizes[::-1], pair.mass.T)
-    spec = DistortionSpec((d.matrices[coord],), (d.repro_sizes[coord],))
-    return ba_conditional_rd(pair, spec, D).rate
+    return ba_conditional_rd(*_coordinate_pmf(p, d, coord, given), D).rate

@@ -63,6 +63,16 @@ class TestMembership:
         with pytest.raises(ProbabilityError):
             check_membership(dsbs(), RatePoint(1.0, (1.0,)), (0.05, 0.05), hamming22())
 
+    def test_constant_w_witness_needs_no_descent_or_joint_solve(self, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise RuntimeError("a later candidate was built")
+
+        monkeypatch.setattr(gray_wyner, "solve_common_info", unreached)
+        monkeypatch.setattr(gray_wyner, "ba_joint_rd", unreached)
+        w = check_membership(random_source(0, (3, 3)), RatePoint(5.0, (5.0, 5.0)), (0.05, 0.05))
+        assert w is not None and w.joint.alphabet_sizes == (1, 3, 3)
+        assert w.common_rate_needed == pytest.approx(0.0, abs=1e-12)
+
 
 class TestCommonRateSolvers:
     def test_tilde_fine_distortion_matches_closed_form(self):

@@ -1,12 +1,14 @@
 """The batched Blahut-Arimoto kernel, its fixed-point solve and dual Hessian,
 and the scalar Newton search built on them: one cold call on doubling slopes,
-then safeguarded Newton steps on the dual, one warm-started kernel call each."""
+then safeguarded Newton steps on the dual, one warm-started kernel call each,
+run in lockstep over a stack of independent queries."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import witl.audit as audit
 import witl.rd as rd
 from witl.audit import random_source
 from witl.closed_form import DsbsParams, dsbs_conditional_rd
@@ -19,6 +21,7 @@ from witl.rd import (
     _zero_distortion_rate,
     ba_conditional_rd,
     ba_rate_distortion,
+    coordinate_rd_values,
 )
 
 
@@ -278,6 +281,86 @@ class TestNewtonSearchBudget:
             before = len(calls)
             query(p, hamming, D)
             assert len(calls) - before <= 10, (query.__name__, p.mass.tolist(), D)
+
+
+def conditional_zero_rate_distortions(p: JointPmf, d: DistortionSpec):
+    """Least D_i at which R_{X_i | X_j}(D_i) is 0, for i = 0, 1 of a pair."""
+    return [float((m.T @ d.matrices[i]).min(axis=1).sum()) for i, m in enumerate((p.mass, p.mass.T))]
+
+
+def audit_queries(p: JointPmf, d: DistortionSpec, share: float):
+    """Both marginal and both conditional queries at a share of each
+    coordinate's conditional zero-rate distortion."""
+    D = [share * z for z in conditional_zero_rate_distortions(p, d)]
+    return [(0, None, D[0]), (1, None, D[1]), (0, 1, D[0]), (1, 0, D[1])]
+
+
+def assert_stacked_equals_separate(p: JointPmf, d: DistortionSpec, queries):
+    stacked = coordinate_rd_values(p, d, queries)
+    for query, pt in zip(queries, stacked):
+        alone = coordinate_rd_values(p, d, [query])[0]
+        assert abs(pt.rate - alone.rate) <= 1e-12, query
+        assert pt.distortion == pytest.approx(alone.distortion, rel=0, abs=1e-9), query
+        assert pt.multipliers == pytest.approx(alone.multipliers, rel=0, abs=1e-8), query
+        assert (pt.test_channel is None) == (alone.test_channel is None)
+        if pt.test_channel is not None:
+            np.testing.assert_allclose(pt.test_channel.rows, alone.test_channel.rows, rtol=0, atol=1e-9)
+
+
+class TestLockstepSearch:
+    """Queries searched in one stack, one kernel call per round and
+    distortion-matrix shape, answer as their one-query searches do, up to the
+    kernel's stopping tolerance."""
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (2, 2), (2, 3)])
+    def test_stacked_equals_separate_on_design_sources(self, sizes):
+        d = DistortionSpec.hamming(sizes)
+        for seed in range(1000, 1012):
+            p = random_source(seed, sizes)
+            queries = [q for share in (0.1, 0.45, 0.8, 0.999) for q in audit_queries(p, d, share)]
+            assert_stacked_equals_separate(p, d, queries)
+
+    @given(st.sampled_from([(2, 2), (3, 2), (2, 3)]), weights, st.floats(0.0, 1.1), st.floats(0.0, 1.1))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_equals_separate_on_integer_weights(self, sizes, raw, share_a, share_b):
+        mass = np.array(raw[: sizes[0] * sizes[1]], dtype=float).reshape(sizes)
+        if mass.sum() == 0:
+            return
+        p = JointPmf(sizes, mass / mass.sum())
+        d = DistortionSpec.hamming(sizes)
+        assert_stacked_equals_separate(p, d, audit_queries(p, d, share_a) + audit_queries(p, d, share_b))
+
+    def test_audit_scalar_queries_take_at_most_seven_calls(self, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        joint_calls = []
+        real_joint = audit.ba_joint_rd
+
+        def joint(*args, **kwargs):
+            before = len(calls)
+            point = real_joint(*args, **kwargs)
+            joint_calls.append(len(calls) - before)
+            return point
+
+        monkeypatch.setattr(audit, "ba_joint_rd", joint)
+        for i in range(12):
+            for sizes in ((3, 3), (2, 2)):
+                p = random_source(1000 + i, sizes)
+                d = DistortionSpec.hamming(sizes)
+                zero = conditional_zero_rate_distortions(p, d)
+                for s1, s2 in ((0.1, 0.8), (0.45, 0.45), (0.8, 0.1)):
+                    before, joint_before = len(calls), sum(joint_calls)
+                    assert audit.audit_lemma1(p, d, s1 * zero[0], s2 * zero[1]).passed
+                    scalar = len(calls) - before - (sum(joint_calls) - joint_before)
+                    assert scalar <= 7, (i, sizes, s1, s2, scalar)
+
+    def test_infeasible_last_query_raises_before_any_kernel_call(self, monkeypatch):
+        calls = kernel_calls(monkeypatch)
+        # every reproduction costs at least 0.1, so D = 0.05 is out of reach
+        dmat = np.array([[0.1, 1.0], [1.0, 0.1]])
+        d = DistortionSpec((dmat, dmat), (2, 2))
+        with pytest.raises(InfeasibleDistortion):
+            coordinate_rd_values(random_source(3), d, [(0, None, 0.3), (1, None, 0.3), (0, 1, 0.05)])
+        assert calls == []
 
 
 def channel_rate(px, channel) -> float:
