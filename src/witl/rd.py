@@ -12,9 +12,9 @@ entry, so the components w of a conditional problem, and the lockstep's
 independent queries, share each call; it alternates as Blahut-Arimoto does
 and, at each dual-gap check, takes one Newton step on the alternation's fixed
 point, so that calls near critical slopes end on their certificate. That step
-solves against one eigendecomposition of the fixed point's linearization and
-never forms a pseudo-inverse; so does the curvature. Multipliers are in bits
-per distortion unit throughout.
+is one batched LU solve of the fixed point's linearization; the curvature
+applies its pseudo-inverse through one eigendecomposition. Multipliers are in
+bits per distortion unit throughout.
 """
 
 from __future__ import annotations
@@ -102,20 +102,26 @@ class RdPoint:
     test_channel: ConditionalPmf | None = field(default=None, repr=False)
 
 
-def _fixed_point_solve(joint, cond, q, c, rhs):
-    """(M + diag(q (1 - c)))^+ rhs, rhs (..., nxh, k), stacked over leading axes.
-
-    This linearizes the fixed point q(y) (c(y) - 1) = 0 of the alternating
-    update q <- q c, c = a^T (p / a q), in log coordinates dq = q u:
-    M = sum_x p(x) W(.|x) W(.|x)^T with joint = p(x) W(y|x). The diagonal
-    term, floored at zero, keeps a letter that is being driven out (c < 1)
-    from reading as a free direction of q. One eigendecomposition applies the
-    pseudo-inverse to rhs without forming it, dropping as np.linalg.pinv does
-    |lam| <= 1e-15 max|lam| (zero-mass letters, X̂_i duplicates at s_i = 0).
-    """
-    m = np.einsum("...xh,...xk->...hk", joint, cond)
+def _fixed_point_matrix(m, q, c):
+    """M + diag(q (1 - c)_+), in place on M = sum_x p(x) W(.|x) W(.|x)^T and
+    stacked over leading axes: the linearization of the fixed point
+    q(y) (c(y) - 1) = 0 of the alternating update q <- q c, c = a^T (p / a q),
+    in log coordinates dq = q u. The diagonal term, floored at zero, keeps a
+    letter that is being driven out (c < 1) from reading as a free direction
+    of q."""
     np.einsum("...hh->...h", m)[...] += q * np.maximum(1.0 - c, 0.0)
-    lam, v = np.linalg.eigh(m)
+    return m
+
+
+def _fixed_point_solve(joint, cond, q, c, rhs):
+    """_fixed_point_matrix(M, q, c)^+ rhs for joint = p(x) W(y|x), rhs (..., nxh, k),
+    stacked over leading axes. One eigendecomposition applies the pseudo-inverse
+    without forming it, dropping as np.linalg.pinv does |lam| <= 1e-15 max|lam|,
+    so that _dual_hessian's curvature is the pseudo-inverse's. M is summed over x
+    in order (einsum), as pinv's reference M is: near-singular M amplifies the
+    rounding of any other order."""
+    m = np.einsum("...xh,...xk->...hk", joint, cond)
+    lam, v = np.linalg.eigh(_fixed_point_matrix(m, q, c))
     keep = np.abs(lam) > 1e-15 * np.abs(lam).max(axis=-1, keepdims=True)
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=keep)
     return v @ (inv[..., None] * (np.swapaxes(v, -1, -2) @ rhs))
@@ -134,11 +140,12 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
 
     An entry stops once its gap is below RATE_TOL. Checks come every 16
     iterations, and each takes one Newton step per open entry on the fixed
-    point q (c - 1) = 0: u = (M + diag(q (1 - c)))^+ q (c - 1) in log
-    coordinates dq = q u (solved by _fixed_point_solve), applied as
-    q <- q (1 + t u), t = min(1, 0.99 / max(-u)), renormalized, and kept only
-    where it certifies a finite, smaller gap. When some gap fell at least
-    tenfold, the next check is the next iteration.
+    point q (c - 1) = 0: one batched LU solve of the ridged linearization
+    (_fixed_point_matrix + 1e-15 max diag I) u = q (c - 1), dq = q u, applied
+    as q <- q (1 + t u), t = min(1, 0.99 / max(-u)), renormalized, and kept
+    only where it certifies a finite, smaller gap, so that its accuracy in
+    near-null directions sets speed, never a certificate. When some gap fell
+    at least tenfold, the next check is the next iteration.
     """
     cost = np.asarray(cost, dtype=float)
     bsz, nx, nxh = cost.shape
@@ -209,8 +216,13 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
             keep = ~done
             active, a, q, px, support = active[keep], a[keep], q[keep], px[keep], support[keep]
             cond, gap, ch = cond[keep], gap[keep], ch[keep]
-        rhs = (q * (ch - 1.0))[..., None]
-        u = _fixed_point_solve(px[:, :, None] * cond, cond, q, ch, rhs)[..., 0]
+        m = _fixed_point_matrix(np.swapaxes(px[:, :, None] * cond, 1, 2) @ cond, q, ch)
+        # zero-mass letters and X̂_i duplicates at s_i = 0 make M singular; a ridge
+        # at the scale of pinv's cutoff lets LU solve it (1e-16 still meets zero
+        # pivots, and larger ridges damp directions that the pseudo-inverse keeps)
+        diag = np.einsum("bhh->bh", m)
+        diag += 1e-15 * diag.max(axis=1, keepdims=True)
+        u = np.linalg.solve(m, (q * (ch - 1.0))[..., None])[..., 0]
         t = 0.99 / np.maximum(-u.min(axis=1), 0.99)
         qn = np.maximum(q * (1.0 + t[:, None] * u), 0.0)
         qn = qn / qn.sum(axis=1, keepdims=True)

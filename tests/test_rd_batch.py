@@ -131,6 +131,77 @@ class TestKernelCertifies:
         rd.ba_joint_rd(p, DistortionSpec.hamming((2, 2)), (0.2726, 0.3232))
         self.assert_certified(gaps)
 
+    @pytest.mark.parametrize("seed", [1000, 1009, 1011])
+    def test_cold_sweep_certified_without_eigendecomposition(self, monkeypatch, seed):
+        # the kernel's Newton step is an LU solve, eigh serves only the curvature;
+        # 1009 and 1011 held a growing letter near 1e-9 mass to JOINT_MAX_ITER
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        gaps = certified_gaps(monkeypatch)
+        p, d = random_source(seed, (3, 3)), DistortionSpec.hamming((3, 3))
+        _, _, _, flb, _ = rd._joint_sweep_cached(p, d, *rd._joint_problem(p, d))
+        assert len(gaps) == 1 and gaps[0].size == len(rd._DEFAULT_GRID) ** 2
+        assert np.all(np.isfinite(flb))
+        self.assert_certified(gaps)
+
+
+def upper_values(px, cost, cond):
+    """V(q) = -sum_x p(x) log (a q)(x) in nats at each entry's output pmf
+    q = p W of the returned channel W: the Lagrangian minimum is at most it."""
+    a = np.exp(-cost)
+    p = np.broadcast_to(px, a.shape[:2])
+    z = np.einsum("bxh,bh->bx", a, np.einsum("bx,bxh->bh", p, cond))
+    with np.errstate(divide="ignore"):
+        logs = np.where(p > 0, np.log(z), 0.0)
+    return -np.einsum("bx,bx->b", p, logs)
+
+
+class TestSingularLinearization:
+    """Zero-mass letters, X̂_i letters duplicated at s_i = 0 and the infinite
+    costs of zero-distortion masks make the Newton step's matrix exactly
+    singular; its ridge keeps every LU solve defined."""
+
+    @given(
+        st.integers(2, 4),
+        st.integers(2, 3),
+        st.lists(st.integers(0, 6), min_size=12, max_size=12),
+        st.lists(st.integers(0, 3), min_size=25, max_size=25),
+        st.booleans(),
+        st.floats(0.0, 64.0),
+        st.floats(0.0, 64.0),
+        st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_linalg_error_and_bounds_below_upper_value(self, n1, n2, raw, raw_d, hamming, s1, s2, warm):
+        mass = np.array(raw[: n1 * n2], dtype=float)
+        assume(mass.sum() > 0)
+        p = JointPmf((n1, n2), (mass / mass.sum()).reshape(n1, n2))
+        if hamming:
+            d = DistortionSpec.hamming((n1, n2))
+        else:
+            mats = (np.array(raw_d[: n1 * n1], dtype=float).reshape(n1, n1),
+                    np.array(raw_d[n1 * n1 : n1 * n1 + n2 * n2], dtype=float).reshape(n2, n2))
+            d = DistortionSpec(mats, (n1, n2))
+        px, dm = rd._joint_problem(p, d)
+        slopes = np.array([[s1, 0.0], [0.0, s2], [0.0, 0.0], [s1, s2]])
+        cost = LOG2 * np.einsum("ni,ixh->nxh", slopes, dm)
+        q0 = None
+        if warm is not None:
+            # a sparse warm start: most letters near zero, some exactly zero
+            q0 = np.random.default_rng(warm).dirichlet(np.full(dm.shape[2], 0.1), size=len(cost))
+            q0[q0 < 1e-3] = 0.0
+            assume(np.all(q0.sum(axis=1) > 0))
+        # and the zero-distortion mask of each coordinate's least-distortion letters
+        mask = np.stack([m == m.min(axis=1, keepdims=True) for m in dm])
+        masked = np.where(mask, 0.0, np.inf)
+        for c, w in ((cost, q0), (masked, None)):
+            rates, cond, flb = _ba_batch(px, c, q0=w)
+            assert np.all(np.isfinite(rates))
+            assert np.all(flb <= upper_values(px, c, cond) + 1e-12)
+
 
 #: integer weights: zero-mass letters and zero-mass w occur, tiny masses do not
 weights = st.lists(st.integers(0, 20), min_size=6, max_size=6).filter(lambda m: sum(m) > 0)
