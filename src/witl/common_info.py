@@ -62,6 +62,12 @@ class SolveBudget:
     seed: int = 0
     grid_resolution: float = 1e-3
 
+    def __post_init__(self):
+        if not self.restarts >= 1:
+            raise ProbabilityError(f"restarts must be >= 1, got {self.restarts!r}")
+        if not 0 < self.grid_resolution < 1:
+            raise ProbabilityError(f"grid_resolution must be in (0, 1), got {self.grid_resolution!r}")
+
 
 @dataclass(frozen=True)
 class CommonInfoSolution:

@@ -45,8 +45,9 @@ class RatePoint:
     privates: tuple[float, ...]
 
     def __post_init__(self):
-        if self.R0 < 0 or any(r < 0 for r in self.privates):
-            raise ProbabilityError("rates must be nonnegative")
+        rates = np.array([self.R0, *self.privates], dtype=float)
+        if not np.all(np.isfinite(rates)) or np.any(rates < 0):
+            raise ProbabilityError("rates must be finite and nonnegative")
         object.__setattr__(self, "privates", tuple(float(r) for r in self.privates))
 
 
@@ -173,13 +174,11 @@ def _c3_from_candidates(d, D, rp, candidates):
     I(X; W) + sum_i R_{X_i|W}(D_i) = R(D1, D2) within tolerance. The lower
     side is the Gray-Wyner converse R0 >= R_{X1}(D1) + R_{X2}(D2) - R(D1, D2):
     the constant W (first) scores the certified marginal rates, and W = X̂
-    (last) scores I(X; X̂), an upper value of R(D1, D2) if the test channel
-    meets D; otherwise the lower side is 0."""
+    (last) scores I(X; X̂), an upper value of R(D1, D2) since the test channel
+    meets D."""
     joint_rate = rp.rate
     scores = [list(_scores(joint, d, D)) for joint in candidates]
-    lower = 0.0
-    if all(e <= t for e, t in zip(rp.distortion, D)):
-        lower = max(0.0, scores[0][1] + scores[0][2] - scores[-1][0])
+    lower = max(0.0, scores[0][1] + scores[0][2] - scores[-1][0])
     scored = [(s[0], abs(sum(s) - joint_rate), joint) for s, joint in zip(scores, candidates)]
 
     def pick(tol):

@@ -36,6 +36,8 @@ def _as_mass(values, sizes) -> np.ndarray:
         raise ProbabilityError(
             f"mass has {mass.size} entries, alphabet sizes {sizes} require {prod(sizes)}"
         )
+    if not np.all(np.isfinite(mass)):
+        raise ProbabilityError("probability mass must be finite")
     if np.any(mass < 0):
         raise ProbabilityError("negative probability mass")
     total = mass.sum()
@@ -104,6 +106,8 @@ class ConditionalPmf:
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.out_sizes)
         rows = np.asarray(self.rows, dtype=float).reshape((self.given_size, *sizes))
+        if not np.all(np.isfinite(rows)):
+            raise ProbabilityError("conditional mass must be finite")
         if np.any(rows < 0):
             raise ProbabilityError("negative conditional mass")
         totals = rows.reshape(self.given_size, -1).sum(axis=1)

@@ -3,18 +3,18 @@ rate-distortion functions on finite alphabets.
 
 A query R(D) maximizes the concave dual g(s) = F*(s)/ln 2 - s D over slopes s,
 F* being the Lagrangian minimum: by a safeguarded Newton search on the scalar s
-after one call on doubling slopes (marginal and conditional queries, searched in
-lockstep), or by a projected Newton ascent after a cached 16x16 start sweep
-(joint queries). Both take their curvature from ``_dual_hessian`` and make one
-call of the batched kernel ``_ba_batch`` per step, warm-started from the output
-pmf that the linearization predicts. The kernel takes a source pmf per batch
-entry, so the components w of a conditional problem, and the lockstep's
-independent queries, share each call; it alternates as Blahut-Arimoto does
-and, at each dual-gap check, takes one Newton step on the alternation's fixed
-point, so that calls near critical slopes end on their certificate. That step
-is one batched LU solve of the fixed point's linearization; the curvature
-applies its pseudo-inverse through one eigendecomposition. Multipliers are in
-bits per distortion unit throughout.
+after one call on doubling slopes (marginal and conditional queries, searched
+in lockstep), or by a projected Newton ascent after a cached 16x16 start sweep
+(joint queries, whose test channel is then mixed into D). Both take their
+curvature from ``_dual_hessian`` and make one call of the batched kernel
+``_ba_batch`` per step, warm-started from the output pmf that the linearization
+predicts. The kernel takes a source pmf per batch entry, so the components w of
+a conditional problem, and the lockstep's independent queries, share each call;
+it alternates as Blahut-Arimoto does and, at each dual-gap check, takes one
+Newton step on the alternation's fixed point, so that calls near critical
+slopes end on their certificate. That step is one batched LU solve of the fixed
+point's linearization; the curvature applies its pseudo-inverse through one
+eigendecomposition. Multipliers are in bits per distortion unit throughout.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prob import LOG2, ConditionalPmf, JointPmf, ProbabilityError
+from .prob import LOG2, ConditionalPmf, JointPmf, ProbabilityError, mutual_information
 
 MAX_ITER = 10_000
 RATE_TOL = 1e-10  # nats; certified dual-gap stopping criterion
@@ -34,7 +34,6 @@ _DOUBLING_SLOPES = 2.0 ** np.arange(int(np.log2(SLOPE_CAP)) + 1)
 ASCENT_CALLS = 20
 #: an ascent stops once its predicted dual gain is below this many bits
 ASCENT_GAIN_TOL = 1e-12
-JOINT_SLACK = 1e-6  # a sweep point "meets" (D1, D2) if achieved <= D_i + slack
 
 
 class InfeasibleDistortion(ValueError):
@@ -56,8 +55,8 @@ class DistortionSpec:
         mats = []
         for m in self.matrices:
             arr = np.asarray(m, dtype=float)
-            if arr.ndim != 2 or np.any(arr < 0):
-                raise ProbabilityError("distortion matrices must be 2-D and nonnegative")
+            if arr.ndim != 2 or not np.all(np.isfinite(arr)) or np.any(arr < 0):
+                raise ProbabilityError("distortion matrices must be 2-D, finite and nonnegative")
             arr.setflags(write=False)
             mats.append(arr)
         sizes = tuple(int(s) for s in self.repro_sizes)
@@ -247,6 +246,8 @@ def _zero_distortion_rate(pxgw, dmat):
 def _scalar_search(pxgw, pw, dmat, target):
     """One query of _scalar_query as a generator: it yields the (px, cost, q0, tol)
     of each kernel call it needs, is sent back (conditionals, bounds), and returns its RdPoint."""
+    if not np.isfinite(target):
+        raise ProbabilityError(f"distortion target {target} is not finite")
     nw = len(pxgw)
     shape = dmat.shape
     least = float(pw @ (pxgw @ dmat.min(axis=1)))
@@ -466,30 +467,56 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
 
     A target that one reproduction pair meets is answered at zero rate first.
     Otherwise a cached 16x16 slope sweep, one kernel call per source, gives
-    the start, the first supporting lines and the least-rate sweep point that
-    meets D. A projected Newton ascent then takes the exact gradient
-    E[d_i] - D_i (one-sided on an axis s_i = 0, see _axis_channel) and the
-    exact Hessian from each channel, and makes one single-entry kernel call
-    per trial step, warm-started from the output pmf the incumbent predicts at
-    the trial (its slope derivative from _dual_hessian). A trial is kept
-    unless its certified value falls short of the incumbent's by more than the
-    kernel's tolerance; after a failed trial the next step is damped toward
-    the gradient. The ascent stops once the predicted gain is below
-    ASCENT_GAIN_TOL bits, or after ASCENT_CALLS calls.
+    the start and the first supporting lines. A projected Newton ascent then
+    takes the exact gradient E[d_i] - D_i (one-sided on an axis s_i = 0, see
+    _axis_channel) and the exact Hessian from each channel, and makes one
+    single-entry kernel call per trial step, warm-started from the output pmf
+    the incumbent predicts at the trial (its slope derivative from
+    _dual_hessian). A trial is kept unless its certified value falls short of
+    the incumbent's by more than the kernel's tolerance; after a failed trial
+    the next step is damped toward the gradient. The ascent stops once the
+    predicted gain is below ASCENT_GAIN_TOL bits, or after ASCENT_CALLS calls.
 
     The returned rate is the best certified value of g at D over all evaluated
-    slopes. The ascent aims at D - JOINT_SLACK / 2, so that the channel where
-    it stops meets D exactly; that channel is the test channel. Should it not
-    meet D, the test channel is the least-rate evaluated point that meets D
-    within JOINT_SLACK.
+    slopes. The test channel is the zero-rate one or the ascent's last (it aims
+    5e-7 inside D), made to meet D with no slack by ``meet``.
     """
     target = np.array([float(D[0]), float(D[1])])
     if p.ncoords != 2:
         raise ProbabilityError("ba_joint_rd expects a 2-coordinate pmf")
+    if not np.all(np.isfinite(target)):
+        raise ProbabilityError(f"distortion targets {target.tolist()} are not all finite")
     px, dm = _joint_problem(p, d)
-    least = np.einsum("x,ix->i", px, dm.min(axis=2))
-    if np.any((target < 0) | (target < least - 1e-15)):
+    hot = np.eye(dm.shape[2])[dm.sum(axis=0).argmin(axis=1)]  # per x, a pair of least d_1 and d_2
+    least = np.einsum("x,xh,ixh->i", px, hot, dm)
+    if np.any(target < least):
         raise InfeasibleDistortion(f"distortion {target.tolist()} below least reachable {least.tolist()}")
+
+    def meet(chan, e, s, rate):
+        """The RdPoint of chan (distortions e, slopes s) made to meet D: for each D_i
+        it overshoots, chan is mixed with a copy whose X̂_i is moved to its entry in
+        ``hot``, by the largest weight that meets D_i. Should rounding leave D unmet,
+        both coordinates are mixed, by weights nudged down to 0, where the channel is
+        ``hot``, which meets D. An unmet D_i at SLOPE_CAP raises unless the channel's
+        I(X; X̂) is within 1e-4 bits of the rate, which then holds within that."""
+        over = e > target
+        capped = np.any(over & (s >= SLOPE_CAP))
+        lam = np.clip((target - least) / np.maximum(e - least, 1e-300), 0.0, 1.0)
+        for shrink in 1.0 - np.concatenate(([0.0], 2.0 ** np.arange(-52, 1))):
+            c = chan.reshape(-1, *d.repro_sizes)
+            for i in np.flatnonzero(over):
+                ci = np.moveaxis(c, 1 + i, 1)
+                w = lam[i] * shrink
+                one = hot.reshape(ci.shape[0], *d.repro_sizes).sum(axis=2 - i)  # X̂_i's entry in hot
+                c = np.moveaxis(w * ci + (1 - w) * one[..., None] * ci.sum(1, keepdims=True), 1, 1 + i)
+            channel = ConditionalPmf(px.size, (chan.shape[1],), c.reshape(chan.shape))
+            e = np.einsum("x,xh,ixh->i", px, channel.rows, dm)
+            if np.all(e <= target):
+                break
+            over[:] = True
+        if capped and mutual_information(JointPmf(chan.shape, px[:, None] * channel.rows), [0]) > rate + 1e-4:
+            raise SweepResolutionError(f"slope {SLOPE_CAP} does not reach distortion {target.tolist()}")
+        return RdPoint((float(e[0]), float(e[1])), rate, (float(s[0]), float(s[1])), channel)
 
     # zero-rate feasibility: a single reproduction pair dominating the target
     zero = px @ dm
@@ -498,33 +525,23 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
         j = int(np.nonzero(ok)[0][0])
         c = np.zeros_like(dm[0])
         c[:, j] = 1.0
-        channel = ConditionalPmf(px.size, (c.shape[1],), c)
-        return RdPoint((float(zero[0, j]), float(zero[1, j])), 0.0, (0.0, 0.0), channel)
+        return meet(c, zero[:, j], np.zeros(2), 0.0)
 
-    slopes, rates, cond, flb, dd = _joint_sweep_cached(p, d, px, dm)
-    aim = target - 0.5 * JOINT_SLACK
-    dominating = []
+    slopes, _, cond, flb, _ = _joint_sweep_cached(p, d, px, dm)
+    aim = target - 5e-7  # aimed a little inside D, so that the ascent's channel usually meets it
 
-    def point(chan_rate, chan, s):
-        """Best-map channel, its distortions and the kernel's output pmf (the
-        warm start); the channel is kept if it meets the query."""
+    def point(chan, s):
+        """Best-map channel, its distortions and the kernel's output pmf (the warm start)."""
         warm = px @ chan
         chan = _axis_channel(px, chan, dm, d.repro_sizes, s)
-        e = np.einsum("x,xh,ixh->i", px, chan, dm)
-        if np.all(e <= target + JOINT_SLACK):
-            dominating.append((chan_rate, chan, e))
-        return chan, e, warm
+        return chan, np.einsum("x,xh,ixh->i", px, chan, dm), warm
 
     # supporting-line lower bounds from the certified Lagrangian minima:
     # R(D1, D2) >= F*(s1, s2) - s1 D1 - s2 D2 at every slope pair
     rate = float(np.max(flb / LOG2 - slopes @ target))
-    meets = np.all(dd <= target + JOINT_SLACK, axis=1)
-    if np.any(meets):
-        k = int(np.argmin(np.where(meets, rates, np.inf)))
-        point(float(rates[k]), cond[k], slopes[k])
     k = int(np.argmax(flb / LOG2 - slopes @ aim))
     s, val = slopes[k], float(flb[k] / LOG2 - slopes[k] @ aim)
-    chan, e, warm = point(float(rates[k]), cond[k], s)
+    chan, e, warm = point(cond[k], s)
     damping = 0.0
     for _ in range(ASCENT_CALLS):
         grad = e - aim
@@ -542,10 +559,10 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
             break
         # warm start: the incumbent's output pmf moved by its slope derivative
         pred = np.maximum(warm + dq @ (LOG2 * (trial - s)), 1e-12)
-        r, c, fl, _ = _slope_points(px, dm, trial[None], q0=pred / pred.sum())
+        _, c, fl, _ = _slope_points(px, dm, trial[None], q0=pred / pred.sum())
         certified = float(fl[0]) / LOG2
         rate = max(rate, certified - trial @ target)
-        trial_point = point(float(r[0]), c[0], trial)
+        trial_point = point(c[0], trial)
         # a trial within the kernel's tolerance of the incumbent is no worse;
         # after a failed one the next step is damped toward the gradient
         if certified - trial @ aim > val - RATE_TOL / LOG2:
@@ -555,14 +572,7 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
             # at least the damping that cuts the failed step to a quarter
             damping = max(10.0 * damping, 4.0 * np.linalg.norm(grad[free]) / np.linalg.norm(trial - s))
 
-    if np.any(e > target):
-        if not dominating:
-            raise SweepResolutionError(
-                f"no sweep point met {tuple(target)} within slack {JOINT_SLACK}"
-            )
-        _, chan, e = min(dominating, key=lambda pt: pt[0])
-    channel = ConditionalPmf(px.size, (chan.shape[1],), chan)
-    return RdPoint((float(e[0]), float(e[1])), max(rate, 0.0), (float(s[0]), float(s[1])), channel)
+    return meet(chan, e, s, max(rate, 0.0))
 
 
 def trace_rd_curve(p: JointPmf, d: DistortionSpec, multipliers) -> list[RdPoint]:

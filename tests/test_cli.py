@@ -337,6 +337,36 @@ class TestFailureModes:
         assert result.exit_code == 2
         assert not out.exists()
 
+    def test_ci_non_finite_pmf_exit_two(self, runner, tmp_path):
+        nan = tmp_path / "nan.json"
+        nan.write_text(json.dumps({"alphabet_sizes": [2, 2], "pmf": [float("nan"), 0.5, 0.25, 0.25]}))
+        result = runner.invoke(main, ["ci", "--source", str(nan)])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
+    @pytest.mark.parametrize("dvals", ["nan,0.1", "inf,0.1"])
+    def test_rd_non_finite_distortion_exit_two(self, runner, dsbs_file, dvals):
+        result = runner.invoke(main, ["rd", "--source", dsbs_file, "--D", dvals])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
+    def test_member_non_finite_rates_exit_two(self, runner, dsbs_file, tmp_path):
+        rates = tmp_path / "rates.json"
+        rates.write_text(json.dumps({"R0": float("nan"), "privates": [float("nan")] * 2}))
+        result = runner.invoke(
+            main, ["member", "--source", dsbs_file, "--rates", str(rates), "--D", "0.05,0.05"]
+        )
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
+    def test_c3_zero_restarts_exit_two(self, runner, dsbs_file):
+        result = runner.invoke(
+            main, ["c3", "--source", dsbs_file, "--D", "0.05,0.05", "--method", "star",
+                   "--restarts", "0"]
+        )
+        assert result.exit_code == 2
+        assert "restarts" in result.output
+
     def test_threads_validation(self, runner):
         result = runner.invoke(main, ["--threads", "0", "dsbs", "ci", "--a1", "0.1"])
         assert result.exit_code == 2

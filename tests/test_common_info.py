@@ -25,6 +25,7 @@ from witl.common_info import (
 from witl.prob import (
     LOG2,
     JointPmf,
+    ProbabilityError,
     binary_entropy,
     entropy,
     marginalize,
@@ -42,6 +43,19 @@ def dsbs(a1=0.1):
     p11 = (1 - a1) ** 2 * 0.5 + a1**2 * 0.5
     p10 = a1 * (1 - a1)
     return JointPmf((2, 2), np.array([[p11, p10], [p10, p11]]))
+
+
+class TestSolveBudget:
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_rejects_no_restarts(self, restarts):
+        # no restart leaves the descent no run to pick from
+        with pytest.raises(ProbabilityError, match="restarts"):
+            SolveBudget(restarts=restarts)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1e-3, 1.0, np.nan])
+    def test_rejects_grid_resolution_outside_unit_interval(self, resolution):
+        with pytest.raises(ProbabilityError, match="grid_resolution"):
+            SolveBudget(grid_resolution=resolution)
 
 
 class TestBounds:

@@ -39,6 +39,12 @@ class TestRatePoint:
         with pytest.raises(ProbabilityError):
             RatePoint(0.1, (-0.1, 0.1))
 
+    @pytest.mark.parametrize("rates", [(np.nan, (0.1, 0.1)), (0.1, (0.1, np.nan)), (np.inf, (0.1, 0.1))])
+    def test_rejects_non_finite(self, rates):
+        # a NaN rate never compares below what a witness needs
+        with pytest.raises(ProbabilityError, match="finite"):
+            RatePoint(*rates)
+
 
 class TestMembership:
     def test_generous_rates_are_members(self):

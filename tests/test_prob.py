@@ -48,6 +48,12 @@ class TestJointPmf:
         with pytest.raises(ProbabilityError):
             JointPmf((2, 3), np.full((2, 2), 0.25))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN fails both the sign check and the sum check, so it must be named
+        with pytest.raises(ProbabilityError, match="finite"):
+            JointPmf((2, 2), np.array([bad, 0.5, 0.25, 0.25]))
+
     def test_json_round_trip(self):
         p = dsbs()
         doc = json.dumps(p.to_json_obj())
@@ -129,6 +135,11 @@ class TestChannels:
     def test_conditional_rows_validate(self):
         with pytest.raises(ProbabilityError):
             ConditionalPmf(2, (2,), np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_conditional_rows_reject_non_finite(self, bad):
+        with pytest.raises(ProbabilityError, match="finite"):
+            ConditionalPmf(2, (2,), np.array([[bad, 0.5], [0.5, 0.5]]))
 
     def test_mixture_reconstructs_dsbs(self):
         a1 = 0.1

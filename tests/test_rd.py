@@ -17,6 +17,7 @@ from witl.prob import (
 from witl.rd import (
     DistortionSpec,
     InfeasibleDistortion,
+    SweepResolutionError,
     ba_conditional_rd,
     ba_joint_rd,
     ba_rate_distortion,
@@ -54,6 +55,11 @@ class TestDistortionSpec:
         with pytest.raises(ProbabilityError):
             DistortionSpec((np.array([[0.0, -1.0], [1.0, 0.0]]),), (2,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ProbabilityError, match="finite"):
+            DistortionSpec((np.array([[0.0, bad], [1.0, 0.0]]),), (2,))
+
     def test_json_round_trip(self):
         d = DistortionSpec.hamming((2, 2))
         d2 = DistortionSpec.from_json(d.to_json_obj())
@@ -77,6 +83,14 @@ class TestScalarRd:
     def test_negative_distortion_rejected(self):
         with pytest.raises(InfeasibleDistortion):
             ba_rate_distortion(uniform_bit(), DistortionSpec.hamming((2,)), -0.01)
+
+    @pytest.mark.parametrize("D", [np.nan, np.inf])
+    def test_non_finite_target_rejected_before_kernel(self, monkeypatch, D):
+        monkeypatch.setattr(rd, "_ba_batch", None)  # any kernel call fails loudly
+        with pytest.raises(ProbabilityError, match="finite"):
+            ba_rate_distortion(uniform_bit(), DistortionSpec.hamming((2,)), D)
+        with pytest.raises(ProbabilityError, match="finite"):
+            ba_conditional_rd(dsbs(), DistortionSpec.hamming((2,)), D)
 
     def test_rate_monotone_in_distortion(self):
         d = DistortionSpec.hamming((3,))
@@ -134,6 +148,12 @@ class TestJointRd:
     def test_negative_rejected(self):
         with pytest.raises(InfeasibleDistortion):
             ba_joint_rd(dsbs(), DistortionSpec.hamming((2, 2)), (-0.1, 0.1))
+
+    @pytest.mark.parametrize("D", [(np.nan, 0.1), (np.inf, 0.1), (0.1, np.nan)])
+    def test_non_finite_target_rejected_before_kernel(self, monkeypatch, D):
+        monkeypatch.setattr(rd, "_ba_batch", None)  # any kernel call fails loudly
+        with pytest.raises(ProbabilityError, match="finite"):
+            ba_joint_rd(dsbs(), DistortionSpec.hamming((2, 2)), D)
 
     def test_below_least_distortion_rejected_before_sweep(self, monkeypatch):
         # X2 costs at least 0.1 to reproduce; D2 = 0.05 is out of reach
@@ -300,6 +320,93 @@ class TestJointStart:
 
 
 weights = st.lists(st.integers(0, 9), min_size=6, max_size=6).filter(lambda m: sum(m) > 0)
+
+
+def zero_rate_shares(p, d, shares):
+    """D at the given shares of each marginal's zero-rate distortion."""
+    return tuple(s * float(np.min(marginalize(p, [i]).mass @ d.matrices[i])) for i, s in enumerate(shares))
+
+
+def channel_distortion(p, d, pt):
+    """E[d_i] of the returned test channel, computed from its own rows."""
+    px, dm = rd._joint_problem(p, d)
+    return np.einsum("x,xh,ixh->i", px, pt.test_channel.rows, dm)
+
+
+def channel_rate_excess(p, pt):
+    """I(X; X̂) of the returned test channel less the reported rate, in bits."""
+    rows = pt.test_channel.rows
+    return mutual_information(JointPmf(rows.shape, p.mass.reshape(-1, 1) * rows), [0]) - pt.rate
+
+
+class TestJointChannelMeetsD:
+    """The returned test channel meets D with no slack, and its rate is near
+    the reported one: the Gray-Wyner witness W = X̂ is built from it."""
+
+    @given(
+        st.sampled_from([(2, 2), (2, 3)]),
+        weights,
+        st.one_of(st.just(0.99999), st.floats(0.1, 1.0)),
+        st.one_of(st.just(0.99999), st.floats(0.1, 1.0)),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_channel_meets_D_exactly(self, sizes, raw, share1, share2):
+        n1, n2 = sizes
+        mass = np.array(raw[: n1 * n2], dtype=float).reshape(sizes)
+        assume(mass.sum() > 0)
+        p, d = JointPmf(sizes, mass / mass.sum()), DistortionSpec.hamming(sizes)
+        D = zero_rate_shares(p, d, (share1, share2))
+        pt = ba_joint_rd(p, d, D)
+        e = channel_distortion(p, d, pt)
+        np.testing.assert_allclose(e, pt.distortion, rtol=0, atol=1e-15)
+        assert np.all(e <= np.array(D)), (e, D)
+
+    @pytest.mark.parametrize("seed, sizes", [(1005, (2, 2)), (1004, (2, 3))])
+    def test_channel_rate_near_reported_rate(self, seed, sizes):
+        # the least-rate evaluated channel that meets D reads 0.0795 and 0.0634 bits above the rate here
+        p, d = random_source(seed, sizes), DistortionSpec.hamming(sizes)
+        pt = ba_joint_rd(p, d, zero_rate_shares(p, d, (0.999, 0.999)))
+        assert channel_rate_excess(p, pt) <= 2e-3
+
+    def test_kink_channel_does_not_overshoot(self):
+        # a channel that meets D only within a 1e-6 slack overshoots D1 by 9.9e-7 here
+        p, d = random_source(1004, (2, 3)), DistortionSpec.hamming((2, 3))
+        D = zero_rate_shares(p, d, (0.99999, 0.2))
+        assert np.all(channel_distortion(p, d, ba_joint_rd(p, d, D)) <= np.array(D))
+
+    @pytest.mark.parametrize("D", [(0.0, 0.1), (0.0, 0.0), (0.05, 0.0)])
+    def test_lossless_coordinate(self, D):
+        # D_i = 0 needs slope s_i at SLOPE_CAP, and the channel that ends there
+        # overshoots D_i = 0 by 5.4e-20 to 2.8e-9
+        p, d = dsbs(), DistortionSpec.hamming((2, 2))
+        pt = ba_joint_rd(p, d, D)
+        assert np.all(channel_distortion(p, d, pt) <= np.array(D))
+        assert channel_rate_excess(p, pt) <= 1e-5
+        lossy = max(D)  # R(0, D2) = H(X1) + R_{X2|X1}(D2), with P(X1 != X2) = 0.18
+        assert pt.rate == pytest.approx(1.0 + H_018 - binary_entropy(lossy), abs=1e-9)
+
+    def test_coordinate_at_positive_least_distortion(self):
+        # no zero in a row of d_1: least_1 = 0.25, reached only by X̂_1 = X_1
+        d = DistortionSpec((np.array([[0.3, 1.0], [1.2, 0.2]]), 1.0 - np.eye(2)), (2, 2))
+        pt = ba_joint_rd(dsbs(), d, (0.25, 0.1))
+        assert np.all(channel_distortion(dsbs(), d, pt) <= np.array([0.25, 0.1]))
+        assert channel_rate_excess(dsbs(), pt) <= 1e-5
+        assert pt.rate == pytest.approx(1.0 + H_018 - binary_entropy(0.1), abs=1e-9)
+
+    def test_target_below_least_distortion_rejected_before_kernel(self, monkeypatch):
+        monkeypatch.setattr(rd, "_ba_batch", None)  # any kernel call fails loudly
+        d = DistortionSpec((np.array([[0.3, 1.0], [1.2, 0.2]]), 1.0 - np.eye(2)), (2, 2))
+        with pytest.raises(InfeasibleDistortion):
+            ba_joint_rd(dsbs(), d, (np.nextafter(0.25, 0.0), 0.1))
+
+    @pytest.mark.parametrize("D", [(0.001, 0.001), (0.0, 0.1), (0.0, 0.0)])
+    def test_overshoot_at_slope_cap_raises(self, D):
+        # under 0.01 Hamming, these need slopes beyond SLOPE_CAP; the supporting
+        # line there reads 0.285 and 0.527 bits at (0, 0.1) and (0, 0), where R
+        # is 1 and 1.680
+        d = DistortionSpec((0.01 * (1.0 - np.eye(2)),) * 2, (2, 2))
+        with pytest.raises(SweepResolutionError):
+            ba_joint_rd(dsbs(), d, D)
 
 
 class TestJointRdProperties:
