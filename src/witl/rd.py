@@ -4,8 +4,8 @@ rate-distortion functions on finite alphabets.
 A query R(D) maximizes the concave dual g(s) = F*(s)/ln 2 - s D over slopes s,
 F* being the Lagrangian minimum: by a safeguarded Newton search on the scalar s
 after one call on doubling slopes (marginal and conditional queries, searched
-in lockstep), or by a projected Newton ascent after a cached 16x16 start sweep
-(joint queries, whose test channel is then mixed into D). Both take their
+in lockstep), or by a projected Newton ascent from the source's best stored supporting
+plane, a new source's from one call on diagonal doubling slopes (joint queries). Both take their
 curvature from ``_dual_hessian`` and make one call of the batched kernel
 ``_ba_batch`` per step, warm-started from the output pmf that the linearization
 predicts. The kernel takes a source pmf per batch entry, so the components w of
@@ -19,6 +19,7 @@ eigendecomposition. Multipliers are in bits per distortion unit throughout.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,9 @@ _DOUBLING_SLOPES = 2.0 ** np.arange(int(np.log2(SLOPE_CAP)) + 1)
 ASCENT_CALLS = 20
 #: an ascent stops once its predicted dual gain is below this many bits
 ASCENT_GAIN_TOL = 1e-12
+#: per joint source (16, first in first out), its 256 newest supporting planes of the
+#: dual: (slope pair, channel, certified Lagrangian minimum in nats)
+_SWEEP_CACHE: dict = {}
 
 
 class InfeasibleDistortion(ValueError):
@@ -255,7 +259,7 @@ def _scalar_search(pxgw, pw, dmat, target):
         raise InfeasibleDistortion(f"distortion {target} below least reachable {least}")
     zero_rate = pxgw @ dmat
     d_at_zero = float(pw @ zero_rate.min(axis=1))
-    if target >= d_at_zero - 1e-15:
+    if target >= d_at_zero:
         conds = np.zeros((nw, *shape))
         conds[np.arange(nw), :, zero_rate.argmin(axis=1)] = 1.0
         rate, point = 0.0, (0.0, d_at_zero, conds)
@@ -380,7 +384,7 @@ def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
 
 
 # ---------------------------------------------------------------------------
-# Joint (two-coordinate) solver: cached slope sweep + projected dual ascent
+# Joint (two-coordinate) solver: stored supporting planes + projected dual ascent
 
 
 def _joint_problem(p: JointPmf, d: DistortionSpec):
@@ -393,28 +397,21 @@ def _joint_problem(p: JointPmf, d: DistortionSpec):
     return px, np.stack([d1, d2])
 
 
-_SWEEP_CACHE: dict = {}
-_DEFAULT_GRID = np.concatenate(([0.0], np.geomspace(1.0 / 32.0, 48.0, 15)))
-
-
-#: iteration cap for joint sweeps; certified dual bounds stay valid at any cap
-JOINT_MAX_ITER = 2500
-
-
-def _slope_points(px, dm, slopes, q0=None, max_iter=MAX_ITER):
+def _slope_points(px, dm, slopes, q0=None):
     """Batched BA at slope vectors (N, k), bits per distortion unit, for the
     stacked distortions dm (k, nx, nxh). Returns rates (bits), channels,
     certified Lagrangian bounds (nats) and expected distortions (N, k)."""
     cost = LOG2 * np.einsum("ni,ixh->nxh", slopes, dm)
-    rates, cond, flb = _ba_batch(px, cost, max_iter=max_iter, q0=q0)
+    rates, cond, flb = _ba_batch(px, cost, q0=q0)
     return rates, cond, flb, np.einsum("x,nxh,ixh->ni", px, cond, dm)
 
 
-def _joint_sweep_cached(p, d, px, dm):
+def _joint_planes(p, d, px, dm):
+    """The source's planes, a new source's from one call at (s, s), s in _DOUBLING_SLOPES."""
     key = (p.alphabet_sizes, p.mass.tobytes(), tuple(m.tobytes() for m in d.matrices), d.repro_sizes)
     if key not in _SWEEP_CACHE:
-        grid = np.stack(np.meshgrid(_DEFAULT_GRID, _DEFAULT_GRID, indexing="ij"), axis=-1).reshape(-1, 2)
-        _SWEEP_CACHE[key] = (grid, *_slope_points(px, dm, grid, max_iter=JOINT_MAX_ITER))
+        diagonal = np.repeat(_DOUBLING_SLOPES[:, None], 2, axis=1)
+        _SWEEP_CACHE[key] = deque(zip(diagonal, *_slope_points(px, dm, diagonal)[1:3]), maxlen=256)
         if len(_SWEEP_CACHE) > 16:
             _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
     return _SWEEP_CACHE[key]
@@ -466,20 +463,21 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
     g(s) = F*(s)/ln 2 - s1 D1 - s2 D2 over 0 <= s <= SLOPE_CAP.
 
     A target that one reproduction pair meets is answered at zero rate first.
-    Otherwise a cached 16x16 slope sweep, one kernel call per source, gives
-    the start and the first supporting lines. A projected Newton ascent then
-    takes the exact gradient E[d_i] - D_i (one-sided on an axis s_i = 0, see
-    _axis_channel) and the exact Hessian from each channel, and makes one
-    single-entry kernel call per trial step, warm-started from the output pmf
-    the incumbent predicts at the trial (its slope derivative from
-    _dual_hessian). A trial is kept unless its certified value falls short of
-    the incumbent's by more than the kernel's tolerance; after a failed trial
-    the next step is damped toward the gradient. The ascent stops once the
-    predicted gain is below ASCENT_GAIN_TOL bits, or after ASCENT_CALLS calls.
+    Otherwise the source's supporting planes (_joint_planes) give the first
+    rate, their maximum at D, and the start, their argmax 5e-7 inside D. A
+    projected Newton ascent then takes the exact gradient E[d_i] - D_i
+    (one-sided on an axis s_i = 0, see _axis_channel) and the exact Hessian,
+    and adds the plane of one single-entry kernel call per trial step,
+    warm-started from the output pmf that the incumbent's slope derivative
+    (_dual_hessian) predicts. A trial is kept unless its certified value
+    falls short of the incumbent's by more than the kernel's tolerance; after
+    a failed trial the next step is damped toward the gradient. The ascent
+    stops once the predicted gain is below ASCENT_GAIN_TOL bits, or after
+    ASCENT_CALLS calls.
 
-    The returned rate is the best certified value of g at D over all evaluated
-    slopes. The test channel is the zero-rate one or the ascent's last (it aims
-    5e-7 inside D), made to meet D with no slack by ``meet``.
+    The returned rate is the best certified value of g at D over the planes.
+    The test channel is the zero-rate one or the ascent's last (it aims 5e-7
+    inside D), made to meet D with no slack by ``meet``.
     """
     target = np.array([float(D[0]), float(D[1])])
     if p.ncoords != 2:
@@ -527,7 +525,7 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
         c[:, j] = 1.0
         return meet(c, zero[:, j], np.zeros(2), 0.0)
 
-    slopes, _, cond, flb, _ = _joint_sweep_cached(p, d, px, dm)
+    planes = _joint_planes(p, d, px, dm)
     aim = target - 5e-7  # aimed a little inside D, so that the ascent's channel usually meets it
 
     def point(chan, s):
@@ -536,12 +534,13 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
         chan = _axis_channel(px, chan, dm, d.repro_sizes, s)
         return chan, np.einsum("x,xh,ixh->i", px, chan, dm), warm
 
-    # supporting-line lower bounds from the certified Lagrangian minima:
-    # R(D1, D2) >= F*(s1, s2) - s1 D1 - s2 D2 at every slope pair
-    rate = float(np.max(flb / LOG2 - slopes @ target))
-    k = int(np.argmax(flb / LOG2 - slopes @ aim))
-    s, val = slopes[k], float(flb[k] / LOG2 - slopes[k] @ aim)
-    chan, e, warm = point(cond[k], s)
+    # supporting-plane lower bounds from the certified Lagrangian minima:
+    # R(D1, D2) >= F*(s1, s2) - s1 D1 - s2 D2 at every stored slope pair
+    slopes, flb = np.array([pl[0] for pl in planes]), np.array([pl[2] for pl in planes]) / LOG2
+    rate = float(np.max(flb - slopes @ target))
+    k = int(np.argmax(flb - slopes @ aim))
+    s, val = slopes[k], float(flb[k] - slopes[k] @ aim)
+    chan, e, warm = point(planes[k][1], s)
     damping = 0.0
     for _ in range(ASCENT_CALLS):
         grad = e - aim
@@ -560,6 +559,7 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
         # warm start: the incumbent's output pmf moved by its slope derivative
         pred = np.maximum(warm + dq @ (LOG2 * (trial - s)), 1e-12)
         _, c, fl, _ = _slope_points(px, dm, trial[None], q0=pred / pred.sum())
+        planes.append((trial, c[0], fl[0]))  # a failed trial's plane is a lower bound too
         certified = float(fl[0]) / LOG2
         rate = max(rate, certified - trial @ target)
         trial_point = point(c[0], trial)

@@ -274,8 +274,8 @@ class TestJointRd:
 
 
 class TestJointStart:
-    """The ascent needs only a start from the cached sweep: a coarse sweep
-    must not cost rate against a fine one, nor split into several calls."""
+    """The ascent needs only a start from the source's stored planes: one call
+    on the diagonal doubling slopes must not cost rate against a fine sweep."""
 
     @pytest.mark.parametrize("sizes", [(2, 2), (3, 3)])
     @pytest.mark.parametrize("seed", range(1000, 1004))
@@ -285,7 +285,7 @@ class TestJointStart:
         px, dm = rd._joint_problem(p, d)
         axis = np.concatenate(([0.0], np.geomspace(1.0 / 32.0, 48.0, 30)))
         fine = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        _, _, flb, _ = rd._slope_points(px, dm, fine, max_iter=rd.JOINT_MAX_ITER)
+        _, _, flb, _ = rd._slope_points(px, dm, fine)
         sizes_seen = []
         real = rd._ba_batch
 
@@ -299,7 +299,34 @@ class TestJointStart:
             D = np.array([share * zero[0], share * zero[1]])
             fine_bound = float(np.max(flb / LOG2 - fine @ D))
             assert ba_joint_rd(p, d, D).rate >= fine_bound - 1e-10, share
-        assert [b for b in sizes_seen if b > 1] == [256]
+        assert [b for b in sizes_seen if b > 1] == [7]
+
+    def test_quantized_gaussian_large_alphabet(self, monkeypatch):
+        # rho = 0.5, cell-centre density masses of 10 cells of width 0.8 on
+        # [-4, 4] per coordinate, squared error: 100 source and reproduction letters
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        centres = -4.0 + 0.8 * (np.arange(10) + 0.5)
+        x, y = np.meshgrid(centres, centres, indexing="ij")
+        mass = np.exp(-(x * x - x * y + y * y) / 1.5)
+        sq = (centres[:, None] - centres[None, :]) ** 2
+        p, d = JointPmf((10, 10), mass / mass.sum()), DistortionSpec((sq, sq), (10, 10))
+        sizes = []
+        real = rd._ba_batch
+
+        def recorded(px, cost, *args, **kwargs):
+            sizes.append(len(cost))
+            return real(px, cost, *args, **kwargs)
+
+        monkeypatch.setattr(rd, "_ba_batch", recorded)
+        assert ba_joint_rd(p, d, (0.2, 0.2)).rate == pytest.approx(2.102749, abs=1e-6)
+        assert sum(b > 1 for b in sizes) == 1 and len(sizes) <= rd.ASCENT_CALLS + 1
+        sizes.clear()
+        D = np.array([0.3, 0.15])
+        rate = ba_joint_rd(p, d, D).rate
+        assert all(b == 1 for b in sizes)
+        (planes,) = rd._SWEEP_CACHE.values()
+        slopes, flb = np.array([pl[0] for pl in planes]), np.array([pl[2] for pl in planes])
+        assert rate >= np.max(flb / LOG2 - slopes @ D) - 1e-14  # rounding of the dot products
 
     @pytest.mark.parametrize("a1", [0.1, 0.3])
     def test_dsbs_test_channel_is_tight(self, a1):

@@ -134,7 +134,7 @@ class TestKernelCertifies:
     @pytest.mark.parametrize("seed", [1000, 1009, 1011])
     def test_cold_sweep_certified_without_eigendecomposition(self, monkeypatch, seed):
         # the kernel's Newton step is an LU solve, eigh serves only the curvature;
-        # 1009 and 1011 held a growing letter near 1e-9 mass to JOINT_MAX_ITER
+        # 1009 and 1011 held a growing letter near 1e-9 mass in the former 16x16 sweep
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.eigh called")
 
@@ -142,9 +142,21 @@ class TestKernelCertifies:
         monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
         gaps = certified_gaps(monkeypatch)
         p, d = random_source(seed, (3, 3)), DistortionSpec.hamming((3, 3))
-        _, _, _, flb, _ = rd._joint_sweep_cached(p, d, *rd._joint_problem(p, d))
-        assert len(gaps) == 1 and gaps[0].size == len(rd._DEFAULT_GRID) ** 2
-        assert np.all(np.isfinite(flb))
+        planes = rd._joint_planes(p, d, *rd._joint_problem(p, d))
+        assert len(gaps) == 1 and gaps[0].size == len(planes) == len(rd._DOUBLING_SLOPES)
+        assert all(np.isfinite(flb) for _, _, flb in planes)
+        self.assert_certified(gaps)
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("seed", range(1000, 1024))
+    def test_joint_start_certified(self, monkeypatch, seed, sizes):
+        # a 16x16 sweep capped at 2,500 iterations ended five entries open
+        # on the 3x3 sources 1014, 1016 and 1023
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        gaps = certified_gaps(monkeypatch)
+        p, d = random_source(seed, sizes), DistortionSpec.hamming(sizes)
+        rd._joint_planes(p, d, *rd._joint_problem(p, d))
+        assert len(gaps) == 1 and gaps[0].size == len(rd._DOUBLING_SLOPES)
         self.assert_certified(gaps)
 
 
@@ -558,6 +570,20 @@ class TestFailurePolicy:
                 except (InfeasibleDistortion, SweepResolutionError) as exc:
                     outcomes.append(type(exc))
             assert outcomes[0] == outcomes[1], D
+
+
+class TestZeroRateTarget:
+    def test_distortion_never_above_target(self):
+        # D = sum_w min_xhat sum_x p(x, w) d(x, xhat), summed in another order
+        # than the search's own zero-rate distortion, so some D sit an ulp below it
+        rng = np.random.default_rng(0)
+        d = DistortionSpec.hamming((3,))
+        ps = [JointPmf((3, 2), w / w.sum()) for w in rng.integers(0, 10, size=(3000, 3, 2)) if w.sum()]
+        queries = [rd._problem(p, d, np.sum(np.min(p.mass.T @ d.matrices[0], axis=1))) for p in ps]
+        below = [D < pw @ (pxgw @ dmat).min(axis=1) for pxgw, pw, dmat, D in queries]
+        assert sum(below) >= 100
+        points = rd._scalar_query(queries)
+        assert all(pt.distortion[0] <= q[3] for pt, q in zip(points, queries))
 
 
 class TestSubnormalMass:
