@@ -24,8 +24,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import xlogy
 
 from .prob import (
     LOG2,
@@ -38,6 +36,7 @@ from .prob import (
     mix_channels,
     mutual_information,
     total_variation,
+    xlogy,
 )
 
 FEASIBILITY_TOL = 1e-6  # total variation between the mixture and the target
@@ -50,6 +49,15 @@ DESCENT_MAXITER = 300
 #: bits of rounding the 2x2 grid allows its approximate scores when it picks
 #: the pairs to rescore exactly; not a tolerance (see :func:`_exhaustive_2x2`)
 _SCORE_SLACK = 1e-9
+
+
+def minimize(*args, **kwargs):
+    """:func:`scipy.optimize.minimize`, imported on the first call: loading
+    SciPy's optimizer takes about half a second, and only a penalized descent
+    needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 class CommonInfoInfeasible(RuntimeError):
@@ -292,7 +300,8 @@ def _descent_terms(z, mu, pxu, u_sizes):
     qw = juw.sum(axis=0)
     log_w, log_uw, log_xw = _log0(qw), _log0(juw), _log0(jxw)
     hw = -float(qw @ log_w)
-    i_xw = float(-xlogy(px, px).sum()) + hw + float((jxw * log_xw).sum())
+    # H(X) summed term by term, as before: L-BFGS-B trajectories follow its last bit
+    i_xw = -float((px * _log0(px)).sum()) + hw + float((jxw * log_xw).sum())
     tc = hw + float((juw * log_uw).sum())
     shaped = juw.reshape(tuple(u_sizes) + (K,))
     log_ui = 0.0  # sum_i log p(u_i, w), broadcast over (u_1, .., u_n, w)

@@ -29,7 +29,7 @@ import numpy as np
 from .common_info import CommonInfoInfeasible, SolveBudget, _penalized_descent, solve_common_info
 from .prob import JointPmf, ProbabilityError, joint_with_mixture, mutual_information
 from .rd import (DistortionSpec, InfeasibleDistortion, RdPoint, SweepResolutionError,
-                 ba_joint_rd, conditional_rd_value)
+                 _coordinate_pmf, _problem, _scalar_query, ba_joint_rd)
 
 #: Theorem-3 equality tolerance (bits) for accepting a witness, and the looser
 #: sensitivity tolerance reported alongside.
@@ -85,10 +85,15 @@ class C3Estimate:
         return obj
 
 
+def _witness_query(joint: JointPmf, coord: int, d: DistortionSpec, D: float) -> tuple:
+    """The lockstep query of R_{X_coord | W}(D) for a (W, X...) witness joint."""
+    xw = JointPmf((*joint.alphabet_sizes[1:], joint.alphabet_sizes[0]), np.moveaxis(joint.mass, 0, -1))
+    return _problem(*_coordinate_pmf(xw, d, coord - 1, joint.ncoords - 1), D)
+
+
 def witness_conditional_rate(joint: JointPmf, coord: int, d: DistortionSpec, D: float) -> float:
     """R_{X_coord | W}(D) evaluated for a (W, X...) witness joint."""
-    xw = JointPmf((*joint.alphabet_sizes[1:], joint.alphabet_sizes[0]), np.moveaxis(joint.mass, 0, -1))
-    return conditional_rd_value(xw, d, coord - 1, joint.ncoords - 1, D)
+    return _scalar_query([_witness_query(joint, coord, d, D)])[0].rate
 
 
 def witness_common_rate(joint: JointPmf) -> float:
@@ -96,12 +101,13 @@ def witness_common_rate(joint: JointPmf) -> float:
     return mutual_information(joint, [0])
 
 
-def _scores(joint: JointPmf, d: DistortionSpec, D):
-    """I(X; W), then R_{X_i|W}(D_i) for each coordinate i, computed only as
-    they are consumed, so that a search can stop at the first shortfall."""
-    yield witness_common_rate(joint)
-    for i, Di in enumerate(D):
-        yield witness_conditional_rate(joint, i + 1, d, Di)
+def _private_rates(joints, d: DistortionSpec, D) -> list[tuple[float, ...]]:
+    """(R_{X_1|W}(D_1), .., R_{X_N|W}(D_N)) for each (W, X...) witness joint,
+    all asked in one lockstep search."""
+    points = _scalar_query([_witness_query(joint, i + 1, d, Di)
+                            for joint in joints for i, Di in enumerate(D)])
+    n = len(D)
+    return [tuple(pt.rate for pt in points[k:k + n]) for k in range(0, len(points), n)]
 
 
 def _constant_w(p: JointPmf) -> JointPmf:
@@ -150,7 +156,8 @@ def check_membership(
 ) -> MembershipWitness | None:
     """One-sided D-achievability test: find a W with R0 >= I(X; W) and
     R_i >= R_{X_i|W}(D_i); returns None when the budgeted search fails,
-    which does not certify non-membership."""
+    which does not certify non-membership. A candidate's conditional rates are
+    asked, in one lockstep search, only once its I(X; W) fits R0."""
     budget = budget or SolveBudget()
     d = d or DistortionSpec.hamming(p.alphabet_sizes)
     D = tuple(float(x) for x in D)
@@ -159,13 +166,12 @@ def check_membership(
     # the joint solver takes pairs only
     for joint in _candidate_joints(p, _common_info_auxiliary(p, budget),
                                    lambda: ba_joint_rd(p, d, D) if p.ncoords == 2 else None):
-        needed = []
-        for have, need in zip((rates.R0, *rates.privates), _scores(joint, d, D)):
-            if have < need - MEMBERSHIP_TOL:
-                break
-            needed.append(need)
-        else:
-            return MembershipWitness(joint, needed[0], tuple(needed[1:]))
+        common = witness_common_rate(joint)
+        if rates.R0 < common - MEMBERSHIP_TOL:
+            continue
+        (privates,) = _private_rates([joint], d, D)
+        if all(have >= need - MEMBERSHIP_TOL for have, need in zip(rates.privates, privates)):
+            return MembershipWitness(joint, common, privates)
     return None
 
 
@@ -175,11 +181,14 @@ def _c3_from_candidates(d, D, rp, candidates):
     side is the Gray-Wyner converse R0 >= R_{X1}(D1) + R_{X2}(D2) - R(D1, D2):
     the constant W (first) scores the certified marginal rates, and W = X̂
     (last) scores I(X; X̂), an upper value of R(D1, D2) since the test channel
-    meets D."""
+    meets D. Every candidate's conditional rates are asked in one lockstep
+    search."""
     joint_rate = rp.rate
-    scores = [list(_scores(joint, d, D)) for joint in candidates]
-    lower = max(0.0, scores[0][1] + scores[0][2] - scores[-1][0])
-    scored = [(s[0], abs(sum(s) - joint_rate), joint) for s, joint in zip(scores, candidates)]
+    common = [witness_common_rate(joint) for joint in candidates]
+    privates = _private_rates(candidates, d, D)
+    lower = max(0.0, sum(privates[0]) - common[-1])
+    scored = [(c, abs(sum((c, *r)) - joint_rate), joint)
+              for c, r, joint in zip(common, privates, candidates)]
 
     def pick(tol):
         return min((s for s in scored if s[1] <= tol), key=lambda s: s[0], default=None)

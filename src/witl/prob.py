@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
-from scipy.special import xlogy
 
 LOG2 = np.log(2.0)
 
@@ -117,6 +116,14 @@ class ConditionalPmf:
         rows.setflags(write=False)
         object.__setattr__(self, "out_sizes", sizes)
         object.__setattr__(self, "rows", rows)
+
+
+def xlogy(x, y) -> np.ndarray:
+    """x * log(y) elementwise (natural log), read as 0 where x == 0, so that
+    0 * log 0 = 0; x > 0 with y == 0 gives -inf. Raises no RuntimeWarning."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x * np.log(np.where(x == 0, 1.0, y))
 
 
 def entropy(p: JointPmf | np.ndarray) -> float:

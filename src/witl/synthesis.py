@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .common_info import CommonInfoSolution
-from .prob import LOG2, ConditionalPmf, JointPmf, ProbabilityError, SupportViolation, kron_rows
+from .prob import LOG2, ConditionalPmf, JointPmf, ProbabilityError, SupportViolation, kron_rows, xlogy
 
 #: enumeration budget: (joint alphabet size)^n * codebook size
 ENUMERATION_BUDGET = 50_000_000

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import witl
 from witl import closed_form as cf
 from witl.cli import _round12, main
 from witl.common_info import SolveBudget
@@ -55,6 +60,30 @@ def _commands(command, path=("witl",)):
     yield " ".join(path), command
     for name, sub in getattr(command, "commands", {}).items():
         yield from _commands(sub, path + (name,))
+
+
+_IMPORT_CHECK = """
+import sys
+import witl, witl.cli
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert not loaded, loaded
+from witl.audit import random_source
+from witl.common_info import CommonInfoInfeasible, SolveBudget, solve_common_info
+try:
+    solve_common_info(random_source(1, (3, 3)), K=3, budget=SolveBudget(restarts=1))
+except CommonInfoInfeasible:
+    pass  # the descent ran; only its import is checked here
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_import_loads_no_scipy_until_a_descent():
+    # in a fresh interpreter: this test process has imported SciPy already
+    src = str(Path(witl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_command_has_short_help():

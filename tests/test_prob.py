@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy as scipy_xlogy
 
 from witl.prob import (
     ConditionalPmf,
@@ -18,6 +19,7 @@ from witl.prob import (
     mix_channels,
     mutual_information,
     total_variation,
+    xlogy,
 )
 
 H_01 = 0.46899559358928122  # binary entropy at 0.1
@@ -168,3 +170,34 @@ class TestChannels:
             block = joint.mass[w] / joint.mass[w].sum()
             outer = np.outer(block.sum(axis=1), block.sum(axis=0))
             np.testing.assert_allclose(block, outer, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+class TestXlogy:
+    """prob.xlogy against scipy.special.xlogy, which the library no longer imports."""
+
+    def test_matches_scipy_on_random_arrays(self):
+        rng = np.random.default_rng(0)
+        x = rng.random(2000) * 10.0 ** rng.uniform(-8, 3, 2000)
+        x[rng.random(2000) < 0.1] = 0.0
+        y = rng.random(2000) * 10.0 ** rng.uniform(-12, 12, 2000)
+        ours, ref = xlogy(x, y), scipy_xlogy(x, y)
+        assert np.all(np.abs(ours - ref) <= 4e-16 * np.abs(ref))
+        assert np.array_equal(ours == 0, ref == 0)
+
+    def test_zero_times_log_zero_is_zero(self):
+        assert xlogy(0.0, 0.0) == 0.0
+        np.testing.assert_array_equal(xlogy(np.zeros(3), np.array([0.0, 0.5, 2.0])), 0.0)
+        assert entropy(np.array([0.5, 0.5, 0.0])) == pytest.approx(1.0, abs=1e-15)
+
+    def test_positive_times_log_zero_is_minus_inf(self):
+        assert xlogy(2.0, 0.0) == -np.inf
+        np.testing.assert_array_equal(xlogy(np.array([1e-300, 3.0]), 0.0), -np.inf)
+
+    def test_broadcasts_like_scipy(self):
+        x = np.array([[0.0], [0.5], [2.0]])
+        y = np.array([0.0, 0.25, 1.0, 3.0])
+        ours = xlogy(x, y)
+        assert ours.shape == (3, 4)
+        np.testing.assert_array_equal(ours, scipy_xlogy(x, y))
+        np.testing.assert_array_equal(xlogy(0.5, y), scipy_xlogy(0.5, y))
