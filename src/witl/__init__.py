@@ -25,7 +25,6 @@ from .rd import (
     ba_conditional_rd,
     ba_joint_rd,
     ba_rate_distortion,
-    trace_rd_curve,
 )
 from .common_info import (
     CommonInfoInfeasible,
@@ -85,7 +84,7 @@ __all__ = [
     "binary_entropy", "entropy", "joint_with_mixture", "kl_divergence",
     "marginalize", "mix_channels", "mutual_information", "total_variation",
     "DistortionSpec", "InfeasibleDistortion", "RdPoint", "SweepResolutionError",
-    "ba_conditional_rd", "ba_joint_rd", "ba_rate_distortion", "trace_rd_curve",
+    "ba_conditional_rd", "ba_joint_rd", "ba_rate_distortion",
     "CommonInfoInfeasible", "CommonInfoSolution", "SolveBudget",
     "bsc_broadcast_source", "common_info_bounds", "solve_common_info",
     "C3Estimate", "MembershipWitness", "RatePoint",

@@ -9,14 +9,14 @@ emitted as "frontier" records, never asserted.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import closed_form as cf
 from .common_info import SolveBudget, bsc_broadcast_source, common_info_bounds, solve_common_info
 from .prob import JointPmf, ProbabilityError, binary_entropy, entropy, mutual_information
-from .rd import DistortionSpec, ba_joint_rd, coordinate_rd_values
+from .rd import DistortionSpec, coordinate_rd_values
 
 AUDIT_TOL = 1e-4
 
@@ -76,9 +76,8 @@ def audit_lemma1(p: JointPmf, d: DistortionSpec, D1: float, D2: float) -> AuditR
     """The five joint/marginal/conditional rate-distortion inequalities."""
     if p.ncoords != 2:
         raise ProbabilityError("lemma-1 audit is for pairs")
-    queries = [(0, None, D1), (1, None, D2), (0, 1, D1)]
-    r1, r2, r1g2 = (pt.rate for pt in coordinate_rd_values(p, d, queries))
-    rj = ba_joint_rd(p, d, (D1, D2)).rate
+    queries = [(0, None, D1), (1, None, D2), (0, 1, D1), ((0, 1), None, (D1, D2))]
+    r1, r2, r1g2, rj = (pt.rate for pt in coordinate_rd_values(p, d, queries))
     mi = mutual_information(p, [0])
     checks = [
         _ineq("Rd1: marginal >= conditional", r1, r1g2),

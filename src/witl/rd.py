@@ -3,14 +3,15 @@ rate-distortion functions on finite alphabets.
 
 A query R(D) maximizes the concave dual g(s) = F*(s)/ln 2 - s D over slopes s,
 F* being the Lagrangian minimum: by a safeguarded Newton search on the scalar s
-after one call on doubling slopes (marginal and conditional queries, searched
-in lockstep), or by a projected Newton ascent from the source's best stored supporting
-plane, a new source's from one call on diagonal doubling slopes (joint queries). Both take their
-curvature from ``_dual_hessian`` and make one call of the batched kernel
-``_ba_batch`` per step, warm-started from the output pmf that the linearization
-predicts. The kernel takes a source pmf per batch entry, so the components w of
-a conditional problem, and the lockstep's independent queries, share each call;
-it alternates as Blahut-Arimoto does and, at each dual-gap check, takes one
+after one call on doubling slopes (marginal and conditional queries), or by a
+projected Newton ascent from the source's best stored supporting plane, a new
+source's from one call on diagonal doubling slopes (joint queries). Both take
+their curvature from ``_dual_hessian`` and ask one kernel call per step,
+warm-started from the output pmf that the linearization predicts. Searches run
+in lockstep (``_lockstep``): a round is one call of the batched kernel
+``_ba_batch`` on every open search's request, padded to the round's largest
+alphabets, and the components w of a conditional problem share it too. The
+kernel alternates as Blahut-Arimoto does and, at each dual-gap check, takes one
 Newton step on the alternation's fixed point, so that calls near critical
 slopes end on their certificate. That step is one batched LU solve of the fixed
 point's linearization; the curvature applies its pseudo-inverse through one
@@ -136,12 +137,12 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
     px: (nx,) source pmf shared by every entry, or (B, nx) one per entry;
     cost: (B, nx, nxh) slope-weighted cost exponents in *nats* (i.e. sum_i s_i
     * d_i with s in nats per distortion unit); q0: optional warm-start output
-    pmf, (nxh,) or (B, nxh). Returns rates (B,) in bits, per-batch
-    conditionals (B, nx, nxh), and certified lower bounds (B,) on the
-    Lagrangian minimum in nats (valid at any iteration count, from the dual
-    gap of the current output distribution).
+    pmf, (nxh,) or (B, nxh); tol: the stopping gap in nats, shared or (B,).
+    Returns rates (B,) in bits, per-batch conditionals (B, nx, nxh), and
+    certified lower bounds (B,) on the Lagrangian minimum in nats (valid at any
+    iteration count, from the dual gap of the current output distribution).
 
-    An entry stops once its gap is below RATE_TOL. Checks come every 16
+    An entry stops once its gap is below its tol. Checks come every 16
     iterations, and each takes one Newton step per open entry on the fixed
     point q (c - 1) = 0: one batched LU solve of the ridged linearization
     (_fixed_point_matrix + 1e-15 max diag I) u = q (c - 1), dq = q u, applied
@@ -154,6 +155,7 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
     bsz, nx, nxh = cost.shape
     a = np.exp(-cost)
     px = np.broadcast_to(np.asarray(px, dtype=float), (bsz, nx))
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (bsz,))
     if q0 is None:
         q = np.full((bsz, nxh), 1.0 / nxh)
     else:
@@ -217,7 +219,7 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
             if np.all(done):
                 break
             keep = ~done
-            active, a, q, px, support = active[keep], a[keep], q[keep], px[keep], support[keep]
+            active, a, q, px, support, tol = active[keep], a[keep], q[keep], px[keep], support[keep], tol[keep]
             cond, gap, ch = cond[keep], gap[keep], ch[keep]
         m = _fixed_point_matrix(np.swapaxes(px[:, :, None] * cond, 1, 2) @ cond, q, ch)
         # zero-mass letters and X̂_i duplicates at s_i = 0 make M singular; a ridge
@@ -248,8 +250,30 @@ def _zero_distortion_rate(pxgw, dmat):
 
 
 def _scalar_search(pxgw, pw, dmat, target):
-    """One query of _scalar_query as a generator: it yields the (px, cost, q0, tol)
-    of each kernel call it needs, is sent back (conditionals, bounds), and returns its RdPoint."""
+    """R_{X|W}(target) by a Newton search on the scalar dual, as a generator for
+    _lockstep: it yields the (px, cost, q0, tol) of each kernel call it needs, is
+    sent back (conditionals, bounds), and returns its RdPoint; W = 1 gives R_X.
+
+    pxgw: (W, nx) component source pmfs with weights pw (W,). At a common
+    slope the components decouple, so each kernel call solves them all, and
+    g(s) = pw . F*_w(s) / ln 2 - s * target has g' = E[d] - target. One cold
+    call on the doubling slopes 1, 2, ..., SLOPE_CAP brackets the target between
+    lo and hi, the least slope that meets it. From the slope of best certified
+    g, Newton steps s - g'/g'' (g'' pw-weighted from _dual_hessian) aim 1e-10 of
+    the distortion range below the target, so that the last iterate meets it; a
+    step out of (lo, hi) bisects. Each is one call run to a gap of RATE_TOL/1000
+    from the output pmfs that the incumbent's slope derivative predicts, floored
+    at 1e-3. A search stops once the predicted gain is below ASCENT_GAIN_TOL
+    and hi's distortion is within 1e-7 of the range of the target, once
+    hi - lo < 1e-12, or after ASCENT_CALLS calls.
+
+    The rate is the best certified dual bound pw . F*_w(s) / ln 2 - s * target
+    over the evaluated slopes. The slope and distortion are those of the least
+    evaluated slope whose distortion meets the target, and so is the test
+    channel when W = 1. A target below the least reachable distortion raises
+    InfeasibleDistortion before any kernel call; one that even SLOPE_CAP leaves
+    unbracketed raises SweepResolutionError.
+    """
     if not np.isfinite(target):
         raise ProbabilityError(f"distortion target {target} is not finite")
     nw = len(pxgw)
@@ -310,34 +334,14 @@ def _scalar_search(pxgw, pw, dmat, target):
     return RdPoint((dist,), max(rate, 0.0), (slope,), channel)
 
 
-def _scalar_query(queries) -> list[RdPoint]:
-    """R_{X|W}(target) for each query (pxgw, pw, dmat, target) by Newton searches
-    on the scalar dual, run in lockstep; W = 1 gives R_X.
-
-    pxgw: (W, nx) component source pmfs with weights pw (W,). At a common
-    slope the components decouple, so each kernel call solves them all, and
-    g(s) = pw . F*_w(s) / ln 2 - s * target has g' = E[d] - target. One cold
-    call on the doubling slopes 1, 2, ..., SLOPE_CAP brackets the target between
-    lo and hi, the least slope that meets it. From the slope of best certified
-    g, Newton steps s - g'/g'' (g'' pw-weighted from _dual_hessian) aim 1e-10 of
-    the distortion range below the target, so that the last iterate meets it; a
-    step out of (lo, hi) bisects. Each is one call run to a gap of RATE_TOL/1000
-    from the output pmfs that the incumbent's slope derivative predicts, floored
-    at 1e-3. A search stops once the predicted gain is below ASCENT_GAIN_TOL
-    and hi's distortion is within 1e-7 of the range of the target, once
-    hi - lo < 1e-12, or after ASCENT_CALLS calls. The queries are independent, so
-    a round is one kernel call per dmat shape over the components of every open
-    search; only the kernel's stopping tolerance sees the other queries.
-
-    The rate is the best certified dual bound pw . F*_w(s) / ln 2 - s * target
-    over the evaluated slopes. The slope and distortion are those of the least
-    evaluated slope whose distortion meets the target, and so is the test
-    channel when W = 1. A target below the least reachable distortion raises
-    InfeasibleDistortion before any kernel call; one that even SLOPE_CAP leaves
-    unbracketed raises SweepResolutionError.
-    """
-    searches = [_scalar_search(*q) for q in queries]
-    points, replies = [None] * len(queries), dict.fromkeys(range(len(queries)))
+def _lockstep(searches) -> list[RdPoint]:
+    """The RdPoint of each search, a generator as _scalar_search and _joint_search
+    are, run in lockstep: a round sends every open search the reply to its last
+    request and makes one kernel call (_round_call) on the requests they yield.
+    Every search raises on a bad target before the first call. The searches are
+    independent, but the entries of a call share its check cadence, so a search's
+    bounds may move within their stopping tolerance with the company it keeps."""
+    points, replies = [None] * len(searches), dict.fromkeys(range(len(searches)))
     while replies:
         asked = []
         for i, reply in replies.items():
@@ -345,21 +349,39 @@ def _scalar_query(queries) -> list[RdPoint]:
                 asked.append((i, searches[i].send(reply)))
             except StopIteration as stop:
                 points[i] = stop.value
-        # a round holds the k-th call of every open search: all cold or all warm
-        replies = {}
-        for shape in dict.fromkeys(args[1].shape[1:] for _, args in asked):
-            ids, group = zip(*((i, args) for i, args in asked if args[1].shape[1:] == shape))
-            px, cost, q0, tol = zip(*group)
-            _, conds, flb = _ba_batch(np.concatenate(px), np.concatenate(cost), tol=tol[0],
-                                      q0=None if q0[0] is None else np.concatenate(q0))
-            at = 0
-            for i, c in zip(ids, cost):
-                replies[i], at = (conds[at:at + len(c)], flb[at:at + len(c)]), at + len(c)
+        replies = dict(zip([i for i, _ in asked], _round_call([r for _, r in asked]))) if asked else {}
     return points
 
 
+def _round_call(requests) -> list[tuple]:
+    """(conditionals, bounds) for each (px, cost, q0, tol) request of a lockstep
+    round, from one _ba_batch call. A lone request goes to the kernel as it is.
+    Otherwise each is padded to the round's largest (nx, nxh): a padded source
+    letter has no mass, so it enters no certificate or rate; a padded
+    reproduction letter costs +inf, so its mass is 0 after the first update. In
+    a round with warm starts, padded letters start at 0 and a cold request
+    uniform on its own letters. Replies are sliced back to each request's shape."""
+    if len(requests) == 1:
+        px, cost, q0, tol = requests[0]
+        _, conds, flb = _ba_batch(px, cost, q0=q0, tol=tol)
+        return [(conds, flb)]
+    shapes = [cost.shape for _, cost, _, _ in requests]
+    sizes, nx, nxh = (np.array(n) for n in zip(*shapes))
+    rows, nx, nxh = np.cumsum([0, *sizes]), nx.max(), nxh.max()
+    px, cost = np.zeros((rows[-1], nx)), np.zeros((rows[-1], nx, nxh))
+    q0 = None if all(r[2] is None for r in requests) else np.zeros((rows[-1], nxh))
+    for (p, c, q, _), (b, x, h), at in zip(requests, shapes, rows):
+        px[at:at + b, :x] = p
+        cost[at:at + b, :x, h:] = np.inf
+        cost[at:at + b, :x, :h] = c
+        if q0 is not None:
+            q0[at:at + b, :h] = 1.0 / h if q is None else q
+    _, conds, flb = _ba_batch(px, cost, q0=q0, tol=np.repeat([r[3] for r in requests], sizes))
+    return [(conds[at:at + b, :x, :h], flb[at:at + b]) for (b, x, h), at in zip(shapes, rows)]
+
+
 def _problem(p: JointPmf, d: DistortionSpec, D) -> tuple:
-    """The _scalar_query query of R_{X|W}(D) for an (X, W) p, or of R_X(D) for a 1-coordinate p."""
+    """The _scalar_search arguments of R_{X|W}(D) for an (X, W) p, or of R_X(D) for a 1-coordinate p."""
     pxw = p.mass.reshape(p.alphabet_sizes[0], -1)
     pw = pxw.sum(axis=0)
     return (pxw[:, pw > 0] / pw[pw > 0]).T, pw[pw > 0], d.matrices[0], float(D)
@@ -369,7 +391,7 @@ def ba_rate_distortion(p: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
     """Marginal R_X(D) for a single-coordinate source."""
     if p.ncoords != 1:
         raise ProbabilityError("ba_rate_distortion expects a 1-coordinate pmf")
-    return _scalar_query([_problem(p, d, D)])[0]
+    return _lockstep([_scalar_search(*_problem(p, d, D))])[0]
 
 
 def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
@@ -380,7 +402,7 @@ def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
     """
     if pxw.ncoords != 2:
         raise ProbabilityError("ba_conditional_rd expects an (X, W) pmf")
-    return _scalar_query([_problem(pxw, d, D)])[0]
+    return _lockstep([_scalar_search(*_problem(pxw, d, D))])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -395,26 +417,6 @@ def _joint_problem(p: JointPmf, d: DistortionSpec):
     d1 = np.kron(d.matrices[0], np.ones((n2, m2)))
     d2 = np.kron(np.ones((n1, m1)), d.matrices[1])
     return px, np.stack([d1, d2])
-
-
-def _slope_points(px, dm, slopes, q0=None):
-    """Batched BA at slope vectors (N, k), bits per distortion unit, for the
-    stacked distortions dm (k, nx, nxh). Returns rates (bits), channels,
-    certified Lagrangian bounds (nats) and expected distortions (N, k)."""
-    cost = LOG2 * np.einsum("ni,ixh->nxh", slopes, dm)
-    rates, cond, flb = _ba_batch(px, cost, q0=q0)
-    return rates, cond, flb, np.einsum("x,nxh,ixh->ni", px, cond, dm)
-
-
-def _joint_planes(p, d, px, dm):
-    """The source's planes, a new source's from one call at (s, s), s in _DOUBLING_SLOPES."""
-    key = (p.alphabet_sizes, p.mass.tobytes(), tuple(m.tobytes() for m in d.matrices), d.repro_sizes)
-    if key not in _SWEEP_CACHE:
-        diagonal = np.repeat(_DOUBLING_SLOPES[:, None], 2, axis=1)
-        _SWEEP_CACHE[key] = deque(zip(diagonal, *_slope_points(px, dm, diagonal)[1:3]), maxlen=256)
-        if len(_SWEEP_CACHE) > 16:
-            _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
-    return _SWEEP_CACHE[key]
 
 
 def _axis_channel(px, cond, dm, repro, s):
@@ -460,11 +462,12 @@ def _dual_hessian(px, cond, dm, s):
 
 def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
     """Joint R_{X1X2}(D1, D2) as the maximum of the concave dual
-    g(s) = F*(s)/ln 2 - s1 D1 - s2 D2 over 0 <= s <= SLOPE_CAP.
+    g(s) = F*(s)/ln 2 - s1 D1 - s2 D2 over 0 <= s <= SLOPE_CAP (_joint_search).
 
     A target that one reproduction pair meets is answered at zero rate first.
-    Otherwise the source's supporting planes (_joint_planes) give the first
-    rate, their maximum at D, and the start, their argmax 5e-7 inside D. A
+    Otherwise the source's stored supporting planes (_SWEEP_CACHE) give the
+    first rate, their maximum at D, and the start, their argmax 5e-7 inside D;
+    a new source's come from one call at (s, s), s in _DOUBLING_SLOPES. A
     projected Newton ascent then takes the exact gradient E[d_i] - D_i
     (one-sided on an axis s_i = 0, see _axis_channel) and the exact Hessian,
     and adds the plane of one single-entry kernel call per trial step,
@@ -479,6 +482,11 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
     The test channel is the zero-rate one or the ascent's last (it aims 5e-7
     inside D), made to meet D with no slack by ``meet``.
     """
+    return _lockstep([_joint_search(p, d, D)])[0]
+
+
+def _joint_search(p: JointPmf, d: DistortionSpec, D):
+    """One ba_joint_rd query as a generator for _lockstep, as _scalar_search is."""
     target = np.array([float(D[0]), float(D[1])])
     if p.ncoords != 2:
         raise ProbabilityError("ba_joint_rd expects a 2-coordinate pmf")
@@ -525,7 +533,14 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
         c[:, j] = 1.0
         return meet(c, zero[:, j], np.zeros(2), 0.0)
 
-    planes = _joint_planes(p, d, px, dm)
+    key = (p.alphabet_sizes, p.mass.tobytes(), tuple(m.tobytes() for m in d.matrices), d.repro_sizes)
+    if key not in _SWEEP_CACHE:
+        diagonal = np.repeat(_DOUBLING_SLOPES[:, None], 2, axis=1)
+        conds, flb = yield px, LOG2 * np.einsum("ni,ixh->nxh", diagonal, dm), None, RATE_TOL
+        _SWEEP_CACHE[key] = deque(zip(diagonal, conds, flb), maxlen=256)
+        if len(_SWEEP_CACHE) > 16:
+            _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
+    planes = _SWEEP_CACHE[key]
     aim = target - 5e-7  # aimed a little inside D, so that the ascent's channel usually meets it
 
     def point(chan, s):
@@ -558,7 +573,7 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
             break
         # warm start: the incumbent's output pmf moved by its slope derivative
         pred = np.maximum(warm + dq @ (LOG2 * (trial - s)), 1e-12)
-        _, c, fl, _ = _slope_points(px, dm, trial[None], q0=pred / pred.sum())
+        c, fl = yield px, LOG2 * np.einsum("ni,ixh->nxh", trial[None], dm), pred / pred.sum(), RATE_TOL
         planes.append((trial, c[0], fl[0]))  # a failed trial's plane is a lower bound too
         certified = float(fl[0]) / LOG2
         rate = max(rate, certified - trial @ target)
@@ -575,46 +590,26 @@ def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
     return meet(chan, e, s, max(rate, 0.0))
 
 
-def trace_rd_curve(p: JointPmf, d: DistortionSpec, multipliers) -> list[RdPoint]:
-    """Evaluate the sweep at an explicit multiplier grid (scalars or pairs)."""
-    multipliers = list(multipliers)
-    if not multipliers:
-        raise ProbabilityError("multiplier grid must be nonempty")
-    if p.ncoords == 1:
-        px, dm = p.mass, np.stack(d.matrices[:1])
-    elif p.ncoords == 2:
-        px, dm = _joint_problem(p, d)
-    else:
-        raise ProbabilityError("trace_rd_curve supports 1 or 2 coordinates")
-    slopes = np.array(multipliers, dtype=float).reshape(len(multipliers), -1)
-    rates, cond, _, dd = _slope_points(px, dm, slopes)
-    return [
-        RdPoint(
-            tuple(float(x) for x in dd[i]), float(rates[i]), tuple(float(x) for x in slopes[i]),
-            ConditionalPmf(px.size, (dm.shape[2],), cond[i]),
-        )
-        for i in range(len(slopes))
-    ]
-
-
-def _coordinate_pmf(p: JointPmf, d: DistortionSpec, coord: int, given: int | None):
-    """The pmf of X_coord, or of (X_coord, X_given), and X_coord's spec."""
-    keep = [coord] if given is None else [coord, given]
+def _coordinate_pmf(p: JointPmf, d: DistortionSpec, coord, given: int | None):
+    """The pmf of X_coord, or of (X_coord, X_given), and X_coord's spec; coord is a
+    coordinate or, for a joint query, a tuple of them. Keeping all of p in
+    order keeps p itself, so its joint queries share one plane store."""
+    coords = [coord] if np.ndim(coord) == 0 else list(coord)
+    keep = coords if given is None else [*coords, given]
+    spec = DistortionSpec(tuple(d.matrices[c] for c in coords), tuple(d.repro_sizes[c] for c in coords))
+    if keep == list(range(p.ncoords)):
+        return p, spec
     mass = np.moveaxis(p.mass, keep, range(len(keep))).sum(axis=tuple(range(len(keep), p.ncoords)))
-    return JointPmf(mass.shape, mass), DistortionSpec((d.matrices[coord],), (d.repro_sizes[coord],))
+    return JointPmf(mass.shape, mass), spec
 
 
 def coordinate_rd_values(p: JointPmf, d: DistortionSpec, queries) -> list[RdPoint]:
     """R_{X_coord}(D), or R_{X_coord | X_given}(D), for each (coord, given or
-    None, D) of a multi-coordinate source, in order, by one lockstep search."""
-    return _scalar_query([_problem(*_coordinate_pmf(p, d, c, g), D) for c, g, D in queries])
-
-
-def marginal_rd_value(p: JointPmf, d: DistortionSpec, coord: int, D: float) -> float:
-    """Convenience: R_{X_coord}(D) for a multi-coordinate source."""
-    return ba_rate_distortion(*_coordinate_pmf(p, d, coord, None), D).rate
-
-
-def conditional_rd_value(p: JointPmf, d: DistortionSpec, coord: int, given: int, D: float) -> float:
-    """Convenience: R_{X_coord | X_given}(D) for a multi-coordinate source."""
-    return ba_conditional_rd(*_coordinate_pmf(p, d, coord, given), D).rate
+    None, D) of a multi-coordinate source, in order, by one lockstep search
+    (_lockstep), whose every round is one kernel call. A joint query
+    ((i, j), None, (D_i, D_j)) asks R_{X_i X_j}(D_i, D_j) as ba_joint_rd does."""
+    return _lockstep([
+        _scalar_search(*_problem(*_coordinate_pmf(p, d, c, g), D)) if np.ndim(c) == 0
+        else _joint_search(*_coordinate_pmf(p, d, c, g), D)
+        for c, g, D in queries
+    ])

@@ -396,6 +396,9 @@ class TestFailureModes:
         assert result.exit_code == 2
         assert "restarts" in result.output
 
-    def test_threads_validation(self, runner):
-        result = runner.invoke(main, ["--threads", "0", "dsbs", "ci", "--a1", "0.1"])
+    def test_synth_zero_seeds_exit_two(self, runner, dsbs_file):
+        result = runner.invoke(
+            main, ["synth", "--source", dsbs_file, "--R0", "0.94", "--n", "4", "--seeds", "0"]
+        )
         assert result.exit_code == 2
+        assert "seeds" in result.output

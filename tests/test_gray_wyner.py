@@ -17,7 +17,7 @@ from witl.gray_wyner import (
     witness_conditional_rate,
 )
 from witl.prob import JointPmf, ProbabilityError
-from witl.rd import DistortionSpec, marginal_rd_value
+from witl.rd import DistortionSpec, coordinate_rd_values
 
 C_DSBS_01 = 0.74208585854971740
 
@@ -162,11 +162,11 @@ class TestConverseLowerSide:
 
         def lockstep(queries):
             searches.append(len(queries))
-            return rd._scalar_query(queries)
+            return rd._lockstep(queries)
 
         monkeypatch.setattr(rd, "ba_rate_distortion", counted("marginal", rd.ba_rate_distortion))
         monkeypatch.setattr(rd, "ba_conditional_rd", counted("conditional", rd.ba_conditional_rd))
-        monkeypatch.setattr(gray_wyner, "_scalar_query", lockstep)
+        monkeypatch.setattr(gray_wyner, "_lockstep", lockstep)
         real = gray_wyner._c3_from_candidates
 
         def scored(d, D, rp, candidates):
@@ -204,4 +204,4 @@ class TestConverseLowerSide:
     def test_constant_w_scores_marginal_rates(self, coord, D):
         p, d = random_source(2, (2, 3)), DistortionSpec.hamming((2, 3))
         rate = witness_conditional_rate(gray_wyner._constant_w(p), coord, d, D)
-        assert rate == pytest.approx(marginal_rd_value(p, d, coord - 1, D), abs=1e-12)
+        assert rate == pytest.approx(coordinate_rd_values(p, d, [(coord - 1, None, D)])[0].rate, abs=1e-12)

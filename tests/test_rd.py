@@ -21,9 +21,6 @@ from witl.rd import (
     ba_conditional_rd,
     ba_joint_rd,
     ba_rate_distortion,
-    conditional_rd_value,
-    marginal_rd_value,
-    trace_rd_curve,
 )
 
 # frozen reference values (30-digit independent computation)
@@ -285,7 +282,7 @@ class TestJointStart:
         px, dm = rd._joint_problem(p, d)
         axis = np.concatenate(([0.0], np.geomspace(1.0 / 32.0, 48.0, 30)))
         fine = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        _, _, flb, _ = rd._slope_points(px, dm, fine)
+        _, _, flb = rd._ba_batch(px, LOG2 * np.einsum("ni,ixh->nxh", fine, dm))
         sizes_seen = []
         real = rd._ba_batch
 
@@ -460,35 +457,3 @@ class TestJointRdProperties:
         assert swapped == pytest.approx(rate, abs=1e-7)
         assert ba_joint_rd(p, d, (D1 + step * zero[0], D2)).rate <= rate + 1e-9
         assert ba_joint_rd(p, d, (D1, D2 + step * zero[1])).rate <= rate + 1e-9
-
-
-class TestTraceAndHelpers:
-    def test_trace_scalar_curve_monotone(self):
-        pts = trace_rd_curve(uniform_bit(), DistortionSpec.hamming((2,)), [0.5, 1.0, 2.0, 4.0])
-        dists = [p.distortion[0] for p in pts]
-        rates = [p.rate for p in pts]
-        assert all(a >= b - 1e-9 for a, b in zip(dists, dists[1:]))
-        assert all(a <= b + 1e-9 for a, b in zip(rates, rates[1:]))
-
-    def test_trace_joint_pairs(self):
-        pts = trace_rd_curve(dsbs(), DistortionSpec.hamming((2, 2)), [(1.0, 1.0), (4.0, 4.0)])
-        assert pts[1].rate >= pts[0].rate
-
-    def test_marginal_helper_matches_direct(self):
-        p = dsbs()
-        d = DistortionSpec.hamming((2, 2))
-        via_helper = marginal_rd_value(p, d, 0, 0.1)
-        direct = ba_rate_distortion(
-            marginalize(p, [0]), DistortionSpec.hamming((2,)), 0.1
-        ).rate
-        assert via_helper == pytest.approx(direct, abs=1e-12)
-        assert via_helper == pytest.approx(1.0 - binary_entropy(0.1), abs=1e-8)
-
-    def test_conditional_helper_matches_direct(self):
-        p = random_source(2, (2, 3))
-        via_helper = conditional_rd_value(p, DistortionSpec.hamming((2, 3)), 1, 0, 0.2)
-        direct = ba_conditional_rd(
-            JointPmf((3, 2), p.mass.T), DistortionSpec.hamming((3,)), 0.2
-        ).rate
-        assert via_helper == pytest.approx(direct, abs=1e-12)
-        assert 0.0 < via_helper < marginal_rd_value(p, DistortionSpec.hamming((2, 3)), 1, 0.2)
