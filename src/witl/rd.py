@@ -1,21 +1,23 @@
 """Alternating-minimization solvers for marginal, conditional, and joint
 rate-distortion functions on finite alphabets.
 
-A query R(D) maximizes the concave dual g(s) = F*(s)/ln 2 - s D over slopes s,
-F* being the Lagrangian minimum: by a safeguarded Newton search on the scalar s
-after one call on doubling slopes (marginal and conditional queries), or by a
-projected Newton ascent from the source's best stored supporting plane, a new
-source's from one call on diagonal doubling slopes (joint queries). Both take
-their curvature from ``_dual_hessian`` and ask one kernel call per step,
-warm-started from the output pmf that the linearization predicts. Searches run
-in lockstep (``_lockstep``): a round is one call of the batched kernel
-``_ba_batch`` on every open search's request, padded to the round's largest
-alphabets, and the components w of a conditional problem share it too. The
+Every query R(D) maximizes the concave dual g(s) = pw . F*_w(s)/ln 2 - s . D
+over slopes 0 <= s <= SLOPE_CAP, F*_w being component w's Lagrangian minimum:
+R_X has one multiplier and one component, R_{X|W} one multiplier and a
+component per letter of W, R_{X1X2} two multipliers and one component. One
+generator, ``_dual_search``, serves all three: a zero-rate rule, a start from
+stored supporting planes or one kernel call on diagonal doubling slopes, and a
+projected Newton ascent with the curvature of ``_dual_hessian``, safeguarded by
+the cuts of the channels it evaluates, one kernel call per step, run to a gap
+of RATE_TOL/1000 for scalar queries and RATE_TOL for joint ones; every kind
+fails at SLOPE_CAP by the one rule of ``meet``. Searches run in lockstep
+(``_lockstep``): a round is one call of the batched kernel ``_ba_batch`` on
+every open search's request, padded to the round's largest alphabets. The
 kernel alternates as Blahut-Arimoto does and, at each dual-gap check, takes one
-Newton step on the alternation's fixed point, so that calls near critical
-slopes end on their certificate. That step is one batched LU solve of the fixed
-point's linearization; the curvature applies its pseudo-inverse through one
-eigendecomposition. Multipliers are in bits per distortion unit throughout.
+Newton step on the alternation's fixed point (one batched LU solve), so that
+calls near critical slopes end on their certificate; the curvature applies the
+same linearization's pseudo-inverse through one eigendecomposition. Multipliers
+are in bits per distortion unit throughout.
 """
 
 from __future__ import annotations
@@ -30,14 +32,18 @@ from .prob import LOG2, ConditionalPmf, JointPmf, ProbabilityError, mutual_infor
 MAX_ITER = 10_000
 RATE_TOL = 1e-10  # nats; certified dual-gap stopping criterion
 SLOPE_CAP = 64.0  # bits per distortion unit
-#: slopes of the scalar search's first round: 1, 2, 4, ..., SLOPE_CAP
+#: slopes of a search's start, on the diagonal: 1, 2, 4, ..., SLOPE_CAP
 _DOUBLING_SLOPES = 2.0 ** np.arange(int(np.log2(SLOPE_CAP)) + 1)
-#: guard on the kernel calls of a scalar or joint ascent; it normally stops on its gain
+#: guard on the trial kernel calls of an ascent; it normally stops on its gain
 ASCENT_CALLS = 20
 #: an ascent stops once its predicted dual gain is below this many bits
 ASCENT_GAIN_TOL = 1e-12
+#: factors on the weights by which ``meet`` mixes a channel into D: 1, then nudged down to 0
+_SHRINKS = 1.0 - np.concatenate(([0.0], 2.0 ** np.arange(-52, 1)))
+#: the fractions of a projected Newton step that an ascent tries, longest first
+_HALVINGS = 0.5 ** np.arange(53)
 #: per joint source (16, first in first out), its 256 newest supporting planes of the
-#: dual: (slope pair, channel, certified Lagrangian minimum in nats)
+#: dual: (slopes, (W, nx, nxh) channels, certified pw . F* in nats), W = 1
 _SWEEP_CACHE: dict = {}
 
 
@@ -238,100 +244,194 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
     return np.maximum(rate_full, 0.0), cond_full, flb_full
 
 
-def _zero_distortion_rate(pxgw, dmat):
-    """R at the least reachable distortion (zero when every row of dmat has a
-    zero) for each (W, nx) source row: BA restricted to each symbol's
-    least-distortion reproductions. Returns certified lower bounds (W,) in
-    bits and conditionals (W, nx, nxh)."""
-    mask = dmat == dmat.min(axis=1, keepdims=True)
-    cost = np.broadcast_to(np.where(mask, 0.0, np.inf), (len(pxgw), *dmat.shape))
-    _, conds, flb = _ba_batch(pxgw, cost)
-    return flb / LOG2, conds
+def _axis_channel(px, cond, dm, repro, s):
+    """cond (W, nx, nxh) with the X̂_i part replaced by its best map wherever s_i = 0.
 
-
-def _scalar_search(pxgw, pw, dmat, target):
-    """R_{X|W}(target) by a Newton search on the scalar dual, as a generator for
-    _lockstep: it yields the (px, cost, q0, tol) of each kernel call it needs, is
-    sent back (conditionals, bounds), and returns its RdPoint; W = 1 gives R_X.
-
-    pxgw: (W, nx) component source pmfs with weights pw (W,). At a common
-    slope the components decouple, so each kernel call solves them all, and
-    g(s) = pw . F*_w(s) / ln 2 - s * target has g' = E[d] - target. One cold
-    call on the doubling slopes 1, 2, ..., SLOPE_CAP brackets the target between
-    lo and hi, the least slope that meets it. From the slope of best certified
-    g, Newton steps s - g'/g'' (g'' pw-weighted from _dual_hessian) aim 1e-10 of
-    the distortion range below the target, so that the last iterate meets it; a
-    step out of (lo, hi) bisects. Each is one call run to a gap of RATE_TOL/1000
-    from the output pmfs that the incumbent's slope derivative predicts, floored
-    at 1e-3. A search stops once the predicted gain is below ASCENT_GAIN_TOL
-    and hi's distortion is within 1e-7 of the range of the target, once
-    hi - lo < 1e-12, or after ASCENT_CALLS calls.
-
-    The rate is the best certified dual bound pw . F*_w(s) / ln 2 - s * target
-    over the evaluated slopes. The slope and distortion are those of the least
-    evaluated slope whose distortion meets the target, and so is the test
-    channel when W = 1. A target below the least reachable distortion raises
-    InfeasibleDistortion before any kernel call; one that even SLOPE_CAP leaves
-    unbracketed raises SweepResolutionError.
+    At s_i = 0 the cost does not see X̂_i, so the kernel leaves that part of
+    the channel arbitrary. Mapping each component's X̂_i to its letter of least
+    expected d_i keeps the rate and the Lagrangian, and its E[d_i] - D_i is the
+    one-sided derivative of the dual along s_i.
     """
-    if not np.isfinite(target):
-        raise ProbabilityError(f"distortion target {target} is not finite")
-    nw = len(pxgw)
-    shape = dmat.shape
-    least = float(pw @ (pxgw @ dmat.min(axis=1)))
-    if target < 0 or target < least - 1e-15:
-        raise InfeasibleDistortion(f"distortion {target} below least reachable {least}")
-    zero_rate = pxgw @ dmat
-    d_at_zero = float(pw @ zero_rate.min(axis=1))
-    if target >= d_at_zero:
-        conds = np.zeros((nw, *shape))
-        conds[np.arange(nw), :, zero_rate.argmin(axis=1)] = 1.0
-        rate, point = 0.0, (0.0, d_at_zero, conds)
-    elif target <= least + 1e-13:
-        # the supporting line at SLOPE_CAP; R(least) bounds R only at or below least
-        _, flb = yield pxgw, np.broadcast_to(SLOPE_CAP * LOG2 * dmat, (nw, *shape)), None, RATE_TOL
-        rate = float(pw @ flb) / LOG2 - SLOPE_CAP * target
-        rates, conds = _zero_distortion_rate(pxgw, dmat)
-        if target <= least:
-            rate = max(rate, float(pw @ rates))
-        point = (SLOPE_CAP, least, conds)
-    else:
-        cost = np.tile((_DOUBLING_SLOPES * LOG2)[:, None, None] * dmat, (nw, 1, 1))
-        conds, flb = yield np.repeat(pxgw, len(_DOUBLING_SLOPES), axis=0), cost, None, RATE_TOL
-        conds = conds.reshape(nw, -1, *shape)
-        dd = pw @ np.einsum("wx,wkxh,xh->wk", pxgw, conds, dmat)
-        bound = pw @ flb.reshape(nw, -1) / LOG2
-        rate = float(np.max(bound - _DOUBLING_SLOPES * target))
-        if not np.any(dd <= target):
-            raise SweepResolutionError(f"slope {SLOPE_CAP} does not reach distortion {target}")
-        first = int(np.argmax(dd <= target))
-        lo, hi = (_DOUBLING_SLOPES[first - 1] if first else 0.0), _DOUBLING_SLOPES[first]
-        point = (float(hi), float(dd[first]), conds[:, first])
-        span = d_at_zero - least
-        aim = target - 1e-10 * span
-        j = int(np.argmax(bound - _DOUBLING_SLOPES * aim))
-        s, val, chan, e = _DOUBLING_SLOPES[j], bound[j] - _DOUBLING_SLOPES[j] * aim, conds[:, j], dd[j]
-        for _ in range(ASCENT_CALLS):
-            hess, dq = _dual_hessian(pxgw, chan, dmat[None], np.array([s]))
-            curv = -LOG2 * float(pw @ hess[:, 0, 0])
-            step = (e - aim) / curv if curv > 0 else np.inf
-            if hi - lo < 1e-12 or (
-                0.5 * (e - aim) * step < ASCENT_GAIN_TOL and point[1] >= target - 1e-7 * span
-            ):
+    c = cond.reshape(*cond.shape[:2], *repro)
+    for i in np.flatnonzero(s <= 0):
+        marg = c.sum(axis=2 + i, keepdims=True)
+        cost = (px.reshape(*px.shape, *[1] * len(repro)) * marg * dm[i].reshape(-1, *repro)).sum(axis=1)
+        letters = np.arange(repro[i]).reshape([-1 if j == i else 1 for j in range(len(repro))])
+        c = np.where(letters == cost.argmin(axis=1 + i, keepdims=True)[:, None], marg, 0.0)
+    return c.reshape(cond.shape)
+
+
+def _dual_hessian(px, cond, dm, s):
+    """Hessian (..., k, k) of the Lagrangian minimum F*(s), nats with s in
+    nats, at the channel's slopes s (k,) in bits, and the slope derivative
+    (..., nxh, k) of its output pmf q, over the leading axes of px and cond.
+
+    The Hessian is the fixed-output curvature -E_x Cov(d_i, d_j) less the
+    response of q, from the kernel's fixed-point linearization
+    (_fixed_point_solve): with dq = q u, (M + diag(q (1 - c))) u = -B ds,
+    B[y, i] = sum_x p(x) W(y|x) (d_i - E[d_i | x]).
+    """
+    joint = px[..., None] * cond
+    dev = dm - np.einsum("...xh,ixh->...ix", cond, dm)[..., None]
+    b = np.einsum("...xh,...ixh->...hi", joint, dev)
+    a = np.exp(-LOG2 * np.einsum("i,ixh->xh", s, dm))
+    q = joint.sum(axis=-2)
+    c = (px / np.maximum(q @ a.T, 1e-300)) @ a
+    resp = _fixed_point_solve(joint, cond, q, c, b)
+    fixed = np.einsum("...xh,...ixh,...jxh->...ij", joint, dev, dev)
+    return -fixed - np.swapaxes(b, -1, -2) @ resp, -q[..., None] * resp
+
+
+def _dual_search(px, pw, dm, repro, target, planes, tol):
+    """R(target) = max over 0 <= s <= SLOPE_CAP of the concave dual
+    g(s) = pw . F*_w(s) / ln 2 - s . target, as a generator for _lockstep: it
+    yields the (px, cost, q0, tol) of each kernel call it needs, is sent back
+    (conditionals, bounds, rates), and returns its RdPoint.
+
+    px (W, nx): component source pmfs with weights pw (W,), which decouple at
+    a common slope, so that each kernel call solves them all; dm (k, nx, nxh):
+    the distortions of the k coordinates of X̂, of sizes repro; planes: a deque
+    of supporting planes (slopes (k,), channels (W, nx, nxh), pw . F* in nats)
+    to start from and add to; tol: the kernel's stopping gap in nats.
+
+    A target that some constant reproduction per component meets within 1e-15
+    is answered at zero rate, before one below the least distortion raises
+    InfeasibleDistortion; both before any kernel call. Empty planes are filled
+    by one call on the diagonal slopes (s, .., s), s in _DOUBLING_SLOPES. From
+    the plane of best value at the target, a projected Newton ascent takes the
+    exact gradient E[d] - target (one-sided on an axis s_i = 0, _axis_channel)
+    and the pw-weighted Hessian (_dual_hessian), damped toward the gradient
+    after a step that does not ascend, or a trial that falls short of the
+    incumbent by more than tol. Any channels c give g(x) <= I(c) + x . (E_c[d]
+    - target), so a maximizer x lies inside the cut where that exceeds the
+    incumbent's value; each plane the search makes adds the cut of its channels
+    (for k = 1 the start's cuts bracket the maximizer). The step is projected
+    onto the box, then halved to its first power-of-two fraction strictly
+    inside every cut. Each trial is one kernel call warm-started from the
+    output pmfs that the incumbent's slope derivative predicts, and adds its
+    plane. The ascent stops once the predicted gain is below ASCENT_GAIN_TOL
+    bits or after ASCENT_CALLS trials.
+
+    The rate is the best certified value of g at the target over the planes;
+    the slopes are the incumbent's, and its channels are made to meet the
+    target by ``meet``. The test channel is returned when W = 1.
+    """
+    if not np.isfinite(target).all():
+        raise ProbabilityError(f"distortion targets {target.tolist()} are not all finite")
+    (nw, nx), (k, _, nxh) = px.shape, dm.shape
+    flat, dmw = (pw[:, None] * px).reshape(-1), np.concatenate((dm,) * nw, axis=1)
+
+    def distortion(chans):
+        """E[d_i] over the components of channels (..., W, nx, nxh)."""
+        return np.einsum("x,...xh,ixh->...i", flat, chans.reshape(*chans.shape[:-3], -1, nxh), dmw)
+
+    hot = np.eye(nxh)[dm.sum(axis=0).argmin(axis=1)].reshape(nx, *repro)  # per x, one of least sum_i d_i
+    least = (pw @ px) @ dm.min(axis=2).T
+
+    def meet(chan, e, s, rate):
+        """The RdPoint of channels chan (distortions e, slopes s) made to meet D: for
+        each D_i they overshoot, every component is mixed with a copy whose X̂_i is
+        moved to its entry in ``hot``, by the largest weight that meets D_i. Should
+        rounding leave D unmet, every coordinate is mixed, by weights nudged down to 0,
+        where the channels are ``hot``, which meets D. An unmet D_i at SLOPE_CAP raises
+        unless the channels' I(X; X̂ | W) is within 1e-4 bits of the rate, which then
+        holds within that."""
+        over = e > target
+        capped = (over & (s >= SLOPE_CAP)).any()
+        lam = np.clip((target - least) / np.maximum(e - least, 1e-300), 0.0, 1.0)
+        for shrink in _SHRINKS:
+            c = chan.reshape(nw, nx, *repro)
+            for i in np.flatnonzero(over):
+                w = lam[i] * shrink
+                one = hot.sum(axis=tuple(1 + j for j in range(k) if j != i), keepdims=True)  # X̂_i's part of hot
+                c = w * c + (1 - w) * one * c.sum(axis=2 + i, keepdims=True)
+            rows = c.reshape(nw, nx, nxh)
+            channel = ConditionalPmf(nx, (nxh,), rows[0]) if nw == 1 else None
+            e = distortion(rows if channel is None else channel.rows)
+            if (e <= target).all():
                 break
-            trial = s + step if lo < s + step < hi else 0.5 * (lo + hi)
-            pred = np.einsum("wx,wxh->wh", pxgw, chan) + dq[:, :, 0] * (LOG2 * (trial - s))
-            pred = np.maximum(pred, 1e-3)  # so that a letter the incumbent froze out can regrow
-            c, fl = yield (pxgw, trial * LOG2 * np.broadcast_to(dmat, (nw, *shape)),
-                           pred / pred.sum(axis=1, keepdims=True), 1e-3 * RATE_TOL)
-            et, bt = float(np.einsum("w,wx,wxh,xh->", pw, pxgw, c, dmat)), float(pw @ fl) / LOG2
-            rate = max(rate, bt - trial * target)
-            lo, hi, point = (lo, trial, (float(trial), et, c)) if et <= target else (trial, hi, point)
-            if bt - trial * aim > val - RATE_TOL / LOG2:
-                s, val, chan, e = trial, bt - trial * aim, c, et
-    slope, dist, conds = point
-    channel = ConditionalPmf(shape[0], (shape[1],), conds[0]) if nw == 1 else None
-    return RdPoint((dist,), max(rate, 0.0), (slope,), channel)
+            over[:] = True
+        if capped and sum(pw[w] * mutual_information(JointPmf((nx, nxh), px[w, :, None] * rows[w]), [0])
+                          for w in range(nw)) > rate + 1e-4:
+            raise SweepResolutionError(f"slope {SLOPE_CAP} does not reach distortion {target.tolist()}")
+        return RdPoint(tuple(e.tolist()), rate, tuple(s.tolist()), channel)
+
+    zero = px @ dm  # (k, W, nxh): E[d_i] of each constant reproduction per component
+    const = (zero - target[:, None, None]).max(axis=0).argmin(axis=1)
+    e = pw @ zero[:, np.arange(nw), const].T
+    if (e <= target + 1e-15).all():
+        return meet(np.repeat(np.eye(nxh)[const][:, None], nx, axis=1), e, np.zeros(k), 0.0)
+    if (target < least).any():
+        raise InfeasibleDistortion(f"distortion {target.tolist()} below least reachable {least.tolist()}")
+
+    def point(chan, s):
+        """Best-map channels, their distortions and the kernel's output pmfs (the warm start)."""
+        warm = np.einsum("wx,wxh->wh", px, chan)
+        chan = chan if (s > 0).all() else _axis_channel(px, chan, dm, repro, s)
+        return chan, distortion(chan), warm
+
+    cold = not planes
+    if cold:
+        diagonal = np.repeat(_DOUBLING_SLOPES[:, None], k, axis=1)
+        cost = np.repeat(LOG2 * np.einsum("ni,ixh->nxh", diagonal, dm), nw, axis=0)
+        conds, flb, rates = yield np.concatenate((px,) * len(diagonal)), cost, None, tol
+        conds = conds.reshape(-1, nw, nx, nxh)
+        planes.extend(zip(diagonal, conds, flb.reshape(-1, nw) @ pw))
+    slopes, fstar = np.array([pl[0] for pl in planes]), np.array([pl[2] for pl in planes])
+    vals = fstar / LOG2 - slopes @ target
+    j = int(vals.argmax())
+    rate, s, val = float(vals[j]), slopes[j], float(vals[j])
+    chan, e, warm = point(planes[j][1], s)
+    # g(x) <= I(c) + x . (E_c[d] - target) for any channels c, so a maximizer x of
+    # g, where g(x) >= val, lies inside the cut of each plane this search makes
+    cut_i = rates.reshape(-1, nw) @ pw if cold else np.zeros(0)
+    cut_d = (distortion(conds) if cold else np.zeros((0, k))) - target
+    eye = np.eye(k)
+    damping, calls, hess = 0.0, 0, None
+    while calls < ASCENT_CALLS:
+        grad = e - target
+        free = np.where(grad > 0, s < SLOPE_CAP, s > 0)  # the slopes that may move along the gradient
+        if not free.any():
+            break
+        if hess is None:
+            hess, dq = _dual_hessian(px, chan, dm, s)
+            hess = -LOG2 * np.einsum("w,wij->ij", pw, hess)
+        # the damped Newton step on the free slopes, 0 on the others
+        damped = np.where(np.outer(free, free), hess + (damping + 1e-12) * eye, eye)
+        step = np.linalg.solve(damped, np.where(free, grad, 0.0))
+        if grad @ step - 0.5 * step @ hess @ step < ASCENT_GAIN_TOL:
+            break
+        move = np.minimum(np.maximum(s + step, 0.0), SLOPE_CAP) - s
+        # the first power-of-two fraction of the move strictly inside every cut
+        toward = cut_d @ move
+        limit = np.divide(cut_i + cut_d @ s - val, -toward, out=np.full(len(toward), 2.0), where=toward < 0)
+        fractions = _HALVINGS[_HALVINGS < limit.min(initial=2.0)]
+        if grad @ move <= 0 or not fractions.size:
+            # the projected step does not ascend inside the cuts: damp it toward the gradient
+            damping = max(10.0 * damping, 4.0 * np.linalg.norm(grad[free]) / np.linalg.norm(step))
+            continue
+        trial = s + fractions[0] * move
+        if (trial == s).all():
+            break
+        # warm start: the incumbent's output pmfs moved by their slope derivative
+        pred = np.maximum(warm + dq @ (LOG2 * (trial - s)), 1e-12)
+        calls += 1
+        c, fl, r = yield (px, (LOG2 * np.einsum("i,ixh->xh", trial, dm))[None].repeat(nw, axis=0),
+                          pred / pred.sum(axis=1, keepdims=True), tol)
+        fl = float(pw @ fl)
+        planes.append((trial, c, fl))  # a failed trial's plane is a lower bound and a cut too
+        trial_point = point(c, trial)
+        # the kernel's rate is I(X; X̂ | W) of c, at least that of its best map
+        cut_i, cut_d = np.concatenate((cut_i, [pw @ r])), np.concatenate((cut_d, [trial_point[1] - target]))
+        value = fl / LOG2 - trial @ target
+        rate = max(rate, value)
+        # a trial within the kernel's tolerance of the incumbent is no worse
+        if value > val - tol / LOG2:
+            s, val, (chan, e, warm), hess = trial, value, trial_point, None
+            damping /= 3.0
+        else:  # at least the damping that cuts the failed step to a quarter
+            damping = max(10.0 * damping, 4.0 * np.linalg.norm(grad[free]) / np.linalg.norm(trial - s))
+    return meet(chan, e, s, max(rate, 0.0))
 
 
 def _lockstep(searches) -> list[RdPoint]:
@@ -354,7 +454,7 @@ def _lockstep(searches) -> list[RdPoint]:
 
 
 def _round_call(requests) -> list[tuple]:
-    """(conditionals, bounds) for each (px, cost, q0, tol) request of a lockstep
+    """(conditionals, bounds, rates) for each (px, cost, q0, tol) request of a lockstep
     round, from one _ba_batch call. A lone request goes to the kernel as it is.
     Otherwise each is padded to the round's largest (nx, nxh): a padded source
     letter has no mass, so it enters no certificate or rate; a padded
@@ -363,8 +463,8 @@ def _round_call(requests) -> list[tuple]:
     uniform on its own letters. Replies are sliced back to each request's shape."""
     if len(requests) == 1:
         px, cost, q0, tol = requests[0]
-        _, conds, flb = _ba_batch(px, cost, q0=q0, tol=tol)
-        return [(conds, flb)]
+        rates, conds, flb = _ba_batch(px, cost, q0=q0, tol=tol)
+        return [(conds, flb, rates)]
     shapes = [cost.shape for _, cost, _, _ in requests]
     sizes, nx, nxh = (np.array(n) for n in zip(*shapes))
     rows, nx, nxh = np.cumsum([0, *sizes]), nx.max(), nxh.max()
@@ -376,8 +476,8 @@ def _round_call(requests) -> list[tuple]:
         cost[at:at + b, :x, :h] = c
         if q0 is not None:
             q0[at:at + b, :h] = 1.0 / h if q is None else q
-    _, conds, flb = _ba_batch(px, cost, q0=q0, tol=np.repeat([r[3] for r in requests], sizes))
-    return [(conds[at:at + b, :x, :h], flb[at:at + b]) for (b, x, h), at in zip(shapes, rows)]
+    rates, conds, flb = _ba_batch(px, cost, q0=q0, tol=np.repeat([r[3] for r in requests], sizes))
+    return [(conds[at:at + b, :x, :h], flb[at:at + b], rates[at:at + b]) for (b, x, h), at in zip(shapes, rows)]
 
 
 def _problem(p: JointPmf, d: DistortionSpec, D) -> tuple:
@@ -385,6 +485,15 @@ def _problem(p: JointPmf, d: DistortionSpec, D) -> tuple:
     pxw = p.mass.reshape(p.alphabet_sizes[0], -1)
     pw = pxw.sum(axis=0)
     return (pxw[:, pw > 0] / pw[pw > 0]).T, pw[pw > 0], d.matrices[0], float(D)
+
+
+def _scalar_search(pxgw, pw, dmat, target):
+    """R_{X|W}(target) for (W, nx) component source pmfs pxgw with weights pw
+    (W = 1 gives R_X) as a generator for _lockstep: _dual_search on one
+    coordinate from no stored planes, its kernel calls run to a gap of
+    RATE_TOL / 1000."""
+    return _dual_search(pxgw, pw, dmat[None], dmat.shape[1:], np.array([float(target)]), deque(),
+                        RATE_TOL / 1000)
 
 
 def ba_rate_distortion(p: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
@@ -414,180 +523,34 @@ def _joint_problem(p: JointPmf, d: DistortionSpec):
     n1, n2 = p.alphabet_sizes
     m1, m2 = d.repro_sizes
     px = p.mass.reshape(-1)
-    d1 = np.kron(d.matrices[0], np.ones((n2, m2)))
-    d2 = np.kron(np.ones((n1, m1)), d.matrices[1])
-    return px, np.stack([d1, d2])
-
-
-def _axis_channel(px, cond, dm, repro, s):
-    """cond with the X̂_i half replaced by its best map wherever s_i = 0.
-
-    At s_i = 0 the cost does not see X̂_i, so the kernel leaves that half of
-    the channel arbitrary. Mapping each x̂_j to the x̂_i of least expected d_i
-    keeps the rate and the Lagrangian, and its E[d_i] - D_i is the one-sided
-    derivative of the dual along s_i.
-    """
-    c = cond.reshape(-1, *repro)
-    for i in np.flatnonzero(s <= 0):
-        ci = np.moveaxis(c, 1 + i, 1)
-        marg = ci.sum(axis=1)
-        di = np.moveaxis(dm[i].reshape(-1, *repro), 1 + i, 1)[:, :, 0]
-        best = np.einsum("x,xb,xa->ab", px, marg, di).argmin(axis=0)
-        ci = np.zeros_like(ci)
-        ci[:, best, np.arange(best.size)] = marg
-        c = np.moveaxis(ci, 1, 1 + i)
-    return c.reshape(cond.shape)
-
-
-def _dual_hessian(px, cond, dm, s):
-    """Hessian (..., k, k) of the Lagrangian minimum F*(s), nats with s in
-    nats, at the channel's slopes s (k,) in bits, and the slope derivative
-    (..., nxh, k) of its output pmf q, over the leading axes of px and cond.
-
-    The Hessian is the fixed-output curvature -E_x Cov(d_i, d_j) less the
-    response of q, from the kernel's fixed-point linearization
-    (_fixed_point_solve): with dq = q u, (M + diag(q (1 - c))) u = -B ds,
-    B[y, i] = sum_x p(x) W(y|x) (d_i - E[d_i | x]).
-    """
-    joint = px[..., None] * cond
-    dev = dm - np.einsum("...xh,ixh->...ix", cond, dm)[..., None]
-    b = np.einsum("...xh,...ixh->...hi", joint, dev)
-    a = np.exp(-LOG2 * np.einsum("i,ixh->xh", s, dm))
-    q = joint.sum(axis=-2)
-    c = (px / np.maximum(q @ a.T, 1e-300)) @ a
-    resp = _fixed_point_solve(joint, cond, q, c, b)
-    fixed = np.einsum("...xh,...ixh,...jxh->...ij", joint, dev, dev)
-    return -fixed - np.swapaxes(b, -1, -2) @ resp, -q[..., None] * resp
+    d1 = np.broadcast_to(d.matrices[0][:, None, :, None], (n1, n2, m1, m2))
+    d2 = np.broadcast_to(d.matrices[1][None, :, None, :], (n1, n2, m1, m2))
+    return px, np.stack([d1, d2]).reshape(2, n1 * n2, m1 * m2)
 
 
 def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
     """Joint R_{X1X2}(D1, D2) as the maximum of the concave dual
-    g(s) = F*(s)/ln 2 - s1 D1 - s2 D2 over 0 <= s <= SLOPE_CAP (_joint_search).
-
-    A target that one reproduction pair meets is answered at zero rate first.
-    Otherwise the source's stored supporting planes (_SWEEP_CACHE) give the
-    first rate, their maximum at D, and the start, their argmax 5e-7 inside D;
-    a new source's come from one call at (s, s), s in _DOUBLING_SLOPES. A
-    projected Newton ascent then takes the exact gradient E[d_i] - D_i
-    (one-sided on an axis s_i = 0, see _axis_channel) and the exact Hessian,
-    and adds the plane of one single-entry kernel call per trial step,
-    warm-started from the output pmf that the incumbent's slope derivative
-    (_dual_hessian) predicts. A trial is kept unless its certified value
-    falls short of the incumbent's by more than the kernel's tolerance; after
-    a failed trial the next step is damped toward the gradient. The ascent
-    stops once the predicted gain is below ASCENT_GAIN_TOL bits, or after
-    ASCENT_CALLS calls.
-
-    The returned rate is the best certified value of g at D over the planes.
-    The test channel is the zero-rate one or the ascent's last (it aims 5e-7
-    inside D), made to meet D with no slack by ``meet``.
-    """
+    g(s) = F*(s)/ln 2 - s1 D1 - s2 D2 over 0 <= s <= SLOPE_CAP (_joint_search)."""
     return _lockstep([_joint_search(p, d, D)])[0]
 
 
 def _joint_search(p: JointPmf, d: DistortionSpec, D):
-    """One ba_joint_rd query as a generator for _lockstep, as _scalar_search is."""
-    target = np.array([float(D[0]), float(D[1])])
+    """One ba_joint_rd query as a generator for _lockstep: _dual_search from the
+    source's stored planes (_SWEEP_CACHE), its kernel calls run to a gap of
+    RATE_TOL; a new source's planes are stored once there are some."""
     if p.ncoords != 2:
         raise ProbabilityError("ba_joint_rd expects a 2-coordinate pmf")
-    if not np.all(np.isfinite(target)):
-        raise ProbabilityError(f"distortion targets {target.tolist()} are not all finite")
     px, dm = _joint_problem(p, d)
-    hot = np.eye(dm.shape[2])[dm.sum(axis=0).argmin(axis=1)]  # per x, a pair of least d_1 and d_2
-    least = np.einsum("x,xh,ixh->i", px, hot, dm)
-    if np.any(target < least):
-        raise InfeasibleDistortion(f"distortion {target.tolist()} below least reachable {least.tolist()}")
-
-    def meet(chan, e, s, rate):
-        """The RdPoint of chan (distortions e, slopes s) made to meet D: for each D_i
-        it overshoots, chan is mixed with a copy whose X̂_i is moved to its entry in
-        ``hot``, by the largest weight that meets D_i. Should rounding leave D unmet,
-        both coordinates are mixed, by weights nudged down to 0, where the channel is
-        ``hot``, which meets D. An unmet D_i at SLOPE_CAP raises unless the channel's
-        I(X; X̂) is within 1e-4 bits of the rate, which then holds within that."""
-        over = e > target
-        capped = np.any(over & (s >= SLOPE_CAP))
-        lam = np.clip((target - least) / np.maximum(e - least, 1e-300), 0.0, 1.0)
-        for shrink in 1.0 - np.concatenate(([0.0], 2.0 ** np.arange(-52, 1))):
-            c = chan.reshape(-1, *d.repro_sizes)
-            for i in np.flatnonzero(over):
-                ci = np.moveaxis(c, 1 + i, 1)
-                w = lam[i] * shrink
-                one = hot.reshape(ci.shape[0], *d.repro_sizes).sum(axis=2 - i)  # X̂_i's entry in hot
-                c = np.moveaxis(w * ci + (1 - w) * one[..., None] * ci.sum(1, keepdims=True), 1, 1 + i)
-            channel = ConditionalPmf(px.size, (chan.shape[1],), c.reshape(chan.shape))
-            e = np.einsum("x,xh,ixh->i", px, channel.rows, dm)
-            if np.all(e <= target):
-                break
-            over[:] = True
-        if capped and mutual_information(JointPmf(chan.shape, px[:, None] * channel.rows), [0]) > rate + 1e-4:
-            raise SweepResolutionError(f"slope {SLOPE_CAP} does not reach distortion {target.tolist()}")
-        return RdPoint((float(e[0]), float(e[1])), rate, (float(s[0]), float(s[1])), channel)
-
-    # zero-rate feasibility: a single reproduction pair dominating the target
-    zero = px @ dm
-    ok = np.all(zero <= target[:, None] + 1e-15, axis=0)
-    if np.any(ok):
-        j = int(np.nonzero(ok)[0][0])
-        c = np.zeros_like(dm[0])
-        c[:, j] = 1.0
-        return meet(c, zero[:, j], np.zeros(2), 0.0)
-
     key = (p.alphabet_sizes, p.mass.tobytes(), tuple(m.tobytes() for m in d.matrices), d.repro_sizes)
-    if key not in _SWEEP_CACHE:
-        diagonal = np.repeat(_DOUBLING_SLOPES[:, None], 2, axis=1)
-        conds, flb = yield px, LOG2 * np.einsum("ni,ixh->nxh", diagonal, dm), None, RATE_TOL
-        _SWEEP_CACHE[key] = deque(zip(diagonal, conds, flb), maxlen=256)
-        if len(_SWEEP_CACHE) > 16:
-            _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
-    planes = _SWEEP_CACHE[key]
-    aim = target - 5e-7  # aimed a little inside D, so that the ascent's channel usually meets it
-
-    def point(chan, s):
-        """Best-map channel, its distortions and the kernel's output pmf (the warm start)."""
-        warm = px @ chan
-        chan = _axis_channel(px, chan, dm, d.repro_sizes, s)
-        return chan, np.einsum("x,xh,ixh->i", px, chan, dm), warm
-
-    # supporting-plane lower bounds from the certified Lagrangian minima:
-    # R(D1, D2) >= F*(s1, s2) - s1 D1 - s2 D2 at every stored slope pair
-    slopes, flb = np.array([pl[0] for pl in planes]), np.array([pl[2] for pl in planes]) / LOG2
-    rate = float(np.max(flb - slopes @ target))
-    k = int(np.argmax(flb - slopes @ aim))
-    s, val = slopes[k], float(flb[k] - slopes[k] @ aim)
-    chan, e, warm = point(planes[k][1], s)
-    damping = 0.0
-    for _ in range(ASCENT_CALLS):
-        grad = e - aim
-        free = ((s > 0) | (grad > 0)) & ((s < SLOPE_CAP) | (grad < 0))
-        if not free.any():
-            break
-        hess, dq = _dual_hessian(px, chan, dm, s)
-        curv = -LOG2 * hess[np.ix_(free, free)]
-        step = np.zeros(2)
-        step[free] = np.linalg.solve(curv + (damping + 1e-12) * np.eye(len(curv)), grad[free])
-        if grad @ step - 0.5 * step[free] @ curv @ step[free] < ASCENT_GAIN_TOL:
-            break
-        trial = np.clip(s + step, 0.0, SLOPE_CAP)
-        if np.all(trial == s):
-            break
-        # warm start: the incumbent's output pmf moved by its slope derivative
-        pred = np.maximum(warm + dq @ (LOG2 * (trial - s)), 1e-12)
-        c, fl = yield px, LOG2 * np.einsum("ni,ixh->nxh", trial[None], dm), pred / pred.sum(), RATE_TOL
-        planes.append((trial, c[0], fl[0]))  # a failed trial's plane is a lower bound too
-        certified = float(fl[0]) / LOG2
-        rate = max(rate, certified - trial @ target)
-        trial_point = point(c[0], trial)
-        # a trial within the kernel's tolerance of the incumbent is no worse;
-        # after a failed one the next step is damped toward the gradient
-        if certified - trial @ aim > val - RATE_TOL / LOG2:
-            s, val, (chan, e, warm) = trial, certified - trial @ aim, trial_point
-            damping /= 3.0
-        else:
-            # at least the damping that cuts the failed step to a quarter
-            damping = max(10.0 * damping, 4.0 * np.linalg.norm(grad[free]) / np.linalg.norm(trial - s))
-
-    return meet(chan, e, s, max(rate, 0.0))
+    planes = _SWEEP_CACHE.get(key, deque(maxlen=256))
+    try:
+        return (yield from _dual_search(px[None], np.ones(1), dm, d.repro_sizes,
+                                        np.array([float(D[0]), float(D[1])]), planes, RATE_TOL))
+    finally:
+        if planes and key not in _SWEEP_CACHE:
+            _SWEEP_CACHE[key] = planes
+            if len(_SWEEP_CACHE) > 16:
+                _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
 
 
 def _coordinate_pmf(p: JointPmf, d: DistortionSpec, coord, given: int | None):

@@ -433,6 +433,23 @@ class TestJointChannelMeetsD:
             ba_joint_rd(dsbs(), d, D)
 
 
+class TestOneSearch:
+    @pytest.mark.parametrize("sizes", [(3, 3), (2, 3), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("seed", range(1000, 1004))
+    def test_product_source_joint_rate_is_sum_of_marginal_rates(self, seed, sizes):
+        # on p(x1) p(x2) the joint dual separates, so the joint search (two
+        # multipliers) and the two scalar searches (one each) maximize the same
+        # function: R_{X1X2}(D1, D2) = R_{X1}(D1) + R_{X2}(D2)
+        marginals = [marginalize(random_source(seed, sizes), [i]) for i in range(2)]
+        p = JointPmf(sizes, np.outer(marginals[0].mass, marginals[1].mass))
+        d = DistortionSpec.hamming(sizes)
+        for shares in ((0.2, 0.5), (0.5, 0.8), (0.8, 0.2)):
+            D = zero_rate_shares(p, d, shares)
+            separate = sum(ba_rate_distortion(m, DistortionSpec.hamming((n,)), Di).rate
+                           for m, n, Di in zip(marginals, sizes, D))
+            assert ba_joint_rd(p, d, D).rate == pytest.approx(separate, abs=1e-9), shares
+
+
 class TestJointRdProperties:
     @given(
         st.sampled_from([(2, 2), (2, 3)]),

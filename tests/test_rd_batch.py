@@ -18,7 +18,6 @@ from witl.rd import (
     InfeasibleDistortion,
     SweepResolutionError,
     _ba_batch,
-    _zero_distortion_rate,
     ba_conditional_rd,
     ba_rate_distortion,
     coordinate_rd_values,
@@ -63,15 +62,6 @@ class TestPerEntryKernel:
         repeated = _ba_batch(np.repeat(px[2:3], len(cost), axis=0), cost)
         for a, b in zip(shared, repeated):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
-
-    def test_zero_distortion_rows_equal_separate_calls(self):
-        px, _ = per_entry_problem()
-        dmat = 1.0 - np.eye(3)
-        rates, conds = _zero_distortion_rate(px, dmat)
-        for b in range(len(px)):
-            r1, c1 = _zero_distortion_rate(px[b : b + 1], dmat)
-            assert abs(rates[b] - r1[0]) <= 1e-12
-            assert np.abs(conds[b] - c1[0]).max() <= 1e-12
 
 
 def certified_gaps(monkeypatch):
@@ -586,6 +576,20 @@ class TestScalarQueryProperties:
         assert rates[0] >= rates[1] - 1e-9
 
 
+def erasure_segment_rate(D: float) -> float:
+    """R(D) of a fair bit under d = [[0, 1, 0.3], [1, 0, 0.3]] for D on the
+    segment from the all-erasure point (0.3, 0) to its tangent point t on
+    1 - h(D), where (1 - h(t)) = log2((1 - t) / t) (0.3 - t), by bisection."""
+    lo, hi = 0.05, 0.29
+    for _ in range(100):
+        t = 0.5 * (lo + hi)
+        if np.log2((1 - t) / t) * (0.3 - t) > 1 - binary_entropy(t):
+            lo = t
+        else:
+            hi = t
+    return (1 - binary_entropy(t)) * D / (0.3 - t)
+
+
 class TestErasureKink:
     def test_rate_on_the_linear_segment(self):
         # d(x, erasure) = 0.3 puts D = 0.15 on the segment of R(D) from the
@@ -607,6 +611,16 @@ class TestErasureKink:
         assert max(0.3895096, exact - 1e-6) <= pt.rate <= exact + 1e-12
         assert pt.rate <= channel_rate(p.mass, pt.test_channel)
         assert pt.distortion[0] <= 0.15
+
+    def test_reaches_the_exact_rate_within_the_call_guard(self, monkeypatch):
+        # the cuts of the evaluated slopes bracket the kink slope, where the
+        # dual has a corner and Newton steps alone overshoot it both ways
+        calls = kernel_calls(monkeypatch)
+        d = DistortionSpec((np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 0.3]]),), (3,))
+        rate = ba_rate_distortion(JointPmf((2,), np.array([0.5, 0.5])), d, 0.15).rate
+        exact = erasure_segment_rate(0.15)
+        assert exact - 1e-9 <= rate <= exact + 1e-12
+        assert len(calls) <= rd.ASCENT_CALLS + 1
 
 
 class TestNearLeastDistortion:
@@ -651,6 +665,31 @@ class TestFailurePolicy:
             assert outcomes[0] == outcomes[1], D
 
 
+class TestLeastDistortionPolicy:
+    def test_marginal_conditional_and_joint_at_zero_distortion(self):
+        # at D = 0 each query needs its slopes at SLOPE_CAP; under Hamming the
+        # mixed channel is lossless and its rate certified, while 0.01 Hamming
+        # leaves the supporting line there far below R, so all three raise
+        a1 = 0.1
+        same, diff = 0.5 * ((1 - a1) ** 2 + a1**2), a1 * (1 - a1)
+        p = JointPmf((2, 2), np.array([[same, diff], [diff, same]]))
+        for scale in (1.0, 0.01):
+            d1 = DistortionSpec((scale * (1.0 - np.eye(2)),), (2,))
+            d2 = DistortionSpec((scale * (1.0 - np.eye(2)),) * 2, (2, 2))
+            queries = (lambda: ba_rate_distortion(marginalize(p, [0]), d1, 0.0),
+                       lambda: ba_conditional_rd(p, d1, 0.0),
+                       lambda: rd.ba_joint_rd(p, d2, (0.0, 0.0)))
+            if scale == 1.0:
+                h_cond = entropy(p) - 1.0  # H(X1 | X2) = h(P(X1 != X2))
+                rates = [query().rate for query in queries]
+                np.testing.assert_allclose(rates, [1.0, h_cond, 1.0 + h_cond], rtol=0, atol=1e-9)
+                assert h_cond == pytest.approx(0.680, abs=1e-3)
+            else:
+                for query in queries:
+                    with pytest.raises(SweepResolutionError):
+                        query()
+
+
 class TestZeroRateTarget:
     def test_distortion_never_above_target(self):
         # D = sum_w min_xhat sum_x p(x, w) d(x, xhat), summed in another order
@@ -663,6 +702,19 @@ class TestZeroRateTarget:
         assert sum(below) >= 100
         points = rd._lockstep([rd._scalar_search(*q) for q in queries])
         assert all(pt.distortion[0] <= q[3] for pt, q in zip(points, queries))
+
+    def test_one_query_at_a_time_makes_no_kernel_call(self, monkeypatch):
+        # the zero-rate answer is checked before any kernel call, within 1e-15
+        # of D, and mixed into D; a search that misses it runs up to 21 calls
+        calls = kernel_calls(monkeypatch)
+        rng = np.random.default_rng(0)
+        d = DistortionSpec.hamming((3,))
+        ps = [JointPmf((3, 2), w / w.sum()) for w in rng.integers(0, 10, size=(3000, 3, 2)) if w.sum()]
+        for p in ps:
+            D = np.sum(np.min(p.mass.T @ d.matrices[0], axis=1))
+            pt = ba_conditional_rd(p, d, D)
+            assert pt.rate == 0.0 and pt.distortion[0] <= D
+        assert calls == []
 
 
 class TestSubnormalMass:
