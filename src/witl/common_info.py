@@ -8,10 +8,12 @@ Two search routes:
   gridded, so the returned minimum is global up to grid resolution; every
   candidate pair is scored from per-point entropies and a near-optimal
   shortlist is rescored exactly;
-* penalized descent for everything else: q(w|x) is optimized by L-BFGS-B with
+* penalized descent for everything else: q(w|x) is optimized by L-BFGS with
   the closed-form gradient under a ramped conditional-total-correlation
-  penalty, which keeps the X-marginal exact by construction. Results on this
-  route are certified upper bounds only.
+  penalty, which keeps the X-marginal exact by construction. :func:`minimize`
+  is that L-BFGS, in NumPy: it runs every restart in lockstep, one stacked
+  gradient evaluation per round. Results on this route are certified upper
+  bounds only.
 
 The descent is written for a channel q(w|u) from any variable U that the
 source X reaches: U = X here, and U = the reproduction pair (X̂1, X̂2) for the
@@ -21,7 +23,9 @@ Gray-Wyner common rate in :func:`witl.gray_wyner.c_star`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,23 +45,318 @@ from .prob import (
 
 FEASIBILITY_TOL = 1e-6  # total variation between the mixture and the target
 #: the descent's penalty weight starts at MU_INIT and grows by MU_FACTOR after
-#: each of DESCENT_STAGES L-BFGS-B runs of at most DESCENT_MAXITER iterations
+#: each of DESCENT_STAGES L-BFGS runs of at most DESCENT_MAXITER iterations
 MU_INIT = 1.0
 MU_FACTOR = 10.0
 DESCENT_STAGES = 9
 DESCENT_MAXITER = 300
+#: each run keeps DESCENT_MEMORY (s, y) pairs; its Moré-Thuente line search
+#: asks sufficient decrease WOLFE_C1 and curvature WOLFE_C2 (interval
+#: tolerance 0.1, steps in [0, STEP_MAX]) within LINE_EVALS evaluations; a run
+#: stops once an iteration lowers f by at most REL_REDUCTION * max(|f|, 1) or
+#: max |g| is at most GRAD_TOL. These are L-BFGS-B's defaults without bounds
+#: (m = 10, factr = 1e7, pgtol = 1e-5, maxls = 20).
+DESCENT_MEMORY = 10
+WOLFE_C1, WOLFE_C2 = 1e-3, 0.9
+LINE_EVALS = 20
+STEP_MAX = 1e10
+_EPS = float(np.finfo(float).eps)
+REL_REDUCTION = 1e7 * _EPS
+GRAD_TOL = 1e-5
 #: bits of rounding the 2x2 grid allows its approximate scores when it picks
 #: the pairs to rescore exactly; not a tolerance (see :func:`_exhaustive_2x2`)
 _SCORE_SLACK = 1e-9
 
 
-def minimize(*args, **kwargs):
-    """:func:`scipy.optimize.minimize`, imported on the first call: loading
-    SciPy's optimizer takes about half a second, and only a penalized descent
-    needs it."""
-    from scipy.optimize import minimize as scipy_minimize
+class Minimum(NamedTuple):
+    x: np.ndarray  # (R, n): each run's last accepted iterate
+    fun: np.ndarray  # (R,)
+    nit: np.ndarray  # (R,) iterations of each run
+    nfev: int  # evaluations, summed over the runs
 
-    return scipy_minimize(*args, **kwargs)
+
+def _rowdot(a, b):
+    return (a * b).sum(axis=-1)
+
+
+class _Memory:
+    """The L-BFGS memories of k rows and the inverse Hessian each implies.
+
+    Per row: the pairs (s, y) in ``pairs`` (k, 2, m, n), newest last, unused
+    leading slots zero; the inverse of R = triu(S'Y) (identity on unused
+    slots) and diag(S'Y), both updated as each pair arrives; and the L-BFGS
+    inverse Hessian ``h`` (k, n, n), rebuilt from them at each pair (the
+    identity before the first), so that a direction is one product.
+    """
+
+    def __init__(self, k, n):
+        m = DESCENT_MEMORY
+        self.pairs = np.zeros((k, 2, m, n))
+        self.rinv = np.tile(np.eye(m), (k, 1, 1))
+        self.dg = np.zeros((k, m))
+        self.h = np.tile(np.eye(n), (k, 1, 1))
+        self.used = [0] * k
+
+    def push(self, rows, s, y):
+        """Append the pair (s, y) to the listed rows, dropping the oldest,
+        and rebuild their H from the compact form of Byrd, Nocedal and
+        Schnabel (1994). With T = R^-1 S, D = diag(S'Y) and H0 = gamma I,
+        gamma = s'y / y'y, that form
+        H = gamma I + T' (D + gamma Y Y') T - gamma (T' Y + Y' T)
+        is gamma (I - Y' T)' (I - Y' T) + T' D T."""
+        sel = _rows(rows, len(self.used))
+        w, ri, dg = self.pairs[sel], self.rinv[sel], self.dg[sel]
+        w[:, :, :-1], w[:, 0, -1], w[:, 1, -1] = w[:, :, 1:], s, y
+        sm, ym = w[:, 0], w[:, 1]
+        c = (sm @ y[:, :, None])[:, :, 0]  # s_i'y for every slot, s'y last
+        sy = c[:, -1]
+        # the inverse of [[R, c], [0, s'y]] is [[R^-1, -R^-1 c / s'y], [0, 1 / s'y]]
+        ri[:, :-1, :-1] = ri[:, 1:, 1:]
+        ri[:, -1] = 0.0
+        ri[:, :-1, -1] = (ri[:, :-1, :-1] @ c[:, :-1, None])[:, :, 0] / -sy[:, None]
+        ri[:, -1, -1] = 1.0 / sy
+        dg[:, :-1], dg[:, -1] = dg[:, 1:], sy
+        t = ri @ sm
+        a = -(ym.transpose(0, 2, 1) @ t)  # I - Y' T
+        n = a.shape[1]
+        a.reshape(-1, n * n)[:, :: n + 1] += 1.0
+        gamma = (sy / (y * y).sum(axis=1))[:, None, None]
+        h = gamma * (a.transpose(0, 2, 1) @ a) + t.transpose(0, 2, 1) @ (dg[:, :, None] * t)
+        self.h[sel] = h
+        if not isinstance(sel, slice):  # a slice gathered views, updated in place
+            self.pairs[sel], self.rinv[sel], self.dg[sel] = w, ri, dg
+        for i in rows:
+            self.used[i] = min(self.used[i] + 1, DESCENT_MEMORY)
+
+    def clear(self, i):
+        self.pairs[i], self.dg[i], self.used[i] = 0.0, 0.0, 0
+        self.rinv[i], self.h[i] = np.eye(DESCENT_MEMORY), np.eye(self.h.shape[1])
+
+    def take(self, keep):
+        self.pairs, self.rinv, self.dg, self.h = (a[keep] for a in (self.pairs, self.rinv, self.dg, self.h))
+        self.used = [self.used[i] for i in keep]
+
+    def direction(self, sel, g):
+        """-H g on the rows ``sel``."""
+        return -(self.h[sel] @ g[:, :, None])[:, :, 0]
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stmin, stmax):
+    """One safeguarded step of the Moré-Thuente search (MINPACK-2 dcstep):
+    the interval (stx, fx, dx, sty, fy, dy) updated with the trial (stp, fp,
+    dp), the next trial step, and whether a minimizer is bracketed."""
+    opposite = dp < 0 < dx or dx < 0 < dp
+
+    def root(theta, da, db, flip):
+        # the discriminant of the cubic that interpolates two (step, f, slope)
+        sc = max(abs(theta), abs(da), abs(db))
+        gamma = sc * math.sqrt(max(0.0, (theta / sc) ** 2 - (da / sc) * (db / sc)))
+        return -gamma if flip else gamma
+
+    if fp > fx:  # a higher value: the minimizer is bracketed
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = root(theta, dx, dp, stp < stx)
+        r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        stpf = stpc if abs(stpc - stx) <= abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:  # slopes of opposite sign: bracketed
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = root(theta, dx, dp, stp > stx)
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):  # same sign, the slope shrinks
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = root(theta, dx, dp, stp > stx)
+        r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+        if r < 0 and gamma != 0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stmax if stp > stx else stmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            bound = stp + 0.66 * (sty - stp)
+            stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(stmax, max(stmin, stpf))
+    elif brackt:  # same sign, the slope does not shrink
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        gamma = root(theta, dy, dp, stp > sty)
+        r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+        stpf = stp + r * (sty - stp)
+    else:
+        stpf = stmax if stp > stx else stmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+class _MoreThuente:
+    """The Moré-Thuente line search (MINPACK-2 dcsrch) on phi(t) = f(x + t d),
+    from phi(0) = f0 with slope g0 < 0 and first trial ``stp``. :meth:`step`
+    takes phi and phi' at the trial step and returns (done, next trial):
+    done when the strong Wolfe conditions hold or the search can make no
+    further progress; either way the trial step is taken."""
+
+    def __init__(self, stp, f0, g0):
+        self.brackt, self.stage = False, 1
+        self.finit, self.ginit, self.gtest = f0, g0, WOLFE_C1 * g0
+        self.width, self.width1 = STEP_MAX, 2.0 * STEP_MAX
+        self.stx = self.sty = 0.0
+        self.fx = self.fy = f0
+        self.gx = self.gy = g0
+        self.stmin, self.stmax = 0.0, stp + 4.0 * stp
+
+    def _stalled(self, stp):
+        return self.brackt and (
+            stp <= self.stmin or stp >= self.stmax or self.stmax - self.stmin <= 0.1 * self.stmax
+        )
+
+    def step(self, stp, f, g):
+        ftest = self.finit + stp * self.gtest
+        if self.stage == 1 and f <= ftest and g >= 0:
+            self.stage = 2
+        if (
+            self._stalled(stp)
+            or stp == STEP_MAX and f <= ftest and g <= self.gtest
+            or stp == 0.0 and (f > ftest or g >= self.gtest)
+            or f <= ftest and abs(g) <= WOLFE_C2 * -self.ginit
+        ):
+            return True, stp
+        gt = self.gtest if self.stage == 1 and self.fx >= f > ftest else 0.0
+        # in stage 1 the search steps on phi(t) - t * gtest while phi is
+        # not yet low enough and its slope has not turned up
+        stx, fx, gx, sty, fy, gy, stp, self.brackt = _dcstep(
+            self.stx, self.fx - self.stx * gt, self.gx - gt,
+            self.sty, self.fy - self.sty * gt, self.gy - gt,
+            stp, f - stp * gt, g - gt, self.brackt, self.stmin, self.stmax)
+        self.stx, self.fx, self.gx = stx, fx + stx * gt, gx + gt
+        self.sty, self.fy, self.gy = sty, fy + sty * gt, gy + gt
+        if self.brackt:
+            if abs(self.sty - self.stx) >= 0.66 * self.width1:
+                stp = self.stx + 0.5 * (self.sty - self.stx)
+            self.width1, self.width = self.width, abs(self.sty - self.stx)
+            self.stmin, self.stmax = min(self.stx, self.sty), max(self.stx, self.sty)
+        else:
+            self.stmin = stp + 1.1 * (stp - self.stx)
+            self.stmax = stp + 4.0 * (stp - self.stx)
+        stp = min(max(stp, 0.0), STEP_MAX)
+        return False, self.stx if self._stalled(stp) else stp
+
+
+def _rows(picked, k):
+    """Index ``picked`` of k rows: a slice, a view, when it holds them all."""
+    return slice(None) if len(picked) == k else picked
+
+
+def minimize(fun, x0) -> Minimum:
+    """L-BFGS (Liu and Nocedal 1989) with the Moré-Thuente line search (Moré
+    and Thuente 1994), run on every row of x0 (R, n) in lockstep: each round
+    makes one ``fun`` call on the trial points of the rows still open, and
+    ``fun(x (k, n))`` returns f (k,) and its gradient (k, n), as new arrays.
+
+    Each row runs as an unconstrained L-BFGS-B run does: its own memory of
+    ``DESCENT_MEMORY`` pairs (a pair is kept only if s'y > eps * (-s'g)), a
+    first step 1/|g| along -g and then step 1 along -H g, its own line search,
+    and its own stop (``REL_REDUCTION``, ``GRAD_TOL`` or ``DESCENT_MAXITER``
+    iterations), after which it drops out of the rounds. A search that needs
+    more than ``LINE_EVALS`` evaluations, or a direction that does not
+    descend, returns the row to its iterate with its memory cleared, or stops
+    it if the memory was already empty. Every operation acts row by row, so a
+    row's result does not depend on the rows it runs with.
+    """
+    x = np.array(x0, dtype=float)
+    k, n = x.shape
+    fx, g = fun(x)
+    nfev = k
+    out_x, out_f, out_nit = x.copy(), fx.copy(), np.zeros(k, dtype=int)
+    mem = _Memory(k, n)
+    d = -g
+    # per row, as Python floats: f, and the current search's f(0), slope and step
+    f, gd0 = fx.tolist(), _rowdot(g, d).tolist()
+    f0, stp = list(f), [min(1.0 / math.sqrt(-v), STEP_MAX) if v < 0 else STEP_MAX for v in gd0]
+    ids, nit, evals = list(range(k)), [0] * k, [0] * k
+    searches = {}  # row id -> its _MoreThuente, once its first trial step fails
+    stop = [v <= GRAD_TOL for v in np.abs(g).max(axis=1).tolist()]
+    while True:
+        if any(stop):
+            out = [i for i in range(k) if stop[i]]
+            rid = [ids[i] for i in out]
+            out_x[rid], out_f[rid], out_nit[rid] = x[out], [f[i] for i in out], [nit[i] for i in out]
+            keep = [i for i in range(k) if not stop[i]]
+            x, g, d = x[keep], g[keep], d[keep]
+            mem.take(keep)
+            ids, f, f0, gd0, stp, nit, evals = ([v[i] for i in keep] for v in (ids, f, f0, gd0, stp, nit, evals))
+            k, stop = len(keep), [False] * len(keep)
+        if not k:
+            return Minimum(out_x, out_f, out_nit, nfev)
+        xt = x + np.array(stp)[:, None] * d
+        ft, gt = fun(xt)
+        nfev += k
+        gdt = _rowdot(gt, d).tolist()
+        gmax = np.abs(gt).max(axis=1).tolist()
+        acc, pair, turn, spent = [], [], [], []
+        for i, fi in enumerate(ft.tolist()):
+            evals[i] += 1
+            gi = gdt[i]
+            if not (fi <= f0[i] + stp[i] * (WOLFE_C1 * gd0[i]) and abs(gi) <= WOLFE_C2 * -gd0[i]):
+                if ids[i] not in searches:
+                    searches[ids[i]] = _MoreThuente(stp[i], f0[i], gd0[i])
+                found, step = searches[ids[i]].step(stp[i], fi, gi)
+                if not found:
+                    stp[i] = step
+                    if evals[i] >= LINE_EVALS:
+                        spent.append(i)
+                    continue
+            searches.pop(ids[i], None)
+            acc.append(i)
+            nit[i] += 1
+            if nit[i] >= DESCENT_MAXITER or gmax[i] <= GRAD_TOL or (
+                f[i] - fi <= REL_REDUCTION * max(abs(f[i]), abs(fi), 1.0)
+            ):
+                stop[i] = True
+            else:
+                turn.append(i)
+                # L-BFGS-B's pair: s = stp d and y = g_new - g_old, kept if
+                # s'y = (g_new'd - g_old'd) stp > eps * (-g_old'd) stp
+                if (gi - gd0[i]) * stp[i] > _EPS * (-gd0[i] * stp[i]):
+                    pair.append(i)
+            f[i] = fi
+        if pair:
+            sel = _rows(pair, k)
+            mem.push(pair, d[sel] * np.array(stp)[sel, None], gt[sel] - g[sel])
+        if len(acc) == k:
+            x, g = xt, gt
+        else:
+            x[acc], g[acc] = xt[acc], gt[acc]
+        if turn:
+            sel = _rows(turn, k)
+            if len(turn) == k:
+                d = mem.direction(sel, g)
+            else:
+                d[sel] = mem.direction(sel, g[sel])
+            for i, slope in zip(turn, _rowdot(g[sel], d[sel]).tolist()):
+                f0[i], gd0[i], stp[i], evals[i] = f[i], slope, 1.0, 0
+                if slope >= 0:
+                    spent.append(i)
+        for i in spent:
+            searches.pop(ids[i], None)
+            if mem.used[i] == 0:
+                stop[i] = True
+                continue
+            mem.clear(i)
+            d[i] = -g[i]
+            f0[i], gd0[i], stp[i], evals[i] = f[i], float(_rowdot(g[i], d[i])), 1.0, 0
 
 
 class CommonInfoInfeasible(RuntimeError):
@@ -269,52 +568,62 @@ def _exhaustive_2x2(p: JointPmf, budget: SolveBudget):
     return _solution_from_mixture(p, pw, channels, "exhaustive-optimal")
 
 
-def _softmax(z, axis=-1):
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def _log0(m):
     """log m, read as 0 where m == 0: every such log has a zero coefficient."""
     return np.log(np.where(m > 0, m, 1.0))
 
 
 def _descent_terms(z, mu, pxu, u_sizes):
-    """For logits z of q(w|u) (rows of shape (nu, K), flattened): q, I(X;W),
-    TC(U_1, .., U_n | W), the objective I + mu * max(TC, 0) and its gradient
-    in z, all in nats. See :func:`_penalized_descent` for pxu and u_sizes.
+    """For logits z of q(w|u) (rows of shape (nu, K), flattened; z may stack
+    such vectors on leading axes): q, I(X;W), TC(U_1, .., U_n | W), the
+    objective I + mu * max(TC, 0) and its gradient in z, all in nats, one
+    value per stacked vector (a float for 1-D z). Each stacked vector is
+    computed as it would be alone. See :func:`_penalized_descent` for pxu and
+    u_sizes.
 
     With p(x,w) = sum_u p(x,u) q(w|u) and p(u,w) = p(u) q(w|u),
     dI/dq(w|u) = sum_x p(x,u) log p(x,w) - p(u) log p(w) and
     dTC/dq(w|u) = -p(u) [sum_i log p(u_i,w) - log p(u,w) - (n-1) log p(w)];
     the row softmax maps a gradient g in q to q(k|u) (g(u,k) - sum_w q(w|u) g(u,w)).
     """
-    nu, n = pxu.shape[1], len(u_sizes)
-    q = _softmax(z.reshape(nu, -1), axis=1)
-    K = q.shape[1]
+    z = np.asarray(z, dtype=float)
+    lead, n = z.shape[:-1], len(u_sizes)
+    nx, nu = pxu.shape
+    zb = z.reshape(-1, nu, z.shape[-1] // nu)
+    B, K = zb.shape[0], zb.shape[2]
+    e = np.exp(zb - zb.max(axis=2, keepdims=True))
+    q = e / e.sum(axis=2, keepdims=True)
     pu = pxu.sum(axis=0)
-    px = pxu.sum(axis=1)
-    juw = pu[:, None] * q  # (u, w)
-    jxw = pxu @ q  # (x, w)
-    qw = juw.sum(axis=0)
-    log_w, log_uw, log_xw = _log0(qw), _log0(juw), _log0(jxw)
-    hw = -float(qw @ log_w)
-    # H(X) summed term by term, as before: L-BFGS-B trajectories follow its last bit
-    i_xw = -float((px * _log0(px)).sum()) + hw + float((jxw * log_xw).sum())
-    tc = hw + float((juw * log_uw).sum())
-    shaped = juw.reshape(tuple(u_sizes) + (K,))
-    log_ui = 0.0  # sum_i log p(u_i, w), broadcast over (u_1, .., u_n, w)
+    juw = pu[:, None] * q  # (B, u, w)
+    jxw = pxu @ q  # (B, x, w)
+    shaped = juw.reshape((B,) + tuple(u_sizes) + (K,))
+    # p(w), p(x, w), p(u, w), p(x) and each p(u_i, w) side by side, so that
+    # one log and one segmented sum give every sum of m log m
+    blocks = [juw.sum(axis=1), jxw.reshape(B, -1), juw.reshape(B, -1), np.repeat(pxu.sum(axis=1)[None], B, axis=0)]
+    blocks += [shaped.sum(axis=tuple(a + 1 for a in range(n) if a != i)).reshape(B, -1) for i in range(n)]
+    starts = list(itertools.accumulate([b.shape[1] for b in blocks], initial=0))
+    mass = np.concatenate(blocks, axis=1)
+    logs = _log0(mass)
+    mlogm = np.add.reduceat(mass * logs, starts[:-1], axis=1)
+    hw = -mlogm[:, 0]
+    i_xw = hw + mlogm[:, 1] - mlogm[:, 3]
+    tc = mlogm[:, 2] - mlogm[:, 4:].sum(axis=1) - (n - 1) * hw
+    # dI/dq - c dTC/dq with c = mu where TC > 0, else 0
+    log_ui = 0.0  # sum_i log p(u_i, w), broadcast over (B, u_1, .., u_n, w)
     for i in range(n):
-        mi = shaped.sum(axis=tuple(a for a in range(n) if a != i), keepdims=True)
-        log_mi = _log0(mi)
-        tc -= float((mi * log_mi).sum()) + hw
-        log_ui = log_ui + log_mi
-    g = pxu.T @ log_xw - pu[:, None] * log_w
-    if tc > 0:
-        g -= mu * pu[:, None] * (np.reshape(log_ui, (nu, K)) - log_uw - (n - 1) * log_w)
-    grad = q * (g - (q * g).sum(axis=1, keepdims=True))
-    return q, i_xw, tc, i_xw + mu * max(tc, 0.0), grad.reshape(-1)
+        shape = [B] + [1] * n + [K]
+        shape[i + 1] = u_sizes[i]
+        log_ui = log_ui + logs[:, starts[4 + i]:starts[5 + i]].reshape(shape)
+    c = (mu * (tc > 0))[:, None, None]
+    log_w = logs[:, None, :K]
+    inner = (1.0 - (n - 1) * c) * log_w + c * (np.reshape(log_ui, (B, nu, K)) - logs[:, starts[2]:starts[3]].reshape(B, nu, K))
+    g = pxu.T @ logs[:, K:starts[2]].reshape(B, nx, K) - pu[:, None] * inner
+    grad = q * (g - (q * g).sum(axis=2, keepdims=True))
+    obj = i_xw + mu * np.maximum(tc, 0.0)
+    if not lead:
+        return q[0], float(i_xw[0]), float(tc[0]), float(obj[0]), grad.reshape(-1)
+    return (q.reshape(lead + (nu, K)), i_xw.reshape(lead), tc.reshape(lead), obj.reshape(lead),
+            grad.reshape(lead + (nu * K,)))
 
 
 def _penalized_descent(pxu, u_sizes, K: int, budget: SolveBudget):
@@ -324,29 +633,22 @@ def _penalized_descent(pxu, u_sizes, K: int, budget: SolveBudget):
     that W observes, U flattened row-major over ``u_sizes``. Objective (nats):
     I(X;W) + mu * [sum_i H(U_i|W) - H(U|W)], the second term being the
     conditional total correlation that vanishes exactly when W splits U; mu
-    ramps by ``MU_FACTOR`` over ``DESCENT_STAGES``. L-BFGS-B gets the
-    closed-form gradient of :func:`_descent_terms`. W depends on X only
-    through U, so the X-marginal is exact by construction. Returns one
-    (q (nu, K), I(X;W), TC) per restart, both values in nats.
+    ramps by ``MU_FACTOR`` over ``DESCENT_STAGES``. Each stage is one
+    :func:`minimize` call that runs every restart in lockstep on the
+    closed-form gradient of :func:`_descent_terms`, starting from where the
+    last stage left it; the restarts start from N(0, 2^2) logits drawn in
+    restart order. W depends on X only through U, so the X-marginal is exact
+    by construction. Returns one (q (nu, K), I(X;W), TC) per restart, both
+    values in nats; a restart's result does not depend on the others.
     """
     rng = np.random.default_rng(budget.seed)
-    runs = []
-    for _ in range(budget.restarts):
-        z = rng.normal(scale=2.0, size=pxu.shape[1] * K)
-        mu = MU_INIT
-        for _ in range(DESCENT_STAGES):
-            result = minimize(
-                lambda z, mu: _descent_terms(z, mu, pxu, u_sizes)[3:],
-                z,
-                args=(mu,),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": DESCENT_MAXITER},
-            )
-            z = result.x
-            mu *= MU_FACTOR
-        runs.append(_descent_terms(z, mu, pxu, u_sizes)[:3])
-    return runs
+    z = rng.normal(scale=2.0, size=(budget.restarts, pxu.shape[1] * K))
+    mu = MU_INIT
+    for _ in range(DESCENT_STAGES):
+        z = minimize(lambda v, mu=mu: _descent_terms(v, mu, pxu, u_sizes)[3:], z).x
+        mu *= MU_FACTOR
+    q, i_xw, tc = _descent_terms(z, mu, pxu, u_sizes)[:3]
+    return list(zip(q, i_xw.tolist(), tc.tolist()))
 
 
 def _descent_solution(p: JointPmf, K: int, budget: SolveBudget):

@@ -65,19 +65,18 @@ def _commands(command, path=("witl",)):
 _IMPORT_CHECK = """
 import sys
 import witl, witl.cli
-loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-assert not loaded, loaded
 from witl.audit import random_source
 from witl.common_info import CommonInfoInfeasible, SolveBudget, solve_common_info
 try:
     solve_common_info(random_source(1, (3, 3)), K=3, budget=SolveBudget(restarts=1))
 except CommonInfoInfeasible:
-    pass  # the descent ran; only its import is checked here
-assert "scipy.optimize" in sys.modules
+    pass  # the descent ran; only what it imported is checked here
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert not loaded, loaded
 """
 
 
-def test_import_loads_no_scipy_until_a_descent():
+def test_no_scipy_after_a_descent():
     # in a fresh interpreter: this test process has imported SciPy already
     src = str(Path(witl.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

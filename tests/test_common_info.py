@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import approx_fprime
+from scipy.optimize import minimize as scipy_minimize
 from scipy.special import xlogy
 
 import witl.common_info as common_info
@@ -18,6 +19,7 @@ from witl.common_info import (
     _block1_scores,
     _descent_terms,
     _exhaustive_2x2,
+    _penalized_descent,
     bsc_broadcast_source,
     common_info_bounds,
     solve_common_info,
@@ -216,6 +218,107 @@ class TestDescentGradient:
         np.testing.assert_array_equal(grad, _descent_terms(z, 0.0, pxu, (2, 3))[4])
         # at mu = 1e3 a forward difference already sees the penalty's curvature
         _assert_gradient_matches(z, 1.0, pxu, (2, 3))
+
+
+def _descent_pairs():
+    """(pxu, u_sizes, K) of the three descents the library runs: U = X on
+    the broadcast source and on a 3x3 source, and U = the reproduction pair
+    of a c_star point."""
+    from witl import gray_wyner
+    from witl.rd import DistortionSpec
+
+    spec = DistortionSpec.hamming((2, 2))
+    _, rp = gray_wyner._joint_point(dsbs(0.2), spec, (0.05, 0.05))
+    return [
+        (np.diag(bsc_broadcast_source(0.5, 0.2, 3).mass.reshape(-1)), (2, 2, 2), 2),
+        (np.diag(random_source(1, (3, 3)).mass.reshape(-1)), (3, 3), 3),
+        (gray_wyner._source_reproduction(dsbs(0.2), rp), (2, 2), 4),
+    ]
+
+
+class TestLockstepDescent:
+    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 1e4])
+    def test_stacked_rows_equal_one_row_calls(self, case, mu):
+        pxu, sizes, K = _descent_pairs()[case]
+        z = np.random.default_rng(case).normal(scale=2.0, size=(2, 3, pxu.shape[1] * K))
+        stacked = _descent_terms(z, mu, pxu, sizes)
+        assert [np.shape(v) for v in stacked] == [
+            (2, 3, pxu.shape[1], K), (2, 3), (2, 3), (2, 3), (2, 3, pxu.shape[1] * K)]
+        for idx in np.ndindex(2, 3):
+            one = _descent_terms(z[idx], mu, pxu, sizes)
+            assert all(isinstance(v, float) for v in one[1:4])
+            for a, b in zip(stacked, one):
+                np.testing.assert_array_equal(np.asarray(a)[idx], b)
+
+    @pytest.mark.parametrize("case", [0, 2])
+    def test_restart_does_not_depend_on_the_others(self, case):
+        pxu, sizes, K = _descent_pairs()[case]
+        (q3, i3, tc3), *_ = _penalized_descent(pxu, sizes, K, SolveBudget(restarts=3))
+        ((q1, i1, tc1),) = _penalized_descent(pxu, sizes, K, SolveBudget(restarts=1))
+        assert abs(i3 - i1) / LOG2 <= 1e-12 and abs(tc3 - tc1) / LOG2 <= 1e-12
+        np.testing.assert_allclose(q3, q1, rtol=0, atol=1e-12)
+
+    def test_minimize_reaches_the_minimizer_of_a_convex_quadratic(self):
+        # L-BFGS-B's relative-reduction stop (factr 1e7) can end a row while
+        # max |g| is still a few 1e-5, so the test asks for the minimizer and
+        # for the iterations SciPy's L-BFGS-B takes
+        rng = np.random.default_rng(0)
+        m = rng.normal(size=(8, 8))
+        a = m @ m.T + np.eye(8)
+        c = rng.normal(size=8)
+
+        def quad(x):
+            return 0.5 * np.einsum("ri,ij,rj->r", x - c, a, x - c), (x - c) @ a
+
+        starts = rng.normal(scale=3.0, size=(3, 8))
+        res = common_info.minimize(quad, starts)
+        np.testing.assert_allclose(res.x, np.tile(c, (3, 1)), atol=1e-4)  # eigenvalues of a >= 1
+        assert np.abs(quad(res.x)[1]).max() <= 1e-4
+        _assert_iterations_as_scipy(quad, starts, res)
+
+    def test_minimize_reaches_the_rosenbrock_minimizer_as_scipy_does(self):
+        # each row stops as L-BFGS-B does: near the minimizer, f lowers by less
+        # than REL_REDUCTION per iteration while max |g| is still about 5e-5
+        starts = np.array([[-1.2, 1.0], [2.0, 2.0], [-0.5, 3.0]])
+        res = common_info.minimize(_rosenbrock, starts)
+        np.testing.assert_allclose(res.x, 1.0, atol=1e-4)
+        assert np.all(res.fun <= 1e-9) and np.abs(_rosenbrock(res.x)[1]).max() <= 1e-3
+        _assert_iterations_as_scipy(_rosenbrock, starts, res)
+        for row, x0 in enumerate(starts):
+            # a row runs as it would alone
+            alone = common_info.minimize(_rosenbrock, x0[None])
+            np.testing.assert_array_equal(alone.x[0], res.x[row])
+            assert alone.nit[0] == res.nit[row]
+
+    def test_minimize_stops_at_its_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(common_info, "DESCENT_MAXITER", 5)
+        res = common_info.minimize(_rosenbrock, np.array([[-1.2, 1.0], [2.0, 2.0]]))
+        assert res.nit.tolist() == [5, 5] and res.nfev >= 2 * 6
+        assert np.all(res.fun < _rosenbrock(np.array([[-1.2, 1.0], [2.0, 2.0]]))[0])
+
+    def test_minimize_stops_where_no_step_meets_the_wolfe_conditions(self):
+        # |x| has no minimizer that the slope can certify: line searches run
+        # out, the memory is cleared, and a row stops without rising
+        x0 = np.array([[1.0, -2.0], [0.3, 0.7]])
+        res = common_info.minimize(lambda x: (np.abs(x).sum(axis=1), np.sign(x)), x0)
+        assert np.all(res.fun <= 1e-8) and np.all(res.nit < common_info.DESCENT_MAXITER)
+
+
+def _assert_iterations_as_scipy(fun, starts, res):
+    for row, x0 in enumerate(starts):
+        ref = scipy_minimize(lambda v: tuple(t[0] for t in fun(v[None])), x0, jac=True,
+                             method="L-BFGS-B", options={"maxiter": common_info.DESCENT_MAXITER})
+        assert abs(res.nit[row] - ref.nit) <= max(2, 0.1 * ref.nit), (row, res.nit[row], ref.nit)
+        assert abs(res.fun[row] - ref.fun) <= 1e-9
+
+
+def _rosenbrock(x):
+    f = np.sum(100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2 + (1 - x[:, :-1]) ** 2, axis=1)
+    g = np.zeros_like(x)
+    g[:, :-1] += -400.0 * x[:, :-1] * (x[:, 1:] - x[:, :-1] ** 2) - 2.0 * (1 - x[:, :-1])
+    g[:, 1:] += 200.0 * (x[:, 1:] - x[:, :-1] ** 2)
+    return f, g
 
 
 def _h_bits(v):
