@@ -80,65 +80,55 @@ def _rowdot(a, b):
 
 
 class _Memory:
-    """The L-BFGS memories of k rows and the inverse Hessian each implies.
+    """The L-BFGS memories of k rows, kept in the compact form of Byrd,
+    Nocedal and Schnabel (1994) so that each row costs O(m n).
 
     Per row: the pairs (s, y) in ``pairs`` (k, 2, m, n), newest last, unused
     leading slots zero; the inverse of R = triu(S'Y) (identity on unused
-    slots) and diag(S'Y), both updated as each pair arrives; and the L-BFGS
-    inverse Hessian ``h`` (k, n, n), rebuilt from them at each pair (the
-    identity before the first), so that a direction is one product.
+    slots), updated as each pair arrives; and gamma = s'y / y'y of the newest
+    pair (1 before the first), the scale of the initial inverse Hessian.
     """
 
     def __init__(self, k, n):
         m = DESCENT_MEMORY
         self.pairs = np.zeros((k, 2, m, n))
         self.rinv = np.tile(np.eye(m), (k, 1, 1))
-        self.dg = np.zeros((k, m))
-        self.h = np.tile(np.eye(n), (k, 1, 1))
+        self.gamma = np.ones(k)
         self.used = [0] * k
 
     def push(self, rows, s, y):
-        """Append the pair (s, y) to the listed rows, dropping the oldest,
-        and rebuild their H from the compact form of Byrd, Nocedal and
-        Schnabel (1994). With T = R^-1 S, D = diag(S'Y) and H0 = gamma I,
-        gamma = s'y / y'y, that form
-        H = gamma I + T' (D + gamma Y Y') T - gamma (T' Y + Y' T)
-        is gamma (I - Y' T)' (I - Y' T) + T' D T."""
+        """Append the pair (s, y) to the listed rows, dropping the oldest."""
         sel = _rows(rows, len(self.used))
-        w, ri, dg = self.pairs[sel], self.rinv[sel], self.dg[sel]
+        w, ri = self.pairs[sel], self.rinv[sel]
         w[:, :, :-1], w[:, 0, -1], w[:, 1, -1] = w[:, :, 1:], s, y
-        sm, ym = w[:, 0], w[:, 1]
-        c = (sm @ y[:, :, None])[:, :, 0]  # s_i'y for every slot, s'y last
+        c = (w[:, 0] @ y[:, :, None])[:, :, 0]  # s_i'y for every slot, s'y last
         sy = c[:, -1]
         # the inverse of [[R, c], [0, s'y]] is [[R^-1, -R^-1 c / s'y], [0, 1 / s'y]]
         ri[:, :-1, :-1] = ri[:, 1:, 1:]
         ri[:, -1] = 0.0
         ri[:, :-1, -1] = (ri[:, :-1, :-1] @ c[:, :-1, None])[:, :, 0] / -sy[:, None]
         ri[:, -1, -1] = 1.0 / sy
-        dg[:, :-1], dg[:, -1] = dg[:, 1:], sy
-        t = ri @ sm
-        a = -(ym.transpose(0, 2, 1) @ t)  # I - Y' T
-        n = a.shape[1]
-        a.reshape(-1, n * n)[:, :: n + 1] += 1.0
-        gamma = (sy / (y * y).sum(axis=1))[:, None, None]
-        h = gamma * (a.transpose(0, 2, 1) @ a) + t.transpose(0, 2, 1) @ (dg[:, :, None] * t)
-        self.h[sel] = h
-        if not isinstance(sel, slice):  # a slice gathered views, updated in place
-            self.pairs[sel], self.rinv[sel], self.dg[sel] = w, ri, dg
+        self.pairs[sel], self.rinv[sel], self.gamma[sel] = w, ri, sy / _rowdot(y, y)
         for i in rows:
             self.used[i] = min(self.used[i] + 1, DESCENT_MEMORY)
 
     def clear(self, i):
-        self.pairs[i], self.dg[i], self.used[i] = 0.0, 0.0, 0
-        self.rinv[i], self.h[i] = np.eye(DESCENT_MEMORY), np.eye(self.h.shape[1])
+        self.pairs[i], self.rinv[i], self.gamma[i], self.used[i] = 0.0, np.eye(DESCENT_MEMORY), 1.0, 0
 
     def take(self, keep):
-        self.pairs, self.rinv, self.dg, self.h = (a[keep] for a in (self.pairs, self.rinv, self.dg, self.h))
+        self.pairs, self.rinv, self.gamma = (a[keep] for a in (self.pairs, self.rinv, self.gamma))
         self.used = [self.used[i] for i in keep]
 
     def direction(self, sel, g):
-        """-H g on the rows ``sel``."""
-        return -(self.h[sel] @ g[:, :, None])[:, :, 0]
+        """-H g on the rows ``sel``. With T = R^-1 S and D = diag(S'Y), the
+        L-BFGS inverse Hessian is H = gamma (I - Y'T)'(I - Y'T) + T' D T, so
+        with v = T g and u = (I - Y'T) g, H g = gamma u + T'(D v - gamma Y u)."""
+        w, ri, gamma = self.pairs[sel], self.rinv[sel], self.gamma[sel][:, None, None]
+        sm, ym = w[:, 0], w[:, 1]
+        v = ri @ (sm @ g[:, :, None])
+        u = g[:, :, None] - ym.transpose(0, 2, 1) @ v
+        z = _rowdot(sm, ym)[:, :, None] * v - gamma * (ym @ u)
+        return -(gamma * u + sm.transpose(0, 2, 1) @ (ri.transpose(0, 2, 1) @ z))[:, :, 0]
 
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stmin, stmax):
@@ -573,57 +563,69 @@ def _log0(m):
     return np.log(np.where(m > 0, m, 1.0))
 
 
-def _descent_terms(z, mu, pxu, u_sizes):
-    """For logits z of q(w|u) (rows of shape (nu, K), flattened; z may stack
-    such vectors on leading axes): q, I(X;W), TC(U_1, .., U_n | W), the
-    objective I + mu * max(TC, 0) and its gradient in z, all in nats, one
-    value per stacked vector (a float for 1-D z). Each stacked vector is
-    computed as it would be alone. See :func:`_penalized_descent` for pxu and
-    u_sizes.
+def _descent_terms(pxu, u_sizes):
+    """The descent's terms for one pxu and u_sizes (see
+    :func:`_penalized_descent`), as a function ``terms(z, mu)``; what depends
+    only on pxu and u_sizes is worked out here, once.
+
+    For logits z of q(w|u) (rows of shape (nu, K), flattened; z may stack
+    such vectors on leading axes), ``terms(z, mu)`` returns q, I(X;W),
+    TC(U_1, .., U_n | W), the objective I + mu * max(TC, 0) and its gradient
+    in z, all in nats, one value per stacked vector (a float for 1-D z). Each
+    stacked vector is computed as it would be alone.
 
     With p(x,w) = sum_u p(x,u) q(w|u) and p(u,w) = p(u) q(w|u),
     dI/dq(w|u) = sum_x p(x,u) log p(x,w) - p(u) log p(w) and
     dTC/dq(w|u) = -p(u) [sum_i log p(u_i,w) - log p(u,w) - (n-1) log p(w)];
     the row softmax maps a gradient g in q to q(k|u) (g(u,k) - sum_w q(w|u) g(u,w)).
     """
-    z = np.asarray(z, dtype=float)
-    lead, n = z.shape[:-1], len(u_sizes)
     nx, nu = pxu.shape
-    zb = z.reshape(-1, nu, z.shape[-1] // nu)
-    B, K = zb.shape[0], zb.shape[2]
-    e = np.exp(zb - zb.max(axis=2, keepdims=True))
-    q = e / e.sum(axis=2, keepdims=True)
+    n = len(u_sizes)
     pu = pxu.sum(axis=0)
-    juw = pu[:, None] * q  # (B, u, w)
-    jxw = pxu @ q  # (B, x, w)
-    shaped = juw.reshape((B,) + tuple(u_sizes) + (K,))
-    # p(w), p(x, w), p(u, w), p(x) and each p(u_i, w) side by side, so that
-    # one log and one segmented sum give every sum of m log m
-    blocks = [juw.sum(axis=1), jxw.reshape(B, -1), juw.reshape(B, -1), np.repeat(pxu.sum(axis=1)[None], B, axis=0)]
-    blocks += [shaped.sum(axis=tuple(a + 1 for a in range(n) if a != i)).reshape(B, -1) for i in range(n)]
-    starts = list(itertools.accumulate([b.shape[1] for b in blocks], initial=0))
-    mass = np.concatenate(blocks, axis=1)
-    logs = _log0(mass)
-    mlogm = np.add.reduceat(mass * logs, starts[:-1], axis=1)
-    hw = -mlogm[:, 0]
-    i_xw = hw + mlogm[:, 1] - mlogm[:, 3]
-    tc = mlogm[:, 2] - mlogm[:, 4:].sum(axis=1) - (n - 1) * hw
-    # dI/dq - c dTC/dq with c = mu where TC > 0, else 0
-    log_ui = 0.0  # sum_i log p(u_i, w), broadcast over (B, u_1, .., u_n, w)
-    for i in range(n):
-        shape = [B] + [1] * n + [K]
-        shape[i + 1] = u_sizes[i]
-        log_ui = log_ui + logs[:, starts[4 + i]:starts[5 + i]].reshape(shape)
-    c = (mu * (tc > 0))[:, None, None]
-    log_w = logs[:, None, :K]
-    inner = (1.0 - (n - 1) * c) * log_w + c * (np.reshape(log_ui, (B, nu, K)) - logs[:, starts[2]:starts[3]].reshape(B, nu, K))
-    g = pxu.T @ logs[:, K:starts[2]].reshape(B, nx, K) - pu[:, None] * inner
-    grad = q * (g - (q * g).sum(axis=2, keepdims=True))
-    obj = i_xw + mu * np.maximum(tc, 0.0)
-    if not lead:
-        return q[0], float(i_xw[0]), float(tc[0]), float(obj[0]), grad.reshape(-1)
-    return (q.reshape(lead + (nu, K)), i_xw.reshape(lead), tc.reshape(lead), obj.reshape(lead),
-            grad.reshape(lead + (nu * K,)))
+    px = pxu.sum(axis=1)
+    xlogx = float(px @ _log0(px))  # sum_x p(x) log p(x)
+    margin_axes = [tuple(a + 1 for a in range(n) if a != i) for i in range(n)]
+
+    def terms(z, mu):
+        z = np.asarray(z, dtype=float)
+        lead = z.shape[:-1]
+        zb = z.reshape(-1, nu, z.shape[-1] // nu)
+        B, K = zb.shape[0], zb.shape[2]
+        e = np.exp(zb - zb.max(axis=2, keepdims=True))
+        q = e / e.sum(axis=2, keepdims=True)
+        juw = pu[:, None] * q  # (B, u, w)
+        jxw = pxu @ q  # (B, x, w)
+        shaped = juw.reshape((B,) + tuple(u_sizes) + (K,))
+        # p(w), p(x, w), p(u, w) and each p(u_i, w) side by side, so that one
+        # log and one segmented sum give every sum of m log m
+        blocks = [juw.sum(axis=1), jxw.reshape(B, -1), juw.reshape(B, -1)]
+        blocks += [shaped.sum(axis=axes).reshape(B, -1) for axes in margin_axes]
+        starts = list(itertools.accumulate([b.shape[1] for b in blocks], initial=0))
+        mass = np.concatenate(blocks, axis=1)
+        logs = _log0(mass)
+        mlogm = np.add.reduceat(mass * logs, starts[:-1], axis=1)
+        hw = -mlogm[:, 0]
+        i_xw = hw + mlogm[:, 1] - xlogx
+        tc = mlogm[:, 2] - mlogm[:, 3:].sum(axis=1) - (n - 1) * hw
+        # dI/dq - c dTC/dq with c = mu where TC > 0, else 0
+        log_ui = 0.0  # sum_i log p(u_i, w), broadcast over (B, u_1, .., u_n, w)
+        for i in range(n):
+            shape = [B] + [1] * n + [K]
+            shape[i + 1] = u_sizes[i]
+            log_ui = log_ui + logs[:, starts[3 + i]:starts[4 + i]].reshape(shape)
+        c = (mu * (tc > 0))[:, None, None]
+        log_w = logs[:, None, :K]
+        inner = (1.0 - (n - 1) * c) * log_w + c * (
+            np.reshape(log_ui, (B, nu, K)) - logs[:, starts[2]:starts[3]].reshape(B, nu, K))
+        g = pxu.T @ logs[:, K:starts[2]].reshape(B, nx, K) - pu[:, None] * inner
+        grad = q * (g - (q * g).sum(axis=2, keepdims=True))
+        obj = i_xw + mu * np.maximum(tc, 0.0)
+        if not lead:
+            return q[0], float(i_xw[0]), float(tc[0]), float(obj[0]), grad.reshape(-1)
+        return (q.reshape(lead + (nu, K)), i_xw.reshape(lead), tc.reshape(lead), obj.reshape(lead),
+                grad.reshape(lead + (nu * K,)))
+
+    return terms
 
 
 def _penalized_descent(pxu, u_sizes, K: int, budget: SolveBudget):
@@ -643,11 +645,12 @@ def _penalized_descent(pxu, u_sizes, K: int, budget: SolveBudget):
     """
     rng = np.random.default_rng(budget.seed)
     z = rng.normal(scale=2.0, size=(budget.restarts, pxu.shape[1] * K))
+    terms = _descent_terms(pxu, u_sizes)
     mu = MU_INIT
     for _ in range(DESCENT_STAGES):
-        z = minimize(lambda v, mu=mu: _descent_terms(v, mu, pxu, u_sizes)[3:], z).x
+        z = minimize(lambda v, mu=mu: terms(v, mu)[3:], z).x
         mu *= MU_FACTOR
-    q, i_xw, tc = _descent_terms(z, mu, pxu, u_sizes)[:3]
+    q, i_xw, tc = terms(z, mu)[:3]
     return list(zip(q, i_xw.tolist(), tc.tolist()))
 
 

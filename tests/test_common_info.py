@@ -187,8 +187,8 @@ class TestDescentWorkloads:
 
 
 def _assert_gradient_matches(z, mu, pxu, sizes):
-    grad = _descent_terms(z, mu, pxu, sizes)[4]
-    fd = approx_fprime(z, lambda v: _descent_terms(v, mu, pxu, sizes)[3])
+    grad = _descent_terms(pxu, sizes)(z, mu)[4]
+    fd = approx_fprime(z, lambda v: _descent_terms(pxu, sizes)(v, mu)[3])
     assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
 
 
@@ -197,7 +197,7 @@ class TestDescentGradient:
     def test_u_is_x_broadcast_source(self, mu):
         pxu = np.diag(bsc_broadcast_source(0.5, 0.1, 3).mass.reshape(-1))
         z = np.random.default_rng(11).normal(scale=2.0, size=8 * 2)
-        assert _descent_terms(z, mu, pxu, (2, 2, 2))[2] > 0
+        assert _descent_terms(pxu, (2, 2, 2))(z, mu)[2] > 0
         _assert_gradient_matches(z, mu, pxu, (2, 2, 2))
 
     @pytest.mark.parametrize("mu", [1.0, 1e3])
@@ -205,7 +205,7 @@ class TestDescentGradient:
         rng = np.random.default_rng(12)
         pxu = rng.dirichlet(np.ones(16)).reshape(4, 4)
         z = rng.normal(scale=2.0, size=4 * 4)
-        assert _descent_terms(z, mu, pxu, (2, 2))[2] > 0
+        assert _descent_terms(pxu, (2, 2))(z, mu)[2] > 0
         _assert_gradient_matches(z, mu, pxu, (2, 2))
 
     def test_no_penalty_gradient_where_tc_vanishes(self):
@@ -213,9 +213,9 @@ class TestDescentGradient:
         rng = np.random.default_rng(0)
         pxu = np.diag(np.outer(rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(3))).reshape(-1))
         z = np.repeat(rng.normal(size=(2, 2)), 3, axis=0).reshape(-1)
-        _, i_xw, tc, _, grad = _descent_terms(z, 1e3, pxu, (2, 3))
+        _, i_xw, tc, _, grad = _descent_terms(pxu, (2, 3))(z, 1e3)
         assert tc <= 0 < i_xw
-        np.testing.assert_array_equal(grad, _descent_terms(z, 0.0, pxu, (2, 3))[4])
+        np.testing.assert_array_equal(grad, _descent_terms(pxu, (2, 3))(z, 0.0)[4])
         # at mu = 1e3 a forward difference already sees the penalty's curvature
         _assert_gradient_matches(z, 1.0, pxu, (2, 3))
 
@@ -242,11 +242,11 @@ class TestLockstepDescent:
     def test_stacked_rows_equal_one_row_calls(self, case, mu):
         pxu, sizes, K = _descent_pairs()[case]
         z = np.random.default_rng(case).normal(scale=2.0, size=(2, 3, pxu.shape[1] * K))
-        stacked = _descent_terms(z, mu, pxu, sizes)
+        stacked = _descent_terms(pxu, sizes)(z, mu)
         assert [np.shape(v) for v in stacked] == [
             (2, 3, pxu.shape[1], K), (2, 3), (2, 3), (2, 3), (2, 3, pxu.shape[1] * K)]
         for idx in np.ndindex(2, 3):
-            one = _descent_terms(z[idx], mu, pxu, sizes)
+            one = _descent_terms(pxu, sizes)(z[idx], mu)
             assert all(isinstance(v, float) for v in one[1:4])
             for a, b in zip(stacked, one):
                 np.testing.assert_array_equal(np.asarray(a)[idx], b)
@@ -259,10 +259,34 @@ class TestLockstepDescent:
         assert abs(i3 - i1) / LOG2 <= 1e-12 and abs(tc3 - tc1) / LOG2 <= 1e-12
         np.testing.assert_allclose(q3, q1, rtol=0, atol=1e-12)
 
+    def test_memory_direction_is_the_two_loop_recursion(self):
+        rng = np.random.default_rng(0)
+        k, n = 3, 7
+        m = rng.normal(size=(n, n))
+        a = m @ m.T + np.eye(n)  # y = a s keeps s'y > 0
+        mem = common_info._Memory(k, n)
+        pairs = [[] for _ in range(k)]
+        for step in range(14):
+            rows = [r for r in range(k) if (step + r) % 3]  # rows fill at different times
+            s = rng.normal(size=(len(rows), n))
+            mem.push(rows, s, s @ a)
+            for r, si in zip(rows, s):
+                pairs[r] = (pairs[r] + [(si, a @ si)])[-common_info.DESCENT_MEMORY:]
+            g = rng.normal(size=(k, n))
+            want = [_two_loop(p, gi) for p, gi in zip(pairs, g)]
+            np.testing.assert_allclose(mem.direction(slice(None), g), want, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(mem.direction([0, 2], g[[0, 2]]), [want[0], want[2]], rtol=1e-9, atol=1e-12)
+        mem.clear(1)
+        np.testing.assert_array_equal(mem.direction([1], g[[1]])[0], -g[1])
+
+    def test_memory_grows_linearly_with_the_logits(self):
+        mem = common_info._Memory(8, 4096)
+        assert sum(v.nbytes for v in vars(mem).values() if isinstance(v, np.ndarray)) <= 8 * 21 * 4096 * 8
+
     def test_minimize_reaches_the_minimizer_of_a_convex_quadratic(self):
         # L-BFGS-B's relative-reduction stop (factr 1e7) can end a row while
         # max |g| is still a few 1e-5, so the test asks for the minimizer and
-        # for the iterations SciPy's L-BFGS-B takes
+        # for the point and iterations SciPy's L-BFGS-B reaches
         rng = np.random.default_rng(0)
         m = rng.normal(size=(8, 8))
         a = m @ m.T + np.eye(8)
@@ -275,7 +299,7 @@ class TestLockstepDescent:
         res = common_info.minimize(quad, starts)
         np.testing.assert_allclose(res.x, np.tile(c, (3, 1)), atol=1e-4)  # eigenvalues of a >= 1
         assert np.abs(quad(res.x)[1]).max() <= 1e-4
-        _assert_iterations_as_scipy(quad, starts, res)
+        _assert_as_scipy(quad, starts, res)
 
     def test_minimize_reaches_the_rosenbrock_minimizer_as_scipy_does(self):
         # each row stops as L-BFGS-B does: near the minimizer, f lowers by less
@@ -284,7 +308,7 @@ class TestLockstepDescent:
         res = common_info.minimize(_rosenbrock, starts)
         np.testing.assert_allclose(res.x, 1.0, atol=1e-4)
         assert np.all(res.fun <= 1e-9) and np.abs(_rosenbrock(res.x)[1]).max() <= 1e-3
-        _assert_iterations_as_scipy(_rosenbrock, starts, res)
+        _assert_as_scipy(_rosenbrock, starts, res)
         for row, x0 in enumerate(starts):
             # a row runs as it would alone
             alone = common_info.minimize(_rosenbrock, x0[None])
@@ -305,12 +329,27 @@ class TestLockstepDescent:
         assert np.all(res.fun <= 1e-8) and np.all(res.nit < common_info.DESCENT_MAXITER)
 
 
-def _assert_iterations_as_scipy(fun, starts, res):
+def _assert_as_scipy(fun, starts, res):
     for row, x0 in enumerate(starts):
         ref = scipy_minimize(lambda v: tuple(t[0] for t in fun(v[None])), x0, jac=True,
                              method="L-BFGS-B", options={"maxiter": common_info.DESCENT_MAXITER})
         assert abs(res.nit[row] - ref.nit) <= max(2, 0.1 * ref.nit), (row, res.nit[row], ref.nit)
         assert abs(res.fun[row] - ref.fun) <= 1e-9
+        np.testing.assert_allclose(res.x[row], ref.x, rtol=0, atol=1e-8)
+
+
+def _two_loop(pairs, g):
+    """-H g by the L-BFGS two-loop recursion (Nocedal 1980), oldest pair first."""
+    q, alphas = g.copy(), []
+    for s, y in reversed(pairs):
+        alphas.append(s @ q / (s @ y))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - y @ q / (s @ y)) * s
+    return -q
 
 
 def _rosenbrock(x):
