@@ -3,21 +3,17 @@ rate at joint-decoding total rate, computed through both characterizations
 (the equality-constrained minimization and the reproduction-pair route).
 
 Every public solver makes one joint-RD solve and scores one list of candidate
-auxiliaries W (:func:`_candidate_joints`): the constant W, then the solver's
-own auxiliaries, then W = X̂, the reproduction pair of the joint-RD test
-channel, whenever a joint-RD point exists (pairs only). The own auxiliaries
-are the common-information auxiliary of
-:func:`witl.common_info.solve_common_info` for ``c3_tilde`` and
-``check_membership``, and for ``c_star`` that descent run on U = X̂ instead of
-U = X and the exhaustive split of a 2x2 reproduction pair. Those of ``c_star``
-and W = X̂ see the source only through X̂: p(w, x) = sum_xh p(x, xh) q(w | xh),
-one choice of q per candidate. The common-rate lower side is the Gray-Wyner
-converse, read off the scores of the first and last candidates
-(:func:`_c3_from_candidates`), with no RD query of its own.
-
-Auxiliary-variable witnesses are represented as a joint pmf over
-(W, X_1, X_2); every reported number can be recomputed from that object alone.
-Witness searches are finite, so all point values are certified upper bounds.
+auxiliaries W (:func:`_candidate_joints`): the constant W, then every W that
+:func:`_searched` tried on the variable U that W observes (U = X for
+``c3_tilde`` and ``check_membership``, U = X̂ for ``c_star``), then W = X̂, the
+reproduction pair of the joint-RD test channel, whenever a joint-RD point
+exists (pairs only). Each searched W is p(w, x) = sum_u p(x, u) q(w | u): every
+penalized-descent restart, and the exhaustive split of a 2x2 U. None is
+dropped before it is scored, so a larger budget never answers worse. The
+common-rate lower side is the Gray-Wyner converse, read off the scores of the
+first and last candidates (:func:`_c3_from_candidates`). A witness is a
+(W, X1, X2) joint pmf from which every reported number can be recomputed;
+searches are finite, so every point value is a certified upper bound.
 """
 
 from __future__ import annotations
@@ -120,34 +116,50 @@ def _source_reproduction(p: JointPmf, rp: RdPoint) -> np.ndarray:
     return p.mass.reshape(nx, 1) * rp.test_channel.rows.reshape(nx, -1)
 
 
-def _through_reproduction(p: JointPmf, pxxh: np.ndarray, q: np.ndarray) -> JointPmf:
-    """(W, X1, X2) joint of the W that sees X only through X̂:
-    p(w, x) = sum_xh p(x, xh) q(w | xh), for q of shape (|X̂|, |W|)."""
+def _observing(p: JointPmf, pxu: np.ndarray, q: np.ndarray) -> JointPmf:
+    """(W, X1, X2) joint of the W that sees X only through U:
+    p(w, x) = sum_u p(x, u) q(w | u), for pxu of shape (|X|, |U|) and q of
+    shape (|U|, |W|)."""
     k = q.shape[1]
-    return JointPmf((k, *p.alphabet_sizes), (pxxh @ q).T.reshape((k, *p.alphabet_sizes)))
+    return JointPmf((k, *p.alphabet_sizes), (pxu @ q).T.reshape((k, *p.alphabet_sizes)))
 
 
-def _candidate_joints(p: JointPmf, own, joint_point):
-    """The constant W, the solver's own auxiliaries (iterated lazily), then W = X̂
-    if ``joint_point()``, called only once they are consumed, is an RdPoint."""
+def _candidate_joints(p: JointPmf, searched, joint_point):
+    """The constant W, the searched W (iterated lazily), then W = X̂ if
+    ``joint_point()``, called only once they are consumed, is an RdPoint."""
     yield _constant_w(p)
-    yield from own
+    yield from searched
     try:
         rp = joint_point()
     except (InfeasibleDistortion, SweepResolutionError):
         return  # no reproduction pair at this distortion
     if rp is not None:
         pxxh = _source_reproduction(p, rp)
-        yield _through_reproduction(p, pxxh, np.eye(pxxh.shape[1]))
+        yield _observing(p, pxxh, np.eye(pxxh.shape[1]))
 
 
-def _common_info_auxiliary(p: JointPmf, budget: SolveBudget):
-    """The auxiliary of :func:`solve_common_info`, searched when first iterated."""
-    try:
-        sol = solve_common_info(p, K=None if p.alphabet_sizes != (2, 2) else 2, budget=budget)
-    except (CommonInfoInfeasible, ProbabilityError):
-        return
-    yield joint_with_mixture(sol.pw, sol.channels)
+def _searched(p: JointPmf, pxu: np.ndarray, u_sizes: tuple, K: int, budget: SolveBudget):
+    """Every W searched on U (pxu the (x, u) joint, U row-major over ``u_sizes``),
+    searched when first iterated: each penalized-descent restart at cardinality
+    K (none for a 2x2 U at K = 2), then, for a 2x2 U, the exhaustive split of U's law."""
+    if (u_sizes, K) != ((2, 2), 2):
+        for q, _, _ in _penalized_descent(pxu, u_sizes, K, budget):
+            yield _observing(p, pxu, q)
+    if u_sizes == (2, 2):
+        try:
+            sol = solve_common_info(JointPmf((2, 2), pxu.sum(axis=0)), K=2, budget=budget)
+        except CommonInfoInfeasible:
+            return  # the grid holds no split of U's law
+        split = joint_with_mixture(sol.pw, sol.channels).mass.reshape(-1, 4).T  # (u, w)
+        # q(w | u) of the split; a letter of U of zero mass keeps a zero row
+        yield _observing(p, pxu, split / np.maximum(split.sum(axis=1, keepdims=True), 1e-300))
+
+
+def _searched_on_source(p: JointPmf, budget: SolveBudget):
+    """The W searched on U = X, at K = 2 on a 2x2 source, else K = prod(sizes)."""
+    sizes = p.alphabet_sizes
+    K = 2 if sizes == (2, 2) else int(np.prod(sizes))
+    return _searched(p, np.diag(p.mass.reshape(-1)), sizes, K, budget)
 
 
 def check_membership(
@@ -164,7 +176,7 @@ def check_membership(
     if len(D) != p.ncoords or len(rates.privates) != p.ncoords:
         raise ProbabilityError("distortion/rate dimension mismatch")
     # the joint solver takes pairs only
-    for joint in _candidate_joints(p, _common_info_auxiliary(p, budget),
+    for joint in _candidate_joints(p, _searched_on_source(p, budget),
                                    lambda: ba_joint_rd(p, d, D) if p.ncoords == 2 else None):
         common = witness_common_rate(joint)
         if rates.R0 < common - MEMBERSHIP_TOL:
@@ -219,32 +231,17 @@ def c3_tilde(
 ) -> C3Estimate:
     """Common rate via the equality-constrained minimization of I(X1,X2; W)."""
     D, rp = _joint_point(p, d, D)
-    own = _common_info_auxiliary(p, budget or SolveBudget())
-    return _c3_from_candidates(d, D, rp, list(_candidate_joints(p, own, lambda: rp)))
+    searched = _searched_on_source(p, budget or SolveBudget())
+    return _c3_from_candidates(d, D, rp, list(_candidate_joints(p, searched, lambda: rp)))
 
 
 def c_star(
     p: JointPmf, d: DistortionSpec, D, budget: SolveBudget | None = None
 ) -> C3Estimate:
     """Common rate via the reproduction-pair route: obtain an optimal joint-RD
-    test channel, then search W splitting (Xhat1, Xhat2) while independent of
-    the source given the reproductions."""
+    test channel, then score every W searched on U = X̂ at K = max(2, min(|X̂|, 8)),
+    each independent of the source given the reproductions."""
     D, rp = _joint_point(p, d, D)
-    budget = budget or SolveBudget()
     pxxh = _source_reproduction(p, rp)
-    nxh = pxxh.shape[1]
-    runs = _penalized_descent(pxxh, d.repro_sizes, max(2, min(nxh, 8)), budget)
-    # least I(X; W), any total correlation left over priced prohibitively
-    qs = [min(runs, key=lambda r: r[1] + 1e9 * max(r[2], 0.0))[0]]
-    # a 2x2 reproduction pair admits the exhaustive split of its own law
-    if tuple(d.repro_sizes) == (2, 2):
-        pxh = pxxh.sum(axis=0)
-        try:
-            sol = solve_common_info(JointPmf((2, 2), pxh), K=2, budget=budget)
-            jw = joint_with_mixture(sol.pw, sol.channels).mass.reshape(sol.pw.size, nxh)
-            qex = (jw / np.maximum(pxh[None, :], 1e-300)).T  # q(w | xh)
-            qs.append(qex / np.maximum(qex.sum(axis=1, keepdims=True), 1e-300))
-        except (CommonInfoInfeasible, ProbabilityError):
-            pass  # the exhaustive grid found no split
-    own = [_through_reproduction(p, pxxh, q) for q in qs]
-    return _c3_from_candidates(d, D, rp, list(_candidate_joints(p, own, lambda: rp)))
+    searched = _searched(p, pxxh, d.repro_sizes, max(2, min(pxxh.shape[1], 8)), budget or SolveBudget())
+    return _c3_from_candidates(d, D, rp, list(_candidate_joints(p, searched, lambda: rp)))

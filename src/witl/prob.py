@@ -17,8 +17,6 @@ LOG2 = np.log(2.0)
 
 #: |sum - 1| beyond which an input tensor is rejected instead of renormalized.
 SUM_TOLERANCE = 1e-9
-#: tolerance used when asserting invariants such as "sums to 1".
-PROB_ATOL = 1e-12
 
 
 class ProbabilityError(ValueError):

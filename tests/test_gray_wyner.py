@@ -74,6 +74,7 @@ class TestMembership:
             raise RuntimeError("a later candidate was built")
 
         monkeypatch.setattr(gray_wyner, "solve_common_info", unreached)
+        monkeypatch.setattr(gray_wyner, "_penalized_descent", unreached)
         monkeypatch.setattr(gray_wyner, "ba_joint_rd", unreached)
         w = check_membership(random_source(0, (3, 3)), RatePoint(5.0, (5.0, 5.0)), (0.05, 0.05))
         assert w is not None and w.joint.alphabet_sizes == (1, 3, 3)
@@ -119,6 +120,21 @@ class TestCommonRateSolvers:
         p = JointPmf((2, 2, 2), np.full((2, 2, 2), 0.125))
         with pytest.raises(ProbabilityError):
             c3_tilde(p, DistortionSpec.hamming((2, 2, 2)), (0.1, 0.1, 0.1))
+
+
+class TestBudgetMonotone:
+    """Every searched W is scored, and the restarts of a smaller budget are a
+    prefix of a larger budget's, so more restarts never answer worse."""
+
+    # c_star rose with the budget on seeds 1, 3, 5 and 11 when it scored one
+    # picked restart; c3_tilde's answer drops with the budget on seeds 2 and 4
+    @pytest.mark.parametrize("solve, seed", [(c_star, 1), (c_star, 3), (c_star, 5), (c_star, 11),
+                                             (c3_tilde, 2), (c3_tilde, 4)])
+    def test_value_upper_nonincreasing_in_restarts(self, solve, seed):
+        p, d = random_source(seed, (3, 3)), DistortionSpec.hamming((3, 3))
+        values = [solve(p, d, (0.05, 0.05), SolveBudget(restarts=r)).value_upper for r in (2, 4, 8)]
+        assert values[1] <= values[0] + 1e-9
+        assert values[2] <= values[1] + 1e-9
 
 
 class TestOneJointSolvePerCall:
