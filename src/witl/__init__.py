@@ -1,7 +1,14 @@
 """Wyner common information toolkit: discrete probability core, rate-distortion
 solvers, common-information optimization, common-rate solvers with membership
 checks, binary/Gaussian closed forms, exact distribution synthesis, and audits.
+
+The library logs to the ``witl`` logger and its children, at debug level
+only, with no handler of its own beyond a ``NullHandler``.
 """
+
+import logging as _logging
+
+_logging.getLogger("witl").addHandler(_logging.NullHandler())
 
 from .prob import (
     ConditionalPmf,

@@ -83,52 +83,59 @@ class _Memory:
     """The L-BFGS memories of k rows, kept in the compact form of Byrd,
     Nocedal and Schnabel (1994) so that each row costs O(m n).
 
-    Per row: the pairs (s, y) in ``pairs`` (k, 2, m, n), newest last, unused
-    leading slots zero; the inverse of R = triu(S'Y) (identity on unused
-    slots), updated as each pair arrives; and gamma = s'y / y'y of the newest
-    pair (1 before the first), the scale of the initial inverse Hessian.
+    Per row, with the pairs (s, y) as the rows of S and Y, newest last, and
+    R = triu(S'Y): T = R^-1 S and Y in ``pairs`` (k, 2, m, n), unused leading
+    slots zero; then D = diag(S'Y) and gamma = s'y / y'y of the newest pair
+    (1 before the first) in ``scale`` (k, m + 1, 1).
     """
 
     def __init__(self, k, n):
         m = DESCENT_MEMORY
         self.pairs = np.zeros((k, 2, m, n))
-        self.rinv = np.tile(np.eye(m), (k, 1, 1))
-        self.gamma = np.ones(k)
-        self.used = [0] * k
+        self.scale = np.zeros((k, m + 1, 1))
+        self.scale[:, m] = 1.0
+        self._step = np.tile(np.eye(m), (k, 1, 1))  # push sets the last column
 
     def push(self, rows, s, y):
-        """Append the pair (s, y) to the listed rows, dropping the oldest."""
-        sel = _rows(rows, len(self.used))
-        w, ri = self.pairs[sel], self.rinv[sel]
-        w[:, :, :-1], w[:, 0, -1], w[:, 1, -1] = w[:, :, 1:], s, y
-        c = (w[:, 0] @ y[:, :, None])[:, :, 0]  # s_i'y for every slot, s'y last
-        sy = c[:, -1]
-        # the inverse of [[R, c], [0, s'y]] is [[R^-1, -R^-1 c / s'y], [0, 1 / s'y]]
-        ri[:, :-1, :-1] = ri[:, 1:, 1:]
-        ri[:, -1] = 0.0
-        ri[:, :-1, -1] = (ri[:, :-1, :-1] @ c[:, :-1, None])[:, :, 0] / -sy[:, None]
-        ri[:, -1, -1] = 1.0 / sy
-        self.pairs[sel], self.rinv[sel], self.gamma[sel] = w, ri, sy / _rowdot(y, y)
-        for i in rows:
-            self.used[i] = min(self.used[i] + 1, DESCENT_MEMORY)
+        """Append the pair (s, y) to the listed rows, dropping the oldest. A
+        row of T depends on its pair and newer ones only (R^-1 is upper
+        triangular); with s appended, the new T is E T, E the identity with
+        last column (-t_1'y, .., -t_(m-1)'y, 1) / s'y."""
+        m = DESCENT_MEMORY
+        sel = _rows(rows, len(self.scale))
+        w, sc = self.pairs[sel], self.scale[sel]  # views when sel holds every row
+        w[:, :, :-1], sc[:, :-2] = w[:, :, 1:], sc[:, 1:-1]
+        w[:, 0, -1], w[:, 1, -1] = s, y
+        c = w.reshape(len(s), 2 * m, -1) @ y[:, :, None]  # t_i'y, s'y, then y_i'y, y'y
+        sy = c[:, m - 1:m]
+        e = self._step[:len(s)]
+        np.divide(c[:, :m], -sy, out=e[:, :, -1:])
+        e[:, -1:, -1:] = 1.0 / sy
+        w[:, 0] = e @ w[:, 0]
+        sc[:, -2:-1] = sy
+        np.divide(sy, c[:, -1:], out=sc[:, -1:])
+        if not isinstance(sel, slice):
+            self.pairs[sel], self.scale[sel] = w, sc
+
+    def empty(self, i):
+        return not self.scale[i, -2, 0]  # the newest s'y, 0 until a pair arrives
 
     def clear(self, i):
-        self.pairs[i], self.rinv[i], self.gamma[i], self.used[i] = 0.0, np.eye(DESCENT_MEMORY), 1.0, 0
+        self.pairs[i], self.scale[i], self.scale[i, -1] = 0.0, 0.0, 1.0
 
     def take(self, keep):
-        self.pairs, self.rinv, self.gamma = (a[keep] for a in (self.pairs, self.rinv, self.gamma))
-        self.used = [self.used[i] for i in keep]
+        self.pairs, self.scale = self.pairs[keep], self.scale[keep]
 
     def direction(self, sel, g):
-        """-H g on the rows ``sel``. With T = R^-1 S and D = diag(S'Y), the
-        L-BFGS inverse Hessian is H = gamma (I - Y'T)'(I - Y'T) + T' D T, so
-        with v = T g and u = (I - Y'T) g, H g = gamma u + T'(D v - gamma Y u)."""
-        w, ri, gamma = self.pairs[sel], self.rinv[sel], self.gamma[sel][:, None, None]
-        sm, ym = w[:, 0], w[:, 1]
-        v = ri @ (sm @ g[:, :, None])
-        u = g[:, :, None] - ym.transpose(0, 2, 1) @ v
-        z = _rowdot(sm, ym)[:, :, None] * v - gamma * (ym @ u)
-        return -(gamma * u + sm.transpose(0, 2, 1) @ (ri.transpose(0, 2, 1) @ z))[:, :, 0]
+        """-H g on the rows ``sel``. The L-BFGS inverse Hessian is
+        H = gamma (I - Y'T)'(I - Y'T) + T' D T, so with v = T g and
+        u = (I - Y'T) g, H g = gamma u + T'(D v - gamma Y u)."""
+        w, sc = self.pairs[sel], self.scale[sel]
+        t, ym, gamma = w[:, 0], w[:, 1], sc[:, -1:]
+        g = g[:, :, None]
+        v = t @ g
+        u = g - ym.transpose(0, 2, 1) @ v
+        return -(gamma * u + t.transpose(0, 2, 1) @ (sc[:, :-1] * v - gamma * (ym @ u)))[:, :, 0]
 
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stmin, stmax):
@@ -331,17 +338,15 @@ def minimize(fun, x0) -> Minimum:
             x[acc], g[acc] = xt[acc], gt[acc]
         if turn:
             sel = _rows(turn, k)
-            if len(turn) == k:
-                d = mem.direction(sel, g)
-            else:
-                d[sel] = mem.direction(sel, g[sel])
+            # every row's direction, each as if alone: cheaper than picking rows
+            d[sel] = mem.direction(slice(None), g)[sel]
             for i, slope in zip(turn, _rowdot(g[sel], d[sel]).tolist()):
                 f0[i], gd0[i], stp[i], evals[i] = f[i], slope, 1.0, 0
                 if slope >= 0:
                     spent.append(i)
         for i in spent:
             searches.pop(ids[i], None)
-            if mem.used[i] == 0:
+            if mem.empty(i):
                 stop[i] = True
                 continue
             mem.clear(i)
@@ -574,17 +579,29 @@ def _descent_terms(pxu, u_sizes):
     in z, all in nats, one value per stacked vector (a float for 1-D z). Each
     stacked vector is computed as it would be alone.
 
-    With p(x,w) = sum_u p(x,u) q(w|u) and p(u,w) = p(u) q(w|u),
-    dI/dq(w|u) = sum_x p(x,u) log p(x,w) - p(u) log p(w) and
-    dTC/dq(w|u) = -p(u) [sum_i log p(u_i,w) - log p(u,w) - (n-1) log p(w)];
-    the row softmax maps a gradient g in q to q(k|u) (g(u,k) - sum_w q(w|u) g(u,w)).
+    The masses p(w), p(x,w), p(u,w) and each p(u_i,w) are linear in q: the
+    row blocks b of ``mass = t @ q``, t stacking p(u), p(x,u), diag p(u) and
+    each M_i diag p(u) (M_i maps u to u_i). With S_b = sum m log m over block
+    b, the objective is sum_b a_b S_b - sum_x p(x) log p(x), with
+    a = (-1 + c(n-1), 1, c, -c, .., -c) and c = mu where TC > 0, else 0. The
+    "+1" of d(m log m)/dm cancels in that sum, so the gradient in q is
+    t' (a log m); the row softmax maps a gradient g in q to
+    q(k|u) (g(u,k) - sum_w q(w|u) g(u,w)).
     """
     nx, nu = pxu.shape
     n = len(u_sizes)
     pu = pxu.sum(axis=0)
     px = pxu.sum(axis=1)
     xlogx = float(px @ _log0(px))  # sum_x p(x) log p(x)
-    margin_axes = [tuple(a + 1 for a in range(n) if a != i) for i in range(n)]
+    coord = np.indices(u_sizes).reshape(n, nu)  # coord[i, u] = u_i
+    t = np.vstack([pu, pxu, np.diag(pu)] + [(np.arange(s)[:, None] == coord[i]) * pu
+                                            for i, s in enumerate(u_sizes)])
+    tt = np.ascontiguousarray(t.T)
+    sizes = [1, nx, nu, *u_sizes]
+    starts = np.cumsum([0] + sizes[:-1])
+    # a = a0 + c a1, repeated over each block's rows
+    a0 = np.repeat([-1.0, 1.0, 0.0] + [0.0] * n, sizes)[:, None]
+    a1 = np.repeat([n - 1.0, 0.0, 1.0] + [-1.0] * n, sizes)[:, None]
 
     def terms(z, mu):
         z = np.asarray(z, dtype=float)
@@ -593,31 +610,12 @@ def _descent_terms(pxu, u_sizes):
         B, K = zb.shape[0], zb.shape[2]
         e = np.exp(zb - zb.max(axis=2, keepdims=True))
         q = e / e.sum(axis=2, keepdims=True)
-        juw = pu[:, None] * q  # (B, u, w)
-        jxw = pxu @ q  # (B, x, w)
-        shaped = juw.reshape((B,) + tuple(u_sizes) + (K,))
-        # p(w), p(x, w), p(u, w) and each p(u_i, w) side by side, so that one
-        # log and one segmented sum give every sum of m log m
-        blocks = [juw.sum(axis=1), jxw.reshape(B, -1), juw.reshape(B, -1)]
-        blocks += [shaped.sum(axis=axes).reshape(B, -1) for axes in margin_axes]
-        starts = list(itertools.accumulate([b.shape[1] for b in blocks], initial=0))
-        mass = np.concatenate(blocks, axis=1)
+        mass = t @ q  # (B, rows, w)
         logs = _log0(mass)
-        mlogm = np.add.reduceat(mass * logs, starts[:-1], axis=1)
-        hw = -mlogm[:, 0]
-        i_xw = hw + mlogm[:, 1] - xlogx
-        tc = mlogm[:, 2] - mlogm[:, 3:].sum(axis=1) - (n - 1) * hw
-        # dI/dq - c dTC/dq with c = mu where TC > 0, else 0
-        log_ui = 0.0  # sum_i log p(u_i, w), broadcast over (B, u_1, .., u_n, w)
-        for i in range(n):
-            shape = [B] + [1] * n + [K]
-            shape[i + 1] = u_sizes[i]
-            log_ui = log_ui + logs[:, starts[3 + i]:starts[4 + i]].reshape(shape)
-        c = (mu * (tc > 0))[:, None, None]
-        log_w = logs[:, None, :K]
-        inner = (1.0 - (n - 1) * c) * log_w + c * (
-            np.reshape(log_ui, (B, nu, K)) - logs[:, starts[2]:starts[3]].reshape(B, nu, K))
-        g = pxu.T @ logs[:, K:starts[2]].reshape(B, nx, K) - pu[:, None] * inner
+        s = np.add.reduceat((mass * logs).reshape(B, -1), starts * K, axis=1)
+        i_xw = s[:, 1] - s[:, 0] - xlogx
+        tc = s[:, 2] - s[:, 3:].sum(axis=1) + (n - 1) * s[:, 0]
+        g = tt @ ((a0 + (mu * (tc > 0))[:, None, None] * a1) * logs)
         grad = q * (g - (q * g).sum(axis=2, keepdims=True))
         obj = i_xw + mu * np.maximum(tc, 0.0)
         if not lead:

@@ -18,6 +18,7 @@ searches are finite, so every point value is a certified upper bound.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,8 @@ RESIDUAL_TOL = 1e-3
 RESIDUAL_TOL_LOOSE = 1e-2
 #: slack (bits) by which a membership rate may fall short of what a witness needs
 MEMBERSHIP_TOL = 1e-6
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,9 @@ def _candidate_joints(p: JointPmf, searched, joint_point):
     yield from searched
     try:
         rp = joint_point()
-    except (InfeasibleDistortion, SweepResolutionError):
-        return  # no reproduction pair at this distortion
+    except (InfeasibleDistortion, SweepResolutionError) as exc:
+        _log.debug("W = X̂ not scored: no joint-RD point (%s: %s)", type(exc).__name__, exc)
+        return
     if rp is not None:
         pxxh = _source_reproduction(p, rp)
         yield _observing(p, pxxh, np.eye(pxxh.shape[1]))
@@ -148,8 +152,9 @@ def _searched(p: JointPmf, pxu: np.ndarray, u_sizes: tuple, K: int, budget: Solv
     if u_sizes == (2, 2):
         try:
             sol = solve_common_info(JointPmf((2, 2), pxu.sum(axis=0)), K=2, budget=budget)
-        except CommonInfoInfeasible:
-            return  # the grid holds no split of U's law
+        except CommonInfoInfeasible as exc:
+            _log.debug("exhaustive split of U not scored: %s", exc)
+            return
         split = joint_with_mixture(sol.pw, sol.channels).mass.reshape(-1, 4).T  # (u, w)
         # q(w | u) of the split; a letter of U of zero mass keeps a zero row
         yield _observing(p, pxu, split / np.maximum(split.sum(axis=1, keepdims=True), 1e-300))

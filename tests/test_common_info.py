@@ -392,6 +392,100 @@ def _grid_reference(p, res):
     )
 
 
+def _per_block_terms(pxu, u_sizes, z, mu):
+    """I(X;W), TC and the gradient in z of I + mu * max(TC, 0) (nats) for one
+    logit vector, each mass formed and differentiated block by block:
+    dI/dq(w|u) = sum_x p(x,u) log p(x,w) - p(u) log p(w) and
+    dTC/dq(w|u) = -p(u) [sum_i log p(u_i,w) - log p(u,w) - (n-1) log p(w)]."""
+    nx, nu = pxu.shape
+    n = len(u_sizes)
+    zb = z.reshape(nu, -1)
+    K = zb.shape[1]
+    e = np.exp(zb - zb.max(axis=1, keepdims=True))
+    q = e / e.sum(axis=1, keepdims=True)
+    pu, px = pxu.sum(axis=0), pxu.sum(axis=1)
+    juw = pu[:, None] * q
+    jxw = pxu @ q
+    pw = juw.sum(axis=0)
+    shaped = juw.reshape(tuple(u_sizes) + (K,))
+    margins = [shaped.sum(axis=tuple(a for a in range(n) if a != i)) for i in range(n)]
+
+    def log0(m):
+        return np.log(np.where(m > 0, m, 1.0))
+
+    def mlogm(m):
+        return float((m * log0(m)).sum())
+
+    hw = -mlogm(pw)
+    i_xw = hw + mlogm(jxw) - mlogm(px)
+    tc = mlogm(juw) - sum(mlogm(m) for m in margins) - (n - 1) * hw
+    log_ui = sum(log0(m).reshape([u_sizes[i] if a == i else 1 for a in range(n)] + [K])
+                 for i, m in enumerate(margins))
+    c = mu if tc > 0 else 0.0
+    dtc = -pu[:, None] * (np.reshape(log_ui, (nu, K)) - log0(juw) - (n - 1) * log0(pw))
+    g = pxu.T @ log0(jxw) - pu[:, None] * log0(pw) + c * dtc
+    return i_xw, tc, (q * (g - (q * g).sum(axis=1, keepdims=True))).reshape(-1)
+
+
+def _prob_terms(pxu, u_sizes, q):
+    """I(X;W) and TC(U_1, .., U_n | W) in nats from the (W, X) and (W, U)
+    joints, through witl.prob."""
+    K = q.shape[1]
+    jwx = JointPmf((K, pxu.shape[0]), (pxu @ q).T)
+    jwu = JointPmf((K, *u_sizes), (pxu.sum(axis=0)[:, None] * q).T.reshape((K, *u_sizes)))
+    hw = entropy(marginalize(jwu, [0]))
+    tc = sum(entropy(marginalize(jwu, [0, i + 1])) - hw for i in range(len(u_sizes)))
+    tc -= entropy(jwu) - hw
+    return mutual_information(jwx, [0]) * LOG2, tc * LOG2
+
+
+def _zero_cell_pair():
+    p = JointPmf((2, 3), np.array([[0.3, 0.0, 0.2], [0.1, 0.25, 0.15]]))
+    return np.diag(p.mass.reshape(-1)), (2, 3), 3
+
+
+class TestOneLinearMap:
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 1e3])
+    def test_terms_match_prob_and_the_per_block_formula(self, case, mu):
+        pxu, sizes, K = (_descent_pairs() + [_zero_cell_pair()])[case]
+        terms = _descent_terms(pxu, sizes)
+        z = np.random.default_rng(30 + case).normal(scale=2.0, size=(2, 3, pxu.shape[1] * K))
+        stacked = terms(z, mu)
+        for idx in [()] + list(np.ndindex(2, 3)):
+            q, i_xw, tc, obj, grad = terms(z[0, 0], mu) if idx == () else [v[idx] for v in stacked]
+            want_i, want_tc = _prob_terms(pxu, sizes, q)
+            assert abs(i_xw - want_i) <= 1e-12 and abs(tc - want_tc) <= 1e-12
+            ref_i, ref_tc, ref_grad = _per_block_terms(pxu, sizes, z[idx or (0, 0)], mu)
+            assert abs(i_xw - ref_i) <= 1e-12 and abs(tc - ref_tc) <= 1e-12
+            assert obj == i_xw + mu * max(tc, 0.0)
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    def test_zero_mass_cell_gives_finite_terms_without_warnings(self):
+        pxu, sizes, K = _zero_cell_pair()
+        z = np.random.default_rng(3).normal(scale=2.0, size=(4, pxu.shape[1] * K))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _descent_terms(pxu, sizes)(z, 1e3)
+        assert all(np.all(np.isfinite(v)) for v in out)
+
+
+def test_descent_calls_minimize_once_per_stage(monkeypatch):
+    # a profiler wraps the module attribute common_info.minimize; a descent
+    # that called anything else would leave that wrapper counting nothing
+    calls = []
+    real = common_info.minimize
+
+    def counted(fun, x0):
+        calls.append(np.shape(x0))
+        return real(fun, x0)
+
+    monkeypatch.setattr(common_info, "minimize", counted)
+    pxu, sizes, K = _descent_pairs()[0]
+    _penalized_descent(pxu, sizes, K, SolveBudget(restarts=3))
+    assert calls == [(3, pxu.shape[1] * K)] * common_info.DESCENT_STAGES
+
+
 class TestExhaustiveGrid:
     def test_feasible_points_only_match_full_grid(self):
         rng = np.random.default_rng(5)

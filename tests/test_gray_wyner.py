@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import witl.rd as rd
 from witl.audit import random_source
 from witl.closed_form import DsbsParams, RegionLabel, dsbs_c3, dsbs_region
 from witl import gray_wyner
-from witl.common_info import SolveBudget
+from witl.common_info import CommonInfoInfeasible, SolveBudget
 from witl.gray_wyner import (
     RatePoint,
     c3_tilde,
@@ -221,3 +222,42 @@ class TestConverseLowerSide:
         p, d = random_source(2, (2, 3)), DistortionSpec.hamming((2, 3))
         rate = witness_conditional_rate(gray_wyner._constant_w(p), coord, d, D)
         assert rate == pytest.approx(coordinate_rd_values(p, d, [(coord - 1, None, D)])[0].rate, abs=1e-12)
+
+
+class TestDroppedCandidatesAreLogged:
+    """Each W that gray_wyner drops without scoring leaves one debug record
+    on the ``witl`` logger."""
+
+    def test_witl_logger_has_a_null_handler(self):
+        assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("witl").handlers)
+
+    @pytest.mark.parametrize("error", [rd.InfeasibleDistortion, rd.SweepResolutionError])
+    def test_reproduction_pair_without_a_joint_point(self, monkeypatch, caplog, error):
+        def unreachable(*args):
+            raise error("no point at this distortion")
+
+        monkeypatch.setattr(gray_wyner, "ba_joint_rd", unreachable)
+        caplog.set_level(logging.DEBUG, logger="witl")
+        # no candidate meets these rates, so every candidate is reached
+        assert check_membership(dsbs(), RatePoint(0.0, (0.0, 0.0)), (0.05, 0.05), hamming22(),
+                                SolveBudget(restarts=1)) is None
+        records = [r for r in caplog.records if r.name == "witl.gray_wyner"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        assert error.__name__ in records[0].getMessage()
+
+    def test_exhaustive_split_that_finds_no_point(self, monkeypatch, caplog):
+        def infeasible(*args, **kwargs):
+            raise CommonInfoInfeasible("no feasible point on the exhaustive grid")
+
+        monkeypatch.setattr(gray_wyner, "solve_common_info", infeasible)
+        caplog.set_level(logging.DEBUG, logger="witl")
+        p = dsbs()
+        assert list(gray_wyner._searched_on_source(p, SolveBudget(restarts=1))) == []
+        records = [r for r in caplog.records if r.name == "witl.gray_wyner"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        assert "no feasible point" in records[0].getMessage()
+
+    def test_no_record_when_every_candidate_is_scored(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="witl")
+        c_star(dsbs(), hamming22(), (0.05, 0.05), SolveBudget(restarts=1))
+        assert not [r for r in caplog.records if r.name.startswith("witl")]
