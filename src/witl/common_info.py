@@ -297,11 +297,12 @@ def minimize(fun, x0) -> Minimum:
             k, stop = len(keep), [False] * len(keep)
         if not k:
             return Minimum(out_x, out_f, out_nit, nfev)
-        xt = x + np.array(stp)[:, None] * d
+        delta = np.array(stp)[:, None] * d
+        xt = x + delta
         ft, gt = fun(xt)
         nfev += k
         gdt = _rowdot(gt, d).tolist()
-        gmax = np.abs(gt).max(axis=1).tolist()
+        gmax = None  # max |g| of the trial points, once a row accepts one
         acc, pair, turn, spent = [], [], [], []
         for i, fi in enumerate(ft.tolist()):
             evals[i] += 1
@@ -318,6 +319,8 @@ def minimize(fun, x0) -> Minimum:
             searches.pop(ids[i], None)
             acc.append(i)
             nit[i] += 1
+            if gmax is None:
+                gmax = np.abs(gt).max(axis=1).tolist()
             if nit[i] >= DESCENT_MAXITER or gmax[i] <= GRAD_TOL or (
                 f[i] - fi <= REL_REDUCTION * max(abs(f[i]), abs(fi), 1.0)
             ):
@@ -331,19 +334,19 @@ def minimize(fun, x0) -> Minimum:
             f[i] = fi
         if pair:
             sel = _rows(pair, k)
-            mem.push(pair, d[sel] * np.array(stp)[sel, None], gt[sel] - g[sel])
+            mem.push(pair, delta[sel], (gt - g)[sel])
         if len(acc) == k:
             x, g = xt, gt
-        else:
+        elif acc:
             x[acc], g[acc] = xt[acc], gt[acc]
         if turn:
+            # every row's direction and slope, each as if alone: cheaper than picking rows
             sel = _rows(turn, k)
-            # every row's direction, each as if alone: cheaper than picking rows
             d[sel] = mem.direction(slice(None), g)[sel]
-            for i, slope in zip(turn, _rowdot(g[sel], d[sel]).tolist()):
-                f0[i], gd0[i], stp[i], evals[i] = f[i], slope, 1.0, 0
-                if slope >= 0:
-                    spent.append(i)
+            slopes = _rowdot(g, d).tolist()
+            for i in turn:
+                f0[i], gd0[i], stp[i], evals[i] = f[i], slopes[i], 1.0, 0
+            spent += [i for i in turn if slopes[i] >= 0]
         for i in spent:
             searches.pop(ids[i], None)
             if mem.empty(i):
@@ -582,11 +585,10 @@ def _descent_terms(pxu, u_sizes):
     The masses p(w), p(x,w), p(u,w) and each p(u_i,w) are linear in q: the
     row blocks b of ``mass = t @ q``, t stacking p(u), p(x,u), diag p(u) and
     each M_i diag p(u) (M_i maps u to u_i). With S_b = sum m log m over block
-    b, the objective is sum_b a_b S_b - sum_x p(x) log p(x), with
-    a = (-1 + c(n-1), 1, c, -c, .., -c) and c = mu where TC > 0, else 0. The
-    "+1" of d(m log m)/dm cancels in that sum, so the gradient in q is
-    t' (a log m); the row softmax maps a gradient g in q to
-    q(k|u) (g(u,k) - sum_w q(w|u) g(u,w)).
+    b, the objective is sum_b a_b S_b - sum_x p(x) log p(x), a = (-1 + c(n-1),
+    1, c, -c, .., -c) and c = mu where TC > 0, else 0. The "+1" of
+    d(m log m)/dm cancels, so the gradient in q is t' (a log m); the row
+    softmax maps it to q(k|u) (g(u,k) - sum_w q(w|u) g(u,w)).
     """
     nx, nu = pxu.shape
     n = len(u_sizes)
