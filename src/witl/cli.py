@@ -134,7 +134,7 @@ def main():
 @_OUTPUT
 @_guard
 def rd(source, dist, dvals, output):
-    """Rate-distortion value for a 1- or 2-coordinate source."""
+    """Rate-distortion value of a source: R_X(D) for one coordinate, joint R(D) for N >= 2."""
     p = _load_source(source)
     d = _load_distortion(dist, p)
     targets = _parse_pair(dvals, p.ncoords)

@@ -25,8 +25,7 @@ import numpy as np
 
 from .common_info import CommonInfoInfeasible, SolveBudget, _penalized_descent, solve_common_info
 from .prob import JointPmf, ProbabilityError, joint_with_mixture, mutual_information
-from .rd import (DistortionSpec, InfeasibleDistortion, RdPoint, SweepResolutionError,
-                 _coordinate_pmf, _lockstep, _problem, _scalar_search, ba_joint_rd)
+from .rd import DistortionSpec, InfeasibleDistortion, RdPoint, SweepResolutionError, _lockstep, _query, ba_joint_rd
 
 #: Theorem-3 equality tolerance (bits) for accepting a witness, and the looser
 #: sensitivity tolerance reported alongside.
@@ -84,15 +83,15 @@ class C3Estimate:
         return obj
 
 
-def _witness_query(joint: JointPmf, coord: int, d: DistortionSpec, D: float) -> tuple:
-    """The _scalar_search arguments of R_{X_coord | W}(D) for a (W, X...) witness joint."""
+def _witness_query(joint: JointPmf, coord: int, d: DistortionSpec, D: float):
+    """The query (rd._query) of R_{X_coord | W}(D) for a (W, X...) witness joint."""
     xw = JointPmf((*joint.alphabet_sizes[1:], joint.alphabet_sizes[0]), np.moveaxis(joint.mass, 0, -1))
-    return _problem(*_coordinate_pmf(xw, d, coord - 1, joint.ncoords - 1), D)
+    return _query(xw, d, coord - 1, joint.ncoords - 1, D)
 
 
 def witness_conditional_rate(joint: JointPmf, coord: int, d: DistortionSpec, D: float) -> float:
     """R_{X_coord | W}(D) evaluated for a (W, X...) witness joint."""
-    return _lockstep([_scalar_search(*_witness_query(joint, coord, d, D))])[0].rate
+    return _lockstep([_witness_query(joint, coord, d, D)])[0].rate
 
 
 def witness_common_rate(joint: JointPmf) -> float:
@@ -103,8 +102,7 @@ def witness_common_rate(joint: JointPmf) -> float:
 def _private_rates(joints, d: DistortionSpec, D) -> list[tuple[float, ...]]:
     """(R_{X_1|W}(D_1), .., R_{X_N|W}(D_N)) for each (W, X...) witness joint,
     all asked in one lockstep search."""
-    points = _lockstep([_scalar_search(*_witness_query(joint, i + 1, d, Di))
-                        for joint in joints for i, Di in enumerate(D)])
+    points = _lockstep([_witness_query(joint, i + 1, d, Di) for joint in joints for i, Di in enumerate(D)])
     n = len(D)
     return [tuple(pt.rate for pt in points[k:k + n]) for k in range(0, len(points), n)]
 
@@ -180,7 +178,7 @@ def check_membership(
     D = tuple(float(x) for x in D)
     if len(D) != p.ncoords or len(rates.privates) != p.ncoords:
         raise ProbabilityError("distortion/rate dimension mismatch")
-    # the joint solver takes pairs only
+    # W = X̂, the joint test channel's reproduction, is a candidate for pairs only
     for joint in _candidate_joints(p, _searched_on_source(p, budget),
                                    lambda: ba_joint_rd(p, d, D) if p.ncoords == 2 else None):
         common = witness_common_rate(joint)

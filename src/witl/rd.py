@@ -4,7 +4,8 @@ rate-distortion functions on finite alphabets.
 Every query R(D) maximizes the concave dual g(s) = pw . F*_w(s)/ln 2 - s . D
 over slopes 0 <= s <= SLOPE_CAP, F*_w being component w's Lagrangian minimum:
 R_X has one multiplier and one component, R_{X|W} one multiplier and a
-component per letter of W, R_{X1X2} two multipliers and one component. One
+component per letter of W, R_{X1..XN} N multipliers and one component. One
+builder, ``_query``, makes each from a source and its coordinates, and one
 generator, ``_dual_search``, serves all three: a zero-rate rule, a start from
 stored supporting planes or one kernel call on diagonal doubling slopes, and a
 projected Newton ascent with the curvature of ``_dual_hessian``, safeguarded by
@@ -137,7 +138,7 @@ def _fixed_point_solve(joint, cond, q, c, rhs):
     return v @ (inv[..., None] * (np.swapaxes(v, -1, -2) @ rhs))
 
 
-def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
+def _ba_batch(px, cost, q0=None, tol=RATE_TOL):
     """Batched alternating minimization at fixed slopes, Newton-polished.
 
     px: (nx,) source pmf shared by every entry, or (B, nx) one per entry;
@@ -195,8 +196,8 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
     active = np.arange(bsz)
     check = 16
     next_check = check
-    for it in range(1, max_iter + 1):
-        checking = it == next_check or it == max_iter
+    for it in range(1, MAX_ITER + 1):
+        checking = it == next_check or it == MAX_ITER
         if not checking:
             z = (a @ q[..., None])[..., 0]
             if z.min() > 0:
@@ -211,7 +212,7 @@ def _ba_batch(px, cost, max_iter=MAX_ITER, q0=None, tol=RATE_TOL):
         support = px > 0
         v, gap, ch = dual_certificate(q, a, px, support)
         done = gap < tol
-        if it == max_iter:
+        if it == MAX_ITER:
             done = np.ones_like(done)
         if np.any(done):
             idx = active[done]
@@ -435,12 +436,12 @@ def _dual_search(px, pw, dm, repro, target, planes, tol):
 
 
 def _lockstep(searches) -> list[RdPoint]:
-    """The RdPoint of each search, a generator as _scalar_search and _joint_search
-    are, run in lockstep: a round sends every open search the reply to its last
-    request and makes one kernel call (_round_call) on the requests they yield.
-    Every search raises on a bad target before the first call. The searches are
-    independent, but the entries of a call share its check cadence, so a search's
-    bounds may move within their stopping tolerance with the company it keeps."""
+    """The RdPoint of each search, a generator as _query makes, run in lockstep:
+    a round sends every open search the reply to its last request and makes one
+    kernel call (_round_call) on the requests they yield. Every search raises on
+    a bad target before the first call. The searches are independent, but the
+    entries of a call share its check cadence, so a search's bounds may move
+    within their stopping tolerance with the company it keeps."""
     points, replies = [None] * len(searches), dict.fromkeys(range(len(searches)))
     while replies:
         asked = []
@@ -480,27 +481,11 @@ def _round_call(requests) -> list[tuple]:
     return [(conds[at:at + b, :x, :h], flb[at:at + b], rates[at:at + b]) for (b, x, h), at in zip(shapes, rows)]
 
 
-def _problem(p: JointPmf, d: DistortionSpec, D) -> tuple:
-    """The _scalar_search arguments of R_{X|W}(D) for an (X, W) p, or of R_X(D) for a 1-coordinate p."""
-    pxw = p.mass.reshape(p.alphabet_sizes[0], -1)
-    pw = pxw.sum(axis=0)
-    return (pxw[:, pw > 0] / pw[pw > 0]).T, pw[pw > 0], d.matrices[0], float(D)
-
-
-def _scalar_search(pxgw, pw, dmat, target):
-    """R_{X|W}(target) for (W, nx) component source pmfs pxgw with weights pw
-    (W = 1 gives R_X) as a generator for _lockstep: _dual_search on one
-    coordinate from no stored planes, its kernel calls run to a gap of
-    RATE_TOL / 1000."""
-    return _dual_search(pxgw, pw, dmat[None], dmat.shape[1:], np.array([float(target)]), deque(),
-                        RATE_TOL / 1000)
-
-
 def ba_rate_distortion(p: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
     """Marginal R_X(D) for a single-coordinate source."""
     if p.ncoords != 1:
         raise ProbabilityError("ba_rate_distortion expects a 1-coordinate pmf")
-    return _lockstep([_scalar_search(*_problem(p, d, D))])[0]
+    return coordinate_rd_values(p, d, [(0, None, D)])[0]
 
 
 def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
@@ -511,41 +496,53 @@ def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
     """
     if pxw.ncoords != 2:
         raise ProbabilityError("ba_conditional_rd expects an (X, W) pmf")
-    return _lockstep([_scalar_search(*_problem(pxw, d, D))])[0]
-
-
-# ---------------------------------------------------------------------------
-# Joint (two-coordinate) solver: stored supporting planes + projected dual ascent
-
-
-def _joint_problem(p: JointPmf, d: DistortionSpec):
-    """Flattened source pmf and the stacked (2, nx, nxh) distortions."""
-    n1, n2 = p.alphabet_sizes
-    m1, m2 = d.repro_sizes
-    px = p.mass.reshape(-1)
-    d1 = np.broadcast_to(d.matrices[0][:, None, :, None], (n1, n2, m1, m2))
-    d2 = np.broadcast_to(d.matrices[1][None, :, None, :], (n1, n2, m1, m2))
-    return px, np.stack([d1, d2]).reshape(2, n1 * n2, m1 * m2)
+    return coordinate_rd_values(pxw, d, [(0, 1, D)])[0]
 
 
 def ba_joint_rd(p: JointPmf, d: DistortionSpec, D) -> RdPoint:
-    """Joint R_{X1X2}(D1, D2) as the maximum of the concave dual
-    g(s) = F*(s)/ln 2 - s1 D1 - s2 D2 over 0 <= s <= SLOPE_CAP (_joint_search)."""
-    return _lockstep([_joint_search(p, d, D)])[0]
+    """Joint R_{X1..XN}(D1, .., DN) of all N >= 2 coordinates, as the maximum of
+    the concave dual g(s) = F*(s)/ln 2 - s . D over 0 <= s <= SLOPE_CAP."""
+    if p.ncoords < 2 or np.size(D) != p.ncoords:
+        raise ProbabilityError("ba_joint_rd expects a pmf of N >= 2 coordinates and N targets")
+    return coordinate_rd_values(p, d, [(tuple(range(p.ncoords)), None, D)])[0]
 
 
-def _joint_search(p: JointPmf, d: DistortionSpec, D):
-    """One ba_joint_rd query as a generator for _lockstep: _dual_search from the
-    source's stored planes (_SWEEP_CACHE), its kernel calls run to a gap of
-    RATE_TOL; a new source's planes are stored once there are some."""
-    if p.ncoords != 2:
-        raise ProbabilityError("ba_joint_rd expects a 2-coordinate pmf")
+def _joint_problem(p: JointPmf, d: DistortionSpec):
+    """Flattened source pmf and the stacked (N, nx, nxh) distortions of its N
+    coordinates, nx and nxh the products of their source and reproduction sizes."""
+    k, shape = p.ncoords, (*p.alphabet_sizes, *d.repro_sizes)
+    dm = [np.broadcast_to(np.expand_dims(d.matrices[i], [j for j in range(2 * k) if j not in (i, k + i)]), shape)
+          for i in range(k)]
+    return p.mass.reshape(-1), np.stack(dm).reshape(k, p.mass.size, -1)
+
+
+def _query(p: JointPmf, d: DistortionSpec, coords, given, D):
+    """R_{X_coords}(D), or R_{X_coords | X_given}(D), as a generator for _lockstep
+    (_dual_search); coords is a coordinate or a tuple of them. A query that keeps
+    all of p in order uses p and d themselves, so a warm joint query builds no pmf
+    or spec. One coordinate's components are p(x | w) over the letters of X_given
+    of positive mass, searched from no planes to a kernel gap of RATE_TOL / 1000;
+    several coordinates search from the source's stored planes (_SWEEP_CACHE) to a
+    gap of RATE_TOL, and store a new source's planes once there are some."""
+    cs = [coords] if np.ndim(coords) == 0 else list(coords)
+    if len(cs) > 1 and given is not None:
+        raise ProbabilityError("a joint query takes no given coordinate")
+    keep = cs if given is None else [*cs, given]
+    if keep != list(range(p.ncoords)):
+        mass = np.moveaxis(p.mass, keep, range(len(keep))).sum(axis=tuple(range(len(keep), p.ncoords)))
+        p = JointPmf(mass.shape, mass)
+        d = DistortionSpec(tuple(d.matrices[c] for c in cs), tuple(d.repro_sizes[c] for c in cs))
+    target = np.array(D, dtype=float).reshape(-1)
+    if len(cs) == 1:
+        pxw = p.mass.reshape(p.alphabet_sizes[0], -1)
+        pw = pxw.sum(axis=0)
+        return (yield from _dual_search((pxw[:, pw > 0] / pw[pw > 0]).T, pw[pw > 0], d.matrices[0][None],
+                                        d.repro_sizes[:1], target, deque(), RATE_TOL / 1000))
     px, dm = _joint_problem(p, d)
     key = (p.alphabet_sizes, p.mass.tobytes(), tuple(m.tobytes() for m in d.matrices), d.repro_sizes)
     planes = _SWEEP_CACHE.get(key, deque(maxlen=256))
     try:
-        return (yield from _dual_search(px[None], np.ones(1), dm, d.repro_sizes,
-                                        np.array([float(D[0]), float(D[1])]), planes, RATE_TOL))
+        return (yield from _dual_search(px[None], np.ones(1), dm, d.repro_sizes, target, planes, RATE_TOL))
     finally:
         if planes and key not in _SWEEP_CACHE:
             _SWEEP_CACHE[key] = planes
@@ -553,26 +550,10 @@ def _joint_search(p: JointPmf, d: DistortionSpec, D):
                 _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
 
 
-def _coordinate_pmf(p: JointPmf, d: DistortionSpec, coord, given: int | None):
-    """The pmf of X_coord, or of (X_coord, X_given), and X_coord's spec; coord is a
-    coordinate or, for a joint query, a tuple of them. Keeping all of p in
-    order keeps p itself, so its joint queries share one plane store."""
-    coords = [coord] if np.ndim(coord) == 0 else list(coord)
-    keep = coords if given is None else [*coords, given]
-    spec = DistortionSpec(tuple(d.matrices[c] for c in coords), tuple(d.repro_sizes[c] for c in coords))
-    if keep == list(range(p.ncoords)):
-        return p, spec
-    mass = np.moveaxis(p.mass, keep, range(len(keep))).sum(axis=tuple(range(len(keep), p.ncoords)))
-    return JointPmf(mass.shape, mass), spec
-
-
 def coordinate_rd_values(p: JointPmf, d: DistortionSpec, queries) -> list[RdPoint]:
-    """R_{X_coord}(D), or R_{X_coord | X_given}(D), for each (coord, given or
-    None, D) of a multi-coordinate source, in order, by one lockstep search
-    (_lockstep), whose every round is one kernel call. A joint query
-    ((i, j), None, (D_i, D_j)) asks R_{X_i X_j}(D_i, D_j) as ba_joint_rd does."""
-    return _lockstep([
-        _scalar_search(*_problem(*_coordinate_pmf(p, d, c, g), D)) if np.ndim(c) == 0
-        else _joint_search(*_coordinate_pmf(p, d, c, g), D)
-        for c, g, D in queries
-    ])
+    """R_{X_coords}(D), or R_{X_coords | X_given}(D), for each (coords, given or
+    None, D) of a source, in order, by one lockstep search (_lockstep), whose
+    every round is one kernel call. coords is one coordinate or a tuple of
+    them; a joint query (coords, None, (D_i for i in coords)) asks the joint
+    R(D) of those coordinates, as ba_joint_rd does of all of them."""
+    return _lockstep([_query(p, d, c, g, D) for c, g, D in queries])

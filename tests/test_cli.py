@@ -11,9 +11,9 @@ from click.testing import CliRunner
 import witl
 from witl import closed_form as cf
 from witl.cli import _round12, main
-from witl.common_info import SolveBudget
+from witl.common_info import SolveBudget, bsc_broadcast_source
 from witl.gray_wyner import c3_tilde, c_star
-from witl.prob import JointPmf
+from witl.prob import JointPmf, binary_entropy, entropy
 from witl.rd import DistortionSpec
 
 C_DSBS_01 = 0.74208585854971740
@@ -227,6 +227,14 @@ class TestSolverCommands:
     def test_rd_pair_query(self, runner, dsbs_file):
         doc = run_json(runner, ["rd", "--source", dsbs_file, "--D", "0.05,0.05"])
         assert doc["result"]["rate_bits"] == pytest.approx(1.10728313149636758, abs=1e-4)
+
+    def test_rd_three_coordinate_query(self, runner, tmp_path):
+        # the 3-receiver broadcast source at a1 = 0.1: R(D) = H(X) - 3 h(0.05)
+        p = bsc_broadcast_source(0.5, 0.1, 3)
+        path = tmp_path / "broadcast.json"
+        path.write_text(json.dumps({"alphabet_sizes": [2, 2, 2], "pmf": p.mass.reshape(-1).tolist()}))
+        doc = run_json(runner, ["rd", "--source", str(path), "--D", "0.05,0.05,0.05"])
+        assert doc["result"]["rate_bits"] == pytest.approx(entropy(p) - 3 * binary_entropy(0.05), abs=1e-6)
 
     def test_rd_single_coordinate(self, runner, bit_file):
         doc = run_json(runner, ["rd", "--source", bit_file, "--D", "0.1"])

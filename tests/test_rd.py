@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,11 +8,13 @@ from hypothesis import strategies as st
 import witl.rd as rd
 from witl.audit import audit_lemma1, random_source
 from witl.closed_form import DsbsParams, RegionLabel, dsbs_joint_rd, dsbs_region
+from witl.common_info import bsc_broadcast_source
 from witl.prob import (
     LOG2,
     JointPmf,
     ProbabilityError,
     binary_entropy,
+    entropy,
     marginalize,
     mutual_information,
 )
@@ -21,6 +25,7 @@ from witl.rd import (
     ba_conditional_rd,
     ba_joint_rd,
     ba_rate_distortion,
+    coordinate_rd_values,
 )
 
 # frozen reference values (30-digit independent computation)
@@ -434,20 +439,39 @@ class TestJointChannelMeetsD:
 
 
 class TestOneSearch:
-    @pytest.mark.parametrize("sizes", [(3, 3), (2, 3), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("sizes", [(3, 3), (2, 3), (2, 2), (3, 2), (2, 3, 2)])
     @pytest.mark.parametrize("seed", range(1000, 1004))
     def test_product_source_joint_rate_is_sum_of_marginal_rates(self, seed, sizes):
-        # on p(x1) p(x2) the joint dual separates, so the joint search (two
-        # multipliers) and the two scalar searches (one each) maximize the same
-        # function: R_{X1X2}(D1, D2) = R_{X1}(D1) + R_{X2}(D2)
-        marginals = [marginalize(random_source(seed, sizes), [i]) for i in range(2)]
-        p = JointPmf(sizes, np.outer(marginals[0].mass, marginals[1].mass))
+        # on p(x1) .. p(xN) the joint dual separates, so the joint search (N
+        # multipliers) and the N scalar searches (one each) maximize the same
+        # function: R_{X1..XN}(D1, .., DN) = R_{X1}(D1) + .. + R_{XN}(DN)
+        marginals = [marginalize(random_source(seed, sizes), [i]) for i in range(len(sizes))]
+        p = JointPmf(sizes, functools.reduce(np.multiply.outer, [m.mass for m in marginals]))
         d = DistortionSpec.hamming(sizes)
-        for shares in ((0.2, 0.5), (0.5, 0.8), (0.8, 0.2)):
-            D = zero_rate_shares(p, d, shares)
+        for shares in ((0.2, 0.5, 0.8), (0.5, 0.8, 0.2), (0.8, 0.2, 0.5)):
+            D = zero_rate_shares(p, d, shares[:len(sizes)])
             separate = sum(ba_rate_distortion(m, DistortionSpec.hamming((n,)), Di).rate
                            for m, n, Di in zip(marginals, sizes, D))
             assert ba_joint_rd(p, d, D).rate == pytest.approx(separate, abs=1e-9), shares
+
+
+class TestNCoordinateJoint:
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("a1", [0.1, 0.2, 0.3])
+    def test_broadcast_source_rate_is_shannon_lower_bound(self, N, a1):
+        # with every D_i <= a1 the joint R(D) of the N-receiver broadcast source
+        # is H(X) - sum_i h(D_i), and no pair of its coordinates needs more
+        p, d = bsc_broadcast_source(0.5, a1, N), DistortionSpec.hamming((2,) * N)
+        for D in ((0.05,) * N, tuple(a1 * np.linspace(0.3, 1.0, N))):
+            rate = coordinate_rd_values(p, d, [(tuple(range(N)), None, D)])[0].rate
+            assert rate == pytest.approx(entropy(p) - sum(binary_entropy(Di) for Di in D), abs=1e-9), D
+            pairs = [((i, j), None, (D[i], D[j])) for i in range(N) for j in range(i + 1, N)]
+            assert all(rate >= pt.rate - 1e-9 for pt in coordinate_rd_values(p, d, pairs)), D
+
+    def test_joint_query_takes_no_given_coordinate(self):
+        p, d = bsc_broadcast_source(0.5, 0.1, 3), DistortionSpec.hamming((2, 2, 2))
+        with pytest.raises(ProbabilityError, match="given"):
+            coordinate_rd_values(p, d, [((0, 1), 2, (0.05, 0.05))])
 
 
 class TestJointRdProperties:

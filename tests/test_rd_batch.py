@@ -482,9 +482,8 @@ class TestLockstepSearch:
                 D = [0.5 * z for z in conditional_zero_rate_distortions(p, d)]
                 if warm:
                     rd.ba_joint_rd(p, d, (0.8 * D[0], 0.2 * D[1]))
-                joint = rd._joint_search(p, d, D).send(None)
-                scalar = [rd._scalar_search(*rd._problem(*rd._coordinate_pmf(p, d, c, g), D[c])).send(None)
-                          for c, g in ((0, None), (1, None), (0, 1))]
+                joint = rd._query(p, d, (0, 1), None, D).send(None)
+                scalar = [rd._query(p, d, c, g, D[c]).send(None) for c, g in ((0, None), (1, None), (0, 1))]
                 assert [len(r[1]) for r in (joint, *scalar)] == [1 if warm else 7, 7, 7, 7 * sizes[1]]
                 assert (joint[2] is None) != warm
                 together = rd._round_call([joint, *scalar])
@@ -697,11 +696,15 @@ class TestZeroRateTarget:
         rng = np.random.default_rng(0)
         d = DistortionSpec.hamming((3,))
         ps = [JointPmf((3, 2), w / w.sum()) for w in rng.integers(0, 10, size=(3000, 3, 2)) if w.sum()]
-        queries = [rd._problem(p, d, np.sum(np.min(p.mass.T @ d.matrices[0], axis=1))) for p in ps]
-        below = [D < pw @ (pxgw @ dmat).min(axis=1) for pxgw, pw, dmat, D in queries]
+        targets = [np.sum(np.min(p.mass.T @ d.matrices[0], axis=1)) for p in ps]
+        # each query's zero-rate distortion from the components p(x | w) and
+        # weights p(w) that the search forms, by the same expression
+        pws = [p.mass.sum(axis=0) for p in ps]
+        below = [D < pw[pw > 0] @ ((p.mass[:, pw > 0] / pw[pw > 0]).T @ d.matrices[0]).min(axis=1)
+                 for p, pw, D in zip(ps, pws, targets)]
         assert sum(below) >= 100
-        points = rd._lockstep([rd._scalar_search(*q) for q in queries])
-        assert all(pt.distortion[0] <= q[3] for pt, q in zip(points, queries))
+        points = rd._lockstep([rd._query(p, d, 0, 1, D) for p, D in zip(ps, targets)])
+        assert all(pt.distortion[0] <= D for pt, D in zip(points, targets))
 
     def test_one_query_at_a_time_makes_no_kernel_call(self, monkeypatch):
         # the zero-rate answer is checked before any kernel call, within 1e-15
