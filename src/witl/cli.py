@@ -170,7 +170,7 @@ def ci(source, card, restarts, seed, output):
 @main.command()
 @click.option("--source", required=True, type=click.Path())
 @click.option("--dist", default="hamming", show_default=True)
-@click.option("--D", "dvals", required=True)
+@click.option("--D", "dvals", required=True, help="One distortion per coordinate, e.g. 0.05,0.05")
 @click.option("--method", type=click.Choice(["tilde", "star", "both"]), default="tilde",
               show_default=True)
 @click.option("--restarts", type=int, default=8, show_default=True)
@@ -178,10 +178,10 @@ def ci(source, card, restarts, seed, output):
 @_OUTPUT
 @_guard
 def c3(source, dist, dvals, method, restarts, seed, output):
-    """Smallest common rate at joint-decoding total rate."""
+    """Smallest common rate at joint-decoding total rate, one distortion per receiver."""
     p = _load_source(source)
     d = _load_distortion(dist, p)
-    targets = _parse_pair(dvals, 2)
+    targets = _parse_pair(dvals, p.ncoords)
     budget = SolveBudget(restarts=restarts, seed=seed)
     result = {}
     if method in ("tilde", "both"):
@@ -336,11 +336,13 @@ for _fam in cf.FAMILIES.values():
 @click.option("--seeds", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--mode", type=click.Choice(["random", "type"]), default="random",
               show_default=True)
-@click.option("--card", type=int, default=None)
+@click.option("--card", type=int, default=None, help="Cardinality bound |W| of a new solve.")
 @_OUTPUT
 @_guard
 def synth(source, solution, r0, nrange, seeds, mode, card, output):
     """Exact generator simulation: CSV of (n, M, seed, delta)."""
+    if solution and card is not None:
+        raise ProbabilityError("--card bounds |W| of a new solve; a --solution already fixes |W|")
     p = _load_source(source)
     if ".." in nrange:
         lo, hi = nrange.split("..")

@@ -1,19 +1,20 @@
 """Gray-Wyner machinery: one-sided region membership and the smallest common
 rate at joint-decoding total rate, computed through both characterizations
-(the equality-constrained minimization and the reproduction-pair route).
+(the equality-constrained minimization and the reproduction route).
 
 Every public solver makes one joint-RD solve and scores one list of candidate
 auxiliaries W (:func:`_candidate_joints`): the constant W, then every W that
 :func:`_searched` tried on the variable U that W observes (U = X for
 ``c3_tilde`` and ``check_membership``, U = X̂ for ``c_star``), then W = X̂, the
-reproduction pair of the joint-RD test channel, whenever a joint-RD point
-exists (pairs only). Each searched W is p(w, x) = sum_u p(x, u) q(w | u): every
-penalized-descent restart, and the exhaustive split of a 2x2 U. None is
-dropped before it is scored, so a larger budget never answers worse. The
-common-rate lower side is the Gray-Wyner converse, read off the scores of the
-first and last candidates (:func:`_c3_from_candidates`). A witness is a
-(W, X1, X2) joint pmf from which every reported number can be recomputed;
-searches are finite, so every point value is a certified upper bound.
+reproductions of the joint-RD test channel, whenever a joint-RD point exists.
+Each searched W is p(w, x) = sum_u p(x, u) q(w | u): every penalized-descent
+restart, and the exhaustive split of a 2x2 U. None is dropped before it is
+scored, so a larger budget never answers worse. The common-rate lower side is
+the N-receiver Gray-Wyner converse, read off the scores of the first and last
+candidates (:func:`_c3_from_candidates`). A source has N >= 2 coordinates, one
+per receiver, and a witness is a (W, X_1, ..., X_N) joint pmf from which every
+reported number can be recomputed; searches are finite, so every point value
+is a certified upper bound.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class MembershipWitness:
 class C3Estimate:
     value_lower: float
     value_upper: float
-    witness: JointPmf | None = field(repr=False)  # coordinates (W, X1, X2)
+    witness: JointPmf | None = field(repr=False)  # coordinates (W, X_1, ..., X_N)
     constraint_residual: float
     value_upper_loose: float  # same search accepted at the looser tolerance
     joint_rate: float
@@ -118,7 +119,7 @@ def _source_reproduction(p: JointPmf, rp: RdPoint) -> np.ndarray:
 
 
 def _observing(p: JointPmf, pxu: np.ndarray, q: np.ndarray) -> JointPmf:
-    """(W, X1, X2) joint of the W that sees X only through U:
+    """(W, X_1, ..., X_N) joint of the W that sees X only through U:
     p(w, x) = sum_u p(x, u) q(w | u), for pxu of shape (|X|, |U|) and q of
     shape (|U|, |W|)."""
     k = q.shape[1]
@@ -126,8 +127,8 @@ def _observing(p: JointPmf, pxu: np.ndarray, q: np.ndarray) -> JointPmf:
 
 
 def _candidate_joints(p: JointPmf, searched, joint_point):
-    """The constant W, the searched W (iterated lazily), then W = X̂ if
-    ``joint_point()``, called only once they are consumed, is an RdPoint."""
+    """The constant W, the searched W (iterated lazily), then W = X̂ of the
+    RdPoint ``joint_point()``, called only once they are consumed."""
     yield _constant_w(p)
     yield from searched
     try:
@@ -135,9 +136,8 @@ def _candidate_joints(p: JointPmf, searched, joint_point):
     except (InfeasibleDistortion, SweepResolutionError) as exc:
         _log.debug("W = X̂ not scored: no joint-RD point (%s: %s)", type(exc).__name__, exc)
         return
-    if rp is not None:
-        pxxh = _source_reproduction(p, rp)
-        yield _observing(p, pxxh, np.eye(pxxh.shape[1]))
+    pxxh = _source_reproduction(p, rp)
+    yield _observing(p, pxxh, np.eye(pxxh.shape[1]))
 
 
 def _searched(p: JointPmf, pxu: np.ndarray, u_sizes: tuple, K: int, budget: SolveBudget):
@@ -176,11 +176,9 @@ def check_membership(
     budget = budget or SolveBudget()
     d = d or DistortionSpec.hamming(p.alphabet_sizes)
     D = tuple(float(x) for x in D)
-    if len(D) != p.ncoords or len(rates.privates) != p.ncoords:
-        raise ProbabilityError("distortion/rate dimension mismatch")
-    # W = X̂, the joint test channel's reproduction, is a candidate for pairs only
-    for joint in _candidate_joints(p, _searched_on_source(p, budget),
-                                   lambda: ba_joint_rd(p, d, D) if p.ncoords == 2 else None):
+    if p.ncoords < 2 or len(D) != p.ncoords or len(rates.privates) != p.ncoords:
+        raise ProbabilityError("need N >= 2 coordinates, each with a distortion and a rate")
+    for joint in _candidate_joints(p, _searched_on_source(p, budget), lambda: ba_joint_rd(p, d, D)):
         common = witness_common_rate(joint)
         if rates.R0 < common - MEMBERSHIP_TOL:
             continue
@@ -192,16 +190,16 @@ def check_membership(
 
 def _c3_from_candidates(d, D, rp, candidates):
     """Least I(X; W) among the candidates that meet the Theorem-3 equality
-    I(X; W) + sum_i R_{X_i|W}(D_i) = R(D1, D2) within tolerance. The lower
-    side is the Gray-Wyner converse R0 >= R_{X1}(D1) + R_{X2}(D2) - R(D1, D2):
+    I(X; W) + sum_i R_{X_i|W}(D_i) = R(D) within tolerance. The lower side is
+    the N-receiver Gray-Wyner converse R0 >= (sum_i R_{X_i}(D_i) - R(D)) / (N - 1):
     the constant W (first) scores the certified marginal rates, and W = X̂
-    (last) scores I(X; X̂), an upper value of R(D1, D2) since the test channel
+    (last) scores I(X; X̂), an upper value of R(D) since the test channel
     meets D. Every candidate's conditional rates are asked in one lockstep
     search."""
     joint_rate = rp.rate
     common = [witness_common_rate(joint) for joint in candidates]
     privates = _private_rates(candidates, d, D)
-    lower = max(0.0, sum(privates[0]) - common[-1])
+    lower = max(0.0, (sum(privates[0]) - common[-1]) / (len(D) - 1))
     scored = [(c, abs(sum((c, *r)) - joint_rate), joint)
               for c, r, joint in zip(common, privates, candidates)]
 
@@ -221,19 +219,11 @@ def _c3_from_candidates(d, D, rp, candidates):
     )
 
 
-def _joint_point(p: JointPmf, d: DistortionSpec, D):
-    """The distortion pair as floats and its joint-RD point; pairs only."""
-    if p.ncoords != 2:
-        raise ProbabilityError("common-rate solvers are defined for pairs")
-    D = (float(D[0]), float(D[1]))
-    return D, ba_joint_rd(p, d, D)
-
-
 def c3_tilde(
     p: JointPmf, d: DistortionSpec, D, budget: SolveBudget | None = None
 ) -> C3Estimate:
-    """Common rate via the equality-constrained minimization of I(X1,X2; W)."""
-    D, rp = _joint_point(p, d, D)
+    """Common rate via the equality-constrained minimization of I(X_1, .., X_N; W)."""
+    rp = ba_joint_rd(p, d, D)
     searched = _searched_on_source(p, budget or SolveBudget())
     return _c3_from_candidates(d, D, rp, list(_candidate_joints(p, searched, lambda: rp)))
 
@@ -241,10 +231,10 @@ def c3_tilde(
 def c_star(
     p: JointPmf, d: DistortionSpec, D, budget: SolveBudget | None = None
 ) -> C3Estimate:
-    """Common rate via the reproduction-pair route: obtain an optimal joint-RD
+    """Common rate via the reproduction route: obtain an optimal joint-RD
     test channel, then score every W searched on U = X̂ at K = max(2, min(|X̂|, 8)),
     each independent of the source given the reproductions."""
-    D, rp = _joint_point(p, d, D)
+    rp = ba_joint_rd(p, d, D)
     pxxh = _source_reproduction(p, rp)
     searched = _searched(p, pxxh, d.repro_sizes, max(2, min(pxxh.shape[1], 8)), budget or SolveBudget())
     return _c3_from_candidates(d, D, rp, list(_candidate_joints(p, searched, lambda: rp)))

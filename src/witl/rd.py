@@ -461,7 +461,10 @@ def _round_call(requests) -> list[tuple]:
     letter has no mass, so it enters no certificate or rate; a padded
     reproduction letter costs +inf, so its mass is 0 after the first update. In
     a round with warm starts, padded letters start at 0 and a cold request
-    uniform on its own letters. Replies are sliced back to each request's shape."""
+    uniform on its own letters. Replies are sliced back to each request's shape.
+    The lone branch is no special answer (padded, 32 DSBS rounds came out
+    bit-identical) but saves 14-17 us of a 350-460 us round on a 2-core box,
+    and every round of a warm single-source query is lone."""
     if len(requests) == 1:
         px, cost, q0, tol = requests[0]
         rates, conds, flb = _ba_batch(px, cost, q0=q0, tol=tol)

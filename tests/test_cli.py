@@ -349,6 +349,17 @@ class TestFailureModes:
         )
         assert result.exit_code == 2
 
+    def test_synth_rejects_card_with_solution(self, runner, dsbs_file, tmp_path):
+        # the solution fixes |W|, so a --card beside it would be ignored
+        out = str(tmp_path / "ci.json")
+        assert runner.invoke(main, ["ci", "--source", dsbs_file, "--card", "2", "-o", out]).exit_code == 0
+        result = runner.invoke(
+            main,
+            ["synth", "--source", dsbs_file, "--solution", out, "--card", "2", "--R0", "0.94", "--n", "2"],
+        )
+        assert result.exit_code == 2
+        assert "--card" in result.output
+
     @pytest.mark.parametrize("dvals", ["0.1,0.2", "0.1,0.2,0.3"])
     def test_rd_counts_distortions(self, runner, tmp_path, dvals):
         one = tmp_path / "one.json"

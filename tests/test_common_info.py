@@ -225,10 +225,10 @@ def _descent_pairs():
     the broadcast source and on a 3x3 source, and U = the reproduction pair
     of a c_star point."""
     from witl import gray_wyner
-    from witl.rd import DistortionSpec
+    from witl.rd import DistortionSpec, ba_joint_rd
 
     spec = DistortionSpec.hamming((2, 2))
-    _, rp = gray_wyner._joint_point(dsbs(0.2), spec, (0.05, 0.05))
+    rp = ba_joint_rd(dsbs(0.2), spec, (0.05, 0.05))
     return [
         (np.diag(bsc_broadcast_source(0.5, 0.2, 3).mass.reshape(-1)), (2, 2, 2), 2),
         (np.diag(random_source(1, (3, 3)).mass.reshape(-1)), (3, 3), 3),

@@ -1,14 +1,17 @@
 import itertools
+import json
 import logging
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import witl.rd as rd
 from witl.audit import random_source
+from witl.cli import main
 from witl.closed_form import DsbsParams, RegionLabel, dsbs_c3, dsbs_region
 from witl import gray_wyner
-from witl.common_info import CommonInfoInfeasible, SolveBudget
+from witl.common_info import CommonInfoInfeasible, SolveBudget, bsc_broadcast_source
 from witl.gray_wyner import (
     RatePoint,
     c3_tilde,
@@ -17,7 +20,7 @@ from witl.gray_wyner import (
     witness_common_rate,
     witness_conditional_rate,
 )
-from witl.prob import JointPmf, ProbabilityError
+from witl.prob import JointPmf, ProbabilityError, binary_entropy, entropy
 from witl.rd import DistortionSpec, coordinate_rd_values
 
 C_DSBS_01 = 0.74208585854971740
@@ -117,10 +120,53 @@ class TestCommonRateSolvers:
         assert obj["witness_present"]
         assert obj["value_upper_bits"] == pytest.approx(est.value_upper, abs=1e-15)
 
-    def test_pairs_only(self):
-        p = JointPmf((2, 2, 2), np.full((2, 2, 2), 0.125))
+
+
+class TestNReceivers:
+    """The N-receiver network on bsc_broadcast_source(1/2, a1, N) with every
+    D_i = 0.05 <= a1: R(D) = H(X) - N h(0.05), and W = S attains
+    C = H(X) - N h(a1) with an exact Theorem-3 sum."""
+
+    @staticmethod
+    def setting(a1, N):
+        p = bsc_broadcast_source(0.5, a1, N)
+        return p, DistortionSpec.hamming((2,) * N), entropy(p) - N * binary_entropy(a1)
+
+    @pytest.mark.parametrize("solve", [c3_tilde, c_star], ids=["c3_tilde", "c_star"])
+    @pytest.mark.parametrize("N", [3, 4])
+    @pytest.mark.parametrize("a1", [0.1, 0.2])
+    def test_common_rate_attains_common_information(self, solve, N, a1):
+        p, d, C = self.setting(a1, N)
+        est = solve(p, d, (0.05,) * N, SolveBudget(restarts=2))
+        assert est.joint_rate == pytest.approx(entropy(p) - N * binary_entropy(0.05), abs=1e-6)
+        assert est.witness is not None and est.witness.alphabet_sizes[1:] == (2,) * N
+        assert est.value_upper == pytest.approx(C, abs=1e-4)
+        assert est.value_lower <= C
+
+    @pytest.mark.parametrize("a1", [0.1, 0.2])
+    def test_membership_at_three_receivers(self, a1):
+        p, d, C = self.setting(a1, 3)
+        private, budget = binary_entropy(a1) - binary_entropy(0.05), SolveBudget(restarts=2)
+        assert check_membership(p, RatePoint(C + 0.02, (private + 0.02,) * 3), (0.05,) * 3, d, budget)
+        assert check_membership(p, RatePoint(C, (private - 0.05,) * 3), (0.05,) * 3, d, budget) is None
+
+    def test_one_coordinate_source_rejected(self):
+        p, d = JointPmf((2,), np.array([0.3, 0.7])), DistortionSpec.hamming((2,))
         with pytest.raises(ProbabilityError):
-            c3_tilde(p, DistortionSpec.hamming((2, 2, 2)), (0.1, 0.1, 0.1))
+            check_membership(p, RatePoint(5.0, (5.0,)), (0.1,), d)
+        with pytest.raises(ProbabilityError):
+            c3_tilde(p, d, (0.1,))
+
+    def test_witl_c3_takes_one_distortion_per_receiver(self, tmp_path):
+        p, _, C = self.setting(0.1, 3)
+        path = tmp_path / "broadcast.json"
+        path.write_text(json.dumps({"alphabet_sizes": [2, 2, 2], "pmf": p.mass.reshape(-1).tolist()}))
+        args = ["c3", "--source", str(path), "--method", "both", "--restarts", "2", "--D"]
+        result = CliRunner().invoke(main, [*args, "0.05,0.05,0.05"])
+        assert result.exit_code == 0, result.output
+        for method in ("tilde", "star"):
+            assert json.loads(result.output)["result"][method]["value_upper_bits"] == pytest.approx(C, abs=1e-4)
+        assert CliRunner().invoke(main, [*args, "0.05,0.05"]).exit_code == 2
 
 
 class TestBudgetMonotone:
