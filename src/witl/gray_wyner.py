@@ -194,27 +194,36 @@ def _c3_from_candidates(d, D, rp, candidates):
     the N-receiver Gray-Wyner converse R0 >= (sum_i R_{X_i}(D_i) - R(D)) / (N - 1):
     the constant W (first) scores the certified marginal rates, and W = X̂
     (last) scores I(X; X̂), an upper value of R(D) since the test channel
-    meets D. Every candidate's conditional rates are asked in one lockstep
-    search."""
+    meets D. Candidates are scored lazily, a lockstep search per batch: the
+    constant W always, then the others in stable ascending I(X; W), in batches
+    that double in size, up to the first that meets RESIDUAL_TOL; the first on
+    the way that meets RESIDUAL_TOL_LOOSE is the loose pick. Each pick is the
+    least I(X; W), first in candidate order, that scoring every one would make."""
     joint_rate = rp.rate
     common = [witness_common_rate(joint) for joint in candidates]
-    privates = _private_rates(candidates, d, D)
+    order, privates, residual = np.argsort(common, kind="stable").tolist(), {}, {}
+    best = loose = None
+    start, size = 0, 1
+    while best is None and start < len(order):
+        batch = order[start:start + size]
+        asked = [i for i in dict.fromkeys((0, *batch)) if i not in privates]
+        privates.update(zip(asked, _private_rates([candidates[i] for i in asked], d, D)))
+        for i in batch:
+            residual[i] = abs(sum((common[i], *privates[i])) - joint_rate)
+            loose = i if loose is None and residual[i] <= RESIDUAL_TOL_LOOSE else loose
+            if residual[i] <= RESIDUAL_TOL:
+                best = i
+                break
+        start, size = start + size, 2 * size
     lower = max(0.0, (sum(privates[0]) - common[-1]) / (len(D) - 1))
-    scored = [(c, abs(sum((c, *r)) - joint_rate), joint)
-              for c, r, joint in zip(common, privates, candidates)]
-
-    def pick(tol):
-        return min((s for s in scored if s[1] <= tol), key=lambda s: s[0], default=None)
-
-    best = pick(RESIDUAL_TOL)
-    loose = pick(RESIDUAL_TOL_LOOSE)
-    upper, residual, witness = best or (joint_rate, float("nan"), None)
+    upper, residual, witness = ((joint_rate, float("nan"), None) if best is None
+                                else (common[best], residual[best], candidates[best]))
     return C3Estimate(
         value_lower=lower,
         value_upper=max(upper, lower),  # numeric guard; lower is certified
         witness=witness,
         constraint_residual=residual,
-        value_upper_loose=max(loose[0], lower) if loose else joint_rate,
+        value_upper_loose=joint_rate if loose is None else max(common[loose], lower),
         joint_rate=joint_rate,
     )
 

@@ -6,19 +6,20 @@ over slopes 0 <= s <= SLOPE_CAP, F*_w being component w's Lagrangian minimum:
 R_X has one multiplier and one component, R_{X|W} one multiplier and a
 component per letter of W, R_{X1..XN} N multipliers and one component. One
 builder, ``_query``, makes each from a source and its coordinates, and one
-generator, ``_dual_search``, serves all three: a zero-rate rule, a start from
-stored supporting planes or one kernel call on diagonal doubling slopes, and a
-projected Newton ascent with the curvature of ``_dual_hessian``, safeguarded by
-the cuts of the channels it evaluates, one kernel call per step, run to a gap
-of RATE_TOL/1000 for scalar queries and RATE_TOL for joint ones; every kind
-fails at SLOPE_CAP by the one rule of ``meet``. Searches run in lockstep
-(``_lockstep``): a round is one call of the batched kernel ``_ba_batch`` on
-every open search's request, padded to the round's largest alphabets. The
-kernel alternates as Blahut-Arimoto does and, at each dual-gap check, takes one
-Newton step on the alternation's fixed point (one batched LU solve), so that
-calls near critical slopes end on their certificate; the curvature applies the
-same linearization's pseudo-inverse through one eigendecomposition. Multipliers
-are in bits per distortion unit throughout.
+driver, ``_lockstep``, searches any set of them as the rows of one array
+state (_Ascent): a zero-rate rule, a start from stored supporting planes or
+one kernel call on diagonal doubling slopes, and a projected Newton ascent
+with the curvature of ``_dual_hessian``, safeguarded by the cuts of the
+channels it evaluates, run to a gap of RATE_TOL/1000 for scalar queries and
+RATE_TOL for joint ones; every kind fails at SLOPE_CAP by the one rule of
+``meet``. A round takes every open row's step in a few array operations and
+makes one call of the batched kernel ``_ba_batch`` on their trials, padded to
+the round's largest alphabets. The kernel alternates as Blahut-Arimoto does
+and, at each dual-gap check, takes one Newton step on the alternation's fixed
+point (one batched LU solve), so that calls near critical slopes end on their
+certificate; the curvature applies the same linearization's pseudo-inverse
+through one eigendecomposition. Multipliers are in bits per distortion unit
+throughout.
 """
 
 from __future__ import annotations
@@ -264,8 +265,9 @@ def _axis_channel(px, cond, dm, repro, s):
 
 def _dual_hessian(px, cond, dm, s):
     """Hessian (..., k, k) of the Lagrangian minimum F*(s), nats with s in
-    nats, at the channel's slopes s (k,) in bits, and the slope derivative
-    (..., nxh, k) of its output pmf q, over the leading axes of px and cond.
+    nats, at the channel's slopes s (..., k) in bits, and the slope derivative
+    (..., nxh, k) of its output pmf q, over the leading axes of px (..., nx),
+    cond (..., nx, nxh), dm (..., k, nx, nxh) and s, which broadcast.
 
     The Hessian is the fixed-output curvature -E_x Cov(d_i, d_j) less the
     response of q, from the kernel's fixed-point linearization
@@ -273,63 +275,35 @@ def _dual_hessian(px, cond, dm, s):
     B[y, i] = sum_x p(x) W(y|x) (d_i - E[d_i | x]).
     """
     joint = px[..., None] * cond
-    dev = dm - np.einsum("...xh,ixh->...ix", cond, dm)[..., None]
+    dev = dm - np.einsum("...xh,...ixh->...ix", cond, dm)[..., None]
     b = np.einsum("...xh,...ixh->...hi", joint, dev)
-    a = np.exp(-LOG2 * np.einsum("i,ixh->xh", s, dm))
+    a = np.exp(-LOG2 * np.einsum("...i,...ixh->...xh", s, dm))
     q = joint.sum(axis=-2)
-    c = (px / np.maximum(q @ a.T, 1e-300)) @ a
+    c = np.einsum("...x,...xh->...h", px / np.maximum(np.einsum("...h,...xh->...x", q, a), 1e-300), a)
     resp = _fixed_point_solve(joint, cond, q, c, b)
     fixed = np.einsum("...xh,...ixh,...jxh->...ij", joint, dev, dev)
     return -fixed - np.swapaxes(b, -1, -2) @ resp, -q[..., None] * resp
 
 
-def _dual_search(px, pw, dm, repro, target, planes, tol):
-    """R(target) = max over 0 <= s <= SLOPE_CAP of the concave dual
-    g(s) = pw . F*_w(s) / ln 2 - s . target, as a generator for _lockstep: it
-    yields the (px, cost, q0, tol) of each kernel call it needs, is sent back
-    (conditionals, bounds, rates), and returns its RdPoint.
+class _Row:
+    """A query as _query builds it: components px (W, nx) of weights pw (W,), which
+    decouple at a common slope, so that one kernel call solves them all; distortions
+    dm (k, nx, nxh) of the coordinates of X̂, of sizes repro; the target; a deque of
+    supporting planes (slopes (k,), channels (W, nx, nxh), pw . F* in nats) to start
+    from and add to; the kernel's gap tol in nats; and its key in _SWEEP_CACHE."""
 
-    px (W, nx): component source pmfs with weights pw (W,), which decouple at
-    a common slope, so that each kernel call solves them all; dm (k, nx, nxh):
-    the distortions of the k coordinates of X̂, of sizes repro; planes: a deque
-    of supporting planes (slopes (k,), channels (W, nx, nxh), pw . F* in nats)
-    to start from and add to; tol: the kernel's stopping gap in nats.
+    def __init__(self, px, pw, dm, repro, target, planes, tol, key=None):
+        self.px, self.pw, self.dm, self.repro, self.target, self.planes, self.tol, self.key = (
+            px, pw, dm, repro, target, planes, tol, key)
+        (self.nw, self.nx), (self.k, _, self.nxh) = px.shape, dm.shape
+        self.hot = np.eye(self.nxh)[dm.sum(axis=0).argmin(axis=1)].reshape(self.nx, *repro)  # least sum_i d_i
+        self.least, self.cuts = (pw @ px) @ dm.min(axis=2).T, (np.zeros(0), np.zeros((0, self.k)))
 
-    A target that some constant reproduction per component meets within 1e-15
-    is answered at zero rate, before one below the least distortion raises
-    InfeasibleDistortion; both before any kernel call. Empty planes are filled
-    by one call on the diagonal slopes (s, .., s), s in _DOUBLING_SLOPES. From
-    the plane of best value at the target, a projected Newton ascent takes the
-    exact gradient E[d] - target (one-sided on an axis s_i = 0, _axis_channel)
-    and the pw-weighted Hessian (_dual_hessian), damped toward the gradient
-    after a step that does not ascend, or a trial that falls short of the
-    incumbent by more than tol. Any channels c give g(x) <= I(c) + x . (E_c[d]
-    - target), so a maximizer x lies inside the cut where that exceeds the
-    incumbent's value; each plane the search makes adds the cut of its channels
-    (for k = 1 the start's cuts bracket the maximizer). The step is projected
-    onto the box, then halved to its first power-of-two fraction strictly
-    inside every cut. Each trial is one kernel call warm-started from the
-    output pmfs that the incumbent's slope derivative predicts, and adds its
-    plane. The ascent stops once the predicted gain is below ASCENT_GAIN_TOL
-    bits or after ASCENT_CALLS trials.
-
-    The rate is the best certified value of g at the target over the planes;
-    the slopes are the incumbent's, and its channels are made to meet the
-    target by ``meet``. The test channel is returned when W = 1.
-    """
-    if not np.isfinite(target).all():
-        raise ProbabilityError(f"distortion targets {target.tolist()} are not all finite")
-    (nw, nx), (k, _, nxh) = px.shape, dm.shape
-    flat, dmw = (pw[:, None] * px).reshape(-1), np.concatenate((dm,) * nw, axis=1)
-
-    def distortion(chans):
+    def distortion(self, chans):
         """E[d_i] over the components of channels (..., W, nx, nxh)."""
-        return np.einsum("x,...xh,ixh->...i", flat, chans.reshape(*chans.shape[:-3], -1, nxh), dmw)
+        return np.einsum("w,wx,...wxh,ixh->...i", self.pw, self.px, chans, self.dm)
 
-    hot = np.eye(nxh)[dm.sum(axis=0).argmin(axis=1)].reshape(nx, *repro)  # per x, one of least sum_i d_i
-    least = (pw @ px) @ dm.min(axis=2).T
-
-    def meet(chan, e, s, rate):
+    def meet(self, chan, e, s, rate):
         """The RdPoint of channels chan (distortions e, slopes s) made to meet D: for
         each D_i they overshoot, every component is mixed with a copy whose X̂_i is
         moved to its entry in ``hot``, by the largest weight that meets D_i. Should
@@ -337,134 +311,254 @@ def _dual_search(px, pw, dm, repro, target, planes, tol):
         where the channels are ``hot``, which meets D. An unmet D_i at SLOPE_CAP raises
         unless the channels' I(X; X̂ | W) is within 1e-4 bits of the rate, which then
         holds within that."""
+        nw, nx, nxh, k, target = self.nw, self.nx, self.nxh, self.k, self.target
         over = e > target
         capped = (over & (s >= SLOPE_CAP)).any()
-        lam = np.clip((target - least) / np.maximum(e - least, 1e-300), 0.0, 1.0)
+        lam = np.minimum(np.maximum((target - self.least) / np.maximum(e - self.least, 1e-300), 0.0), 1.0)
         for shrink in _SHRINKS:
-            c = chan.reshape(nw, nx, *repro)
+            c = chan.reshape(nw, nx, *self.repro)
             for i in np.flatnonzero(over):
                 w = lam[i] * shrink
-                one = hot.sum(axis=tuple(1 + j for j in range(k) if j != i), keepdims=True)  # X̂_i's part of hot
+                one = self.hot.sum(axis=tuple(1 + j for j in range(k) if j != i), keepdims=True)  # X̂_i's part
                 c = w * c + (1 - w) * one * c.sum(axis=2 + i, keepdims=True)
             rows = c.reshape(nw, nx, nxh)
             channel = ConditionalPmf(nx, (nxh,), rows[0]) if nw == 1 else None
-            e = distortion(rows if channel is None else channel.rows)
+            e = self.distortion(rows if channel is None else channel.rows[None])
             if (e <= target).all():
                 break
             over[:] = True
-        if capped and sum(pw[w] * mutual_information(JointPmf((nx, nxh), px[w, :, None] * rows[w]), [0])
+        if capped and sum(self.pw[w] * mutual_information(JointPmf((nx, nxh), self.px[w, :, None] * rows[w]), [0])
                           for w in range(nw)) > rate + 1e-4:
             raise SweepResolutionError(f"slope {SLOPE_CAP} does not reach distortion {target.tolist()}")
         return RdPoint(tuple(e.tolist()), rate, tuple(s.tolist()), channel)
 
-    zero = px @ dm  # (k, W, nxh): E[d_i] of each constant reproduction per component
-    const = (zero - target[:, None, None]).max(axis=0).argmin(axis=1)
-    e = pw @ zero[:, np.arange(nw), const].T
-    if (e <= target + 1e-15).all():
-        return meet(np.repeat(np.eye(nxh)[const][:, None], nx, axis=1), e, np.zeros(k), 0.0)
-    if (target < least).any():
-        raise InfeasibleDistortion(f"distortion {target.tolist()} below least reachable {least.tolist()}")
+    def doubling(self):
+        """The start's kernel request, at the diagonal slopes (s, .., s), s in _DOUBLING_SLOPES."""
+        cost = LOG2 * np.einsum("ni,ixh->nxh", np.repeat(_DOUBLING_SLOPES[:, None], self.k, axis=1), self.dm)
+        return np.concatenate((self.px,) * len(cost)), np.repeat(cost, self.nw, axis=0), None, self.tol
 
-    def point(chan, s):
-        """Best-map channels, their distortions and the kernel's output pmfs (the warm start)."""
-        warm = np.einsum("wx,wxh->wh", px, chan)
-        chan = chan if (s > 0).all() else _axis_channel(px, chan, dm, repro, s)
-        return chan, distortion(chan), warm
+    def planted(self, reply):
+        """Takes the planes and cuts of the reply to ``doubling``."""
+        conds, flb, rates = reply[0].reshape(-1, self.nw, self.nx, self.nxh), *reply[1:]
+        slopes = np.repeat(_DOUBLING_SLOPES[:, None], self.k, axis=1)
+        self.planes.extend(zip(slopes, conds, flb.reshape(-1, self.nw) @ self.pw))
+        self.cuts = rates.reshape(-1, self.nw) @ self.pw, self.distortion(conds) - self.target
+        if self.key is not None and self.key not in _SWEEP_CACHE:  # a new joint source's planes are kept
+            _SWEEP_CACHE[self.key] = self.planes
+            if len(_SWEEP_CACHE) > 16:
+                _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
 
-    cold = not planes
-    if cold:
-        diagonal = np.repeat(_DOUBLING_SLOPES[:, None], k, axis=1)
-        cost = np.repeat(LOG2 * np.einsum("ni,ixh->nxh", diagonal, dm), nw, axis=0)
-        conds, flb, rates = yield np.concatenate((px,) * len(diagonal)), cost, None, tol
-        conds = conds.reshape(-1, nw, nx, nxh)
-        planes.extend(zip(diagonal, conds, flb.reshape(-1, nw) @ pw))
-    slopes, fstar = np.array([pl[0] for pl in planes]), np.array([pl[2] for pl in planes])
-    vals = fstar / LOG2 - slopes @ target
-    j = int(vals.argmax())
-    rate, s, val = float(vals[j]), slopes[j], float(vals[j])
-    chan, e, warm = point(planes[j][1], s)
-    # g(x) <= I(c) + x . (E_c[d] - target) for any channels c, so a maximizer x of
-    # g, where g(x) >= val, lies inside the cut of each plane this search makes
-    cut_i = rates.reshape(-1, nw) @ pw if cold else np.zeros(0)
-    cut_d = (distortion(conds) if cold else np.zeros((0, k))) - target
-    eye = np.eye(k)
-    damping, calls, hess = 0.0, 0, None
-    while calls < ASCENT_CALLS:
-        grad = e - target
-        free = np.where(grad > 0, s < SLOPE_CAP, s > 0)  # the slopes that may move along the gradient
-        if not free.any():
-            break
-        if hess is None:
-            hess, dq = _dual_hessian(px, chan, dm, s)
-            hess = -LOG2 * np.einsum("w,wij->ij", pw, hess)
-        # the damped Newton step on the free slopes, 0 on the others
-        damped = np.where(np.outer(free, free), hess + (damping + 1e-12) * eye, eye)
-        step = np.linalg.solve(damped, np.where(free, grad, 0.0))
-        if grad @ step - 0.5 * step @ hess @ step < ASCENT_GAIN_TOL:
-            break
-        move = np.minimum(np.maximum(s + step, 0.0), SLOPE_CAP) - s
-        # the first power-of-two fraction of the move strictly inside every cut
-        toward = cut_d @ move
-        limit = np.divide(cut_i + cut_d @ s - val, -toward, out=np.full(len(toward), 2.0), where=toward < 0)
-        fractions = _HALVINGS[_HALVINGS < limit.min(initial=2.0)]
-        if grad @ move <= 0 or not fractions.size:
-            # the projected step does not ascend inside the cuts: damp it toward the gradient
-            damping = max(10.0 * damping, 4.0 * np.linalg.norm(grad[free]) / np.linalg.norm(step))
-            continue
-        trial = s + fractions[0] * move
-        if (trial == s).all():
-            break
-        # warm start: the incumbent's output pmfs moved by their slope derivative
-        pred = np.maximum(warm + dq @ (LOG2 * (trial - s)), 1e-12)
-        calls += 1
-        c, fl, r = yield (px, (LOG2 * np.einsum("i,ixh->xh", trial, dm))[None].repeat(nw, axis=0),
-                          pred / pred.sum(axis=1, keepdims=True), tol)
-        fl = float(pw @ fl)
-        planes.append((trial, c, fl))  # a failed trial's plane is a lower bound and a cut too
-        trial_point = point(c, trial)
+    def start(self):
+        """The slopes, channels and value (bits) of the plane of best value at the target."""
+        slopes, fstar = np.array([pl[0] for pl in self.planes]), np.array([pl[2] for pl in self.planes])
+        vals = fstar / LOG2 - slopes @ self.target
+        j = int(vals.argmax())
+        return self.planes[j][0], self.planes[j][1], vals[j]
+
+
+def _stack(arrays, shape):
+    """The arrays, each zero-padded to shape, stacked on a new first axis."""
+    if all(a.shape == shape for a in arrays):
+        return np.array(arrays, dtype=float)
+    out = np.zeros((len(arrays), *shape))
+    for o, a in zip(out, arrays):
+        o[tuple(slice(n) for n in a.shape)] = a
+    return out
+
+
+#: the arrays of an _Ascent with a row per query and with a row per component
+#: (the queries' components in query order); a query that stops leaves both
+_ROWS = ("index", "rows", "shape", "target", "tol", "cut_i", "cut_d", "s", "val", "rate", "damp", "e", "hess",
+         "rise", "trial")
+_COMPONENTS = ("px", "pw", "dm", "chan", "warm", "dq")
+
+
+class _Ascent:
+    """The projected Newton ascents of a lockstep search's queries, as arrays with
+    a row per query (slopes, values, damping, distortions, Hessian, cuts) and a
+    row per component (source pmf, distortions, channels, warm pmfs and their
+    slope derivative), padded to the search's largest k, nx and nxh: a padded
+    entry is an exact zero (a letter of no mass, a slope with no distortion and
+    an identity block in the Newton system, a cut with no terms), and a padded
+    reproduction letter of a real source letter costs +inf in the kernel.
+
+    A query starts from its plane of best value at the target. ``step`` takes
+    the exact gradient E[d] - target (one-sided on an axis s_i = 0,
+    _axis_channel) and the pw-weighted Hessian of the incumbent
+    (``_curvature``), and solves the damped Newton step on the slopes that may
+    move. Any channels c give g(x) <= I(c) + x . (E_c[d] - target), so a
+    maximizer x lies inside the cut where that exceeds the incumbent's value;
+    each plane a query makes adds the cut of its channels (for k = 1 the
+    start's cuts bracket the maximizer). The step is projected onto the box and
+    halved to its first power-of-two fraction strictly inside every cut; one
+    that does not ascend inside the cuts is damped toward the gradient and
+    solved again. Each trial is a kernel request warm-started from the output
+    pmfs that the incumbent's slope derivative predicts; its reply (``update``)
+    adds a plane and a cut, and the trial becomes the incumbent unless it falls
+    short of it by more than the kernel's tolerance, which sets at least the
+    damping that cuts its step to a quarter. A query stops once its predicted
+    gain is below ASCENT_GAIN_TOL bits, after ASCENT_CALLS trials, or when no
+    slope may move: its rate is the best certified value of g at the target
+    over its planes, and ``meet`` makes the incumbent's channels meet it."""
+
+    def __init__(self, rows):
+        """rows: (query index, _Row with planes)."""
+        qs, starts = [q for _, q in rows], [q.start() for _, q in rows]
+        k, nx, nxh = max(q.k for q in qs), max(q.nx for q in qs), max(q.nxh for q in qs)
+        n, m = len(qs), len(_DOUBLING_SLOPES) + ASCENT_CALLS
+        self.index, self.rows, self.calls = np.array([i for i, _ in rows]), np.array(qs, object), 0
+        self.shape, self.tol = np.array([(q.nw, q.nx, q.nxh, q.k) for q in qs]), np.array([q.tol for q in qs])
+        self.target, self.s = _stack([q.target for q in qs], (k,)), _stack([st[0] for st in starts], (k,))
+        self.cut_i, self.cut_d = _stack([q.cuts[0] for q in qs], (m,)), _stack([q.cuts[1] for q in qs], (m, k))
+        self.val, self.rate = np.array([st[2] for st in starts]), np.array([st[2] for st in starts])
+        self.damp, self.hess, self.rise = np.zeros(n), np.zeros((n, k, k)), np.zeros((n, k))
+        self.px, self.pw = _stack([p for q in qs for p in q.px], (nx,)), np.concatenate([q.pw for q in qs])
+        self.dm = _stack([q.dm for q in qs for _ in q.pw], (k, nx, nxh))
+        self.chan = _stack([c for st in starts for c in st[1]], (nx, nxh))
+        self.dq = np.zeros((len(self.pw), nxh, k))
+        self._fit()
+        self.chan, self.e, self.warm = self._point(self.chan, self.s)
+        self.trial = self.s
+        self._curvature(np.ones(n, bool))
+
+    def _fit(self):
+        """Each component's query, each query's first component and their weights;
+        the largest alphabets of the queries left; and each component's gap."""
+        w, k = self.shape[:, 0], self.s.shape[1]
+        self.owner, self.first = np.repeat(np.arange(len(w)), w), np.cumsum(w) - w
+        self.weight = np.zeros((len(w), len(self.pw)))
+        self.weight[self.owner, np.arange(len(self.pw))] = self.pw
+        (self.x, self.h), self.tol_c = self.shape[:, 1:3].max(axis=0), self.tol[self.owner]
+        self.real_k, self.eye, self.infpad, self.floor = np.arange(k) < self.shape[:, 3:], np.eye(k), 0.0, 1e-12
+        if (self.shape[:, 1:3] < (self.x, self.h)).any():  # a padded reproduction letter of a real source letter
+            real_x = np.arange(self.x) < np.repeat(self.shape[:, 1], w)[:, None]
+            real_h = np.arange(self.h) < np.repeat(self.shape[:, 2], w)[:, None]
+            self.infpad, self.floor = np.where(real_x[:, :, None] & ~real_h[:, None], np.inf, 0.0), 1e-12 * real_h
+
+    def _point(self, chan, s):
+        """Best-map channels (chan at the queries' slopes s, changed in place), the
+        queries' distortions and the kernel's output pmfs (the warm start)."""
+        warm = (self.px[:, None] @ chan)[:, 0]
+        for r in np.flatnonzero(((s <= 0) & self.real_k).any(axis=1)):
+            (w, x, h, k), q, at = self.shape[r], self.rows[r], self.first[r]
+            chan[at:at + w, :x, :h] = _axis_channel(q.px, chan[at:at + w, :x, :h], q.dm, q.repro, s[r, :k])
+        joint = (self.px[..., None] * chan).reshape(len(chan), -1, 1)
+        return chan, self.weight @ (self.dm.reshape(*self.dm.shape[:2], -1) @ joint)[..., 0], warm
+
+    def _curvature(self, at):
+        """The pw-weighted Hessian of -g, in bits, and the output pmfs' slope
+        derivative at the incumbents of the queries at (a mask)."""
+        x, h = self.x, self.h
+        at, comps = (slice(None), slice(None)) if at.all() else (at, at[self.owner])
+        hess, self.dq[comps, :h] = _dual_hessian(self.px[comps, :x], self.chan[comps, :x, :h],
+                                                 self.dm[comps, :, :x, :h], self.s[self.owner[comps]])
+        weighted = self.weight[at][:, comps] @ hess.reshape(len(hess), -1)
+        self.hess[at] = -LOG2 * weighted.reshape(-1, *hess.shape[1:])
+
+    def step(self):
+        """Each stopping query's (index, RdPoint), the query leaving the state, and
+        the kernel request of the others' trials, or None once none is left."""
+        grad = self.e - self.target
+        free = np.where(grad > 0, self.s < SLOPE_CAP, self.s > 0)  # the slopes that may move along the gradient
+        self.rise, pair = np.where(free, grad, 0.0), free[:, :, None] & free[:, None, :]
+        room = self.cut_i + (self.cut_d @ self.s[..., None])[..., 0] - self.val[:, None]
+        while True:  # a query's step depends on its damping only: solve every one again until none damps
+            damped = np.where(pair, self.hess + (self.damp + 1e-12)[:, None, None] * self.eye, self.eye)
+            step = np.linalg.solve(damped, self.rise[..., None])[..., 0]
+            gain = (step * (grad - 0.5 * (self.hess @ step[..., None])[..., 0])).sum(axis=1)
+            move = np.minimum(np.maximum(self.s + step, 0.0), SLOPE_CAP) - self.s
+            toward = (self.cut_d @ move[..., None])[..., 0]
+            limit = np.divide(room, -toward, out=np.full_like(room, 2.0), where=toward < 0).min(axis=1)
+            first = (_HALVINGS >= limit[:, None]).sum(axis=1)  # the first fraction of the move inside every cut
+            damp = (gain >= ASCENT_GAIN_TOL) & (((grad * move).sum(axis=1) <= 0) | (first == len(_HALVINGS)))
+            if not damp.any():
+                break
+            grow = 4.0 * np.linalg.norm(self.rise[damp], axis=1) / np.linalg.norm(step[damp], axis=1)
+            self.damp[damp] = np.maximum(10.0 * self.damp[damp], grow)
+        self.trial = self.s + _HALVINGS[np.minimum(first, len(_HALVINGS) - 1), None] * move
+        stop = (gain < ASCENT_GAIN_TOL) | (self.trial == self.s).all(axis=1) | (self.calls >= ASCENT_CALLS)
+        if not stop.any():
+            return [], self._request()
+        done = [(self.index[r], q.meet(self.chan[at:at + w, :x, :h], self.e[r, :k], self.s[r, :k],
+                                       max(float(self.rate[r]), 0.0)))
+                for r, q, at, (w, x, h, k) in zip(np.flatnonzero(stop), self.rows[stop], self.first[stop],
+                                                   self.shape[stop].tolist())]
+        if stop.all():
+            return done, None
+        for names, keep in ((_ROWS, ~stop), (_COMPONENTS, ~stop[self.owner])):
+            for name in names:
+                setattr(self, name, getattr(self, name)[keep])
+        self._fit()
+        return done, self._request()
+
+    def _request(self):
+        """The kernel request of the trials, warm-started from the output pmfs that
+        the incumbent's slope derivative predicts."""
+        x, h, move = self.x, self.h, LOG2 * (self.trial - self.s)[self.owner, :, None]
+        pred = np.maximum(self.warm[:, :h] + (self.dq[:, :h] @ move)[..., 0], self.floor)
+        cost = LOG2 * np.einsum("ci,cixh->cxh", self.trial[self.owner], self.dm[..., :x, :h])
+        cost += self.infpad
+        return self.px[:, :x], cost, pred / pred.sum(axis=1, keepdims=True), self.tol_c
+
+    def update(self, conds, flb, rates):
+        """Takes the kernel's reply to the request of ``step``."""
+        chan, fl, rate = np.zeros_like(self.chan), self.weight @ flb, self.weight @ rates
+        chan[:, :self.x, :self.h] = conds
+        # each query's plane holds the kernel's own channels; a failed trial's plane is a bound and a cut too
+        for r, (q, at) in enumerate(zip(self.rows, self.first)):
+            q.planes.append((self.trial[r, :q.k], conds[at:at + q.nw, :q.nx, :q.nxh], fl[r]))
+        chan, e, warm = self._point(chan, self.trial)
         # the kernel's rate is I(X; X̂ | W) of c, at least that of its best map
-        cut_i, cut_d = np.concatenate((cut_i, [pw @ r])), np.concatenate((cut_d, [trial_point[1] - target]))
-        value = fl / LOG2 - trial @ target
-        rate = max(rate, value)
-        # a trial within the kernel's tolerance of the incumbent is no worse
-        if value > val - tol / LOG2:
-            s, val, (chan, e, warm), hess = trial, value, trial_point, None
-            damping /= 3.0
+        self.cut_i[:, len(_DOUBLING_SLOPES) + self.calls] = rate
+        self.cut_d[:, len(_DOUBLING_SLOPES) + self.calls] = e - self.target
+        value, self.calls = fl / LOG2 - (self.trial * self.target).sum(axis=1), self.calls + 1
+        self.rate, won = np.maximum(self.rate, value), value > self.val - self.tol / LOG2
+        if won.all():
+            self.s, self.val, self.e, self.chan, self.warm = self.trial, value, e, chan, warm
+            self.damp = self.damp / 3
         else:  # at least the damping that cuts the failed step to a quarter
-            damping = max(10.0 * damping, 4.0 * np.linalg.norm(grad[free]) / np.linalg.norm(trial - s))
-    return meet(chan, e, s, max(rate, 0.0))
+            moved, wc = self.trial - self.s, won[self.owner]
+            grow = 4.0 * np.linalg.norm(self.rise, axis=1) / np.linalg.norm(moved, axis=1)
+            self.damp = np.where(won, self.damp / 3, np.maximum(10.0 * self.damp, grow))
+            self.s, self.val = np.where(won[:, None], self.trial, self.s), np.where(won, value, self.val)
+            self.e, self.chan = np.where(won[:, None], e, self.e), np.where(wc[:, None, None], chan, self.chan)
+            self.warm = np.where(wc[:, None], warm, self.warm)
+        if won.any():
+            self._curvature(won)
 
 
-def _lockstep(searches) -> list[RdPoint]:
-    """The RdPoint of each search, a generator as _query makes, run in lockstep:
-    a round sends every open search the reply to its last request and makes one
-    kernel call (_round_call) on the requests they yield. Every search raises on
-    a bad target before the first call. The searches are independent, but the
-    entries of a call share its check cadence, so a search's bounds may move
-    within their stopping tolerance with the company it keeps."""
-    points, replies = [None] * len(searches), dict.fromkeys(range(len(searches)))
-    while replies:
-        asked = []
-        for i, reply in replies.items():
-            try:
-                asked.append((i, searches[i].send(reply)))
-            except StopIteration as stop:
-                points[i] = stop.value
-        replies = dict(zip([i for i, _ in asked], _round_call([r for _, r in asked]))) if asked else {}
+def _lockstep(queries) -> list[RdPoint]:
+    """The RdPoint of each query, a _Row or a zero-rate RdPoint as _query makes.
+    Rows without planes start from one kernel call on all their doubling slopes;
+    then the rows are searched as one array state (_Ascent), each round one
+    kernel call (_round_call) on every open row's trial. The rows are
+    independent, but the entries of a call share its check cadence, so a row's
+    bounds may move within their stopping tolerance with the company it keeps."""
+    points, rows = list(queries), [(i, q) for i, q in enumerate(queries) if isinstance(q, _Row)]
+    cold = [q for _, q in rows if not q.planes]
+    for q, reply in zip(cold, _round_call([q.doubling() for q in cold]) if cold else ()):
+        q.planted(reply)
+    live = _Ascent(rows) if rows else None
+    while live is not None:
+        done, request = live.step()
+        for i, point in done:
+            points[i] = point
+        if request is None:
+            break
+        live.update(*_round_call([request])[0])
     return points
 
 
 def _round_call(requests) -> list[tuple]:
     """(conditionals, bounds, rates) for each (px, cost, q0, tol) request of a lockstep
-    round, from one _ba_batch call. A lone request goes to the kernel as it is.
-    Otherwise each is padded to the round's largest (nx, nxh): a padded source
-    letter has no mass, so it enters no certificate or rate; a padded
-    reproduction letter costs +inf, so its mass is 0 after the first update. In
-    a round with warm starts, padded letters start at 0 and a cold request
-    uniform on its own letters. Replies are sliced back to each request's shape.
-    The lone branch is no special answer (padded, 32 DSBS rounds came out
-    bit-identical) but saves 14-17 us of a 350-460 us round on a 2-core box,
-    and every round of a warm single-source query is lone."""
+    round, from one _ba_batch call; tol is one gap or one per entry. Requests are
+    padded to the round's largest (nx, nxh): a padded source letter has no mass, so
+    it enters no certificate or rate; a padded reproduction letter costs +inf, so its
+    mass is 0 after the first update; with warm starts, padded letters start at 0 and
+    a cold request uniform on its own. A lone request, as every ascent round makes
+    (_Ascent pads its rows so), goes as it is: padding it again gave the same answer
+    bit for bit on 85 rounds of rd_cold audits and took 585-615 instead of 500-560 us
+    a round there, on a 2-core box."""
     if len(requests) == 1:
         px, cost, q0, tol = requests[0]
         rates, conds, flb = _ba_batch(px, cost, q0=q0, tol=tol)
@@ -472,15 +566,15 @@ def _round_call(requests) -> list[tuple]:
     shapes = [cost.shape for _, cost, _, _ in requests]
     sizes, nx, nxh = (np.array(n) for n in zip(*shapes))
     rows, nx, nxh = np.cumsum([0, *sizes]), nx.max(), nxh.max()
-    px, cost = np.zeros((rows[-1], nx)), np.zeros((rows[-1], nx, nxh))
+    px, cost, tol = np.zeros((rows[-1], nx)), np.zeros((rows[-1], nx, nxh)), np.zeros(rows[-1])
     q0 = None if all(r[2] is None for r in requests) else np.zeros((rows[-1], nxh))
-    for (p, c, q, _), (b, x, h), at in zip(requests, shapes, rows):
-        px[at:at + b, :x] = p
+    for (p, c, q, t), (b, x, h), at in zip(requests, shapes, rows):
+        px[at:at + b, :x], tol[at:at + b] = p, t
         cost[at:at + b, :x, h:] = np.inf
         cost[at:at + b, :x, :h] = c
         if q0 is not None:
             q0[at:at + b, :h] = 1.0 / h if q is None else q
-    rates, conds, flb = _ba_batch(px, cost, q0=q0, tol=np.repeat([r[3] for r in requests], sizes))
+    rates, conds, flb = _ba_batch(px, cost, q0=q0, tol=tol)
     return [(conds[at:at + b, :x, :h], flb[at:at + b], rates[at:at + b]) for (b, x, h), at in zip(shapes, rows)]
 
 
@@ -492,11 +586,8 @@ def ba_rate_distortion(p: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
 
 
 def ba_conditional_rd(pxw: JointPmf, d: DistortionSpec, D: float) -> RdPoint:
-    """Conditional R_{X|W}(D); coordinate 0 is the source, coordinate 1 is W.
-
-    At a common slope the per-w problems decouple; the slope search solves
-    them all in each kernel call so the p(w)-averaged distortion meets D.
-    """
+    """Conditional R_{X|W}(D); coordinate 0 is the source, coordinate 1 is W,
+    whose letters are the components of one search."""
     if pxw.ncoords != 2:
         raise ProbabilityError("ba_conditional_rd expects an (X, W) pmf")
     return coordinate_rd_values(pxw, d, [(0, 1, D)])[0]
@@ -520,37 +611,42 @@ def _joint_problem(p: JointPmf, d: DistortionSpec):
 
 
 def _query(p: JointPmf, d: DistortionSpec, coords, given, D):
-    """R_{X_coords}(D), or R_{X_coords | X_given}(D), as a generator for _lockstep
-    (_dual_search); coords is a coordinate or a tuple of them. A query that keeps
-    all of p in order uses p and d themselves, so a warm joint query builds no pmf
-    or spec. One coordinate's components are p(x | w) over the letters of X_given
-    of positive mass, searched from no planes to a kernel gap of RATE_TOL / 1000;
-    several coordinates search from the source's stored planes (_SWEEP_CACHE) to a
-    gap of RATE_TOL, and store a new source's planes once there are some."""
+    """The _Row of R_{X_coords}(D), or R_{X_coords | X_given}(D), or its zero-rate
+    RdPoint; coords is a coordinate or a tuple of them. One coordinate's components
+    are p(x | w) over the letters of X_given of positive mass, searched from no
+    planes to a kernel gap of RATE_TOL / 1000; several coordinates, from the
+    source's stored planes (_SWEEP_CACHE) to a gap of RATE_TOL; only a joint query
+    of some of p's coordinates builds their pmf and spec."""
     cs = [coords] if np.ndim(coords) == 0 else list(coords)
     if len(cs) > 1 and given is not None:
         raise ProbabilityError("a joint query takes no given coordinate")
     keep = cs if given is None else [*cs, given]
+    target, mass = np.array(D, dtype=float).reshape(-1), p.mass
+    if not np.isfinite(target).all():
+        raise ProbabilityError(f"distortion targets {target.tolist()} are not all finite")
     if keep != list(range(p.ncoords)):
-        mass = np.moveaxis(p.mass, keep, range(len(keep))).sum(axis=tuple(range(len(keep), p.ncoords)))
-        p = JointPmf(mass.shape, mass)
-        d = DistortionSpec(tuple(d.matrices[c] for c in cs), tuple(d.repro_sizes[c] for c in cs))
-    target = np.array(D, dtype=float).reshape(-1)
+        mass = np.moveaxis(mass, keep, range(len(keep))).sum(axis=tuple(range(len(keep), p.ncoords)))
     if len(cs) == 1:
-        pxw = p.mass.reshape(p.alphabet_sizes[0], -1)
+        pxw = mass.reshape(mass.shape[0], -1)
         pw = pxw.sum(axis=0)
-        return (yield from _dual_search((pxw[:, pw > 0] / pw[pw > 0]).T, pw[pw > 0], d.matrices[0][None],
-                                        d.repro_sizes[:1], target, deque(), RATE_TOL / 1000))
-    px, dm = _joint_problem(p, d)
-    key = (p.alphabet_sizes, p.mass.tobytes(), tuple(m.tobytes() for m in d.matrices), d.repro_sizes)
-    planes = _SWEEP_CACHE.get(key, deque(maxlen=256))
-    try:
-        return (yield from _dual_search(px[None], np.ones(1), dm, d.repro_sizes, target, planes, RATE_TOL))
-    finally:
-        if planes and key not in _SWEEP_CACHE:
-            _SWEEP_CACHE[key] = planes
-            if len(_SWEEP_CACHE) > 16:
-                _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
+        q = _Row((pxw[:, pw > 0] / pw[pw > 0]).T, pw[pw > 0], d.matrices[cs[0]][None], (d.repro_sizes[cs[0]],),
+                 target, deque(), RATE_TOL / 1000)
+    else:
+        if mass is not p.mass:
+            p = JointPmf(mass.shape, mass)
+            d = DistortionSpec(tuple(d.matrices[c] for c in cs), tuple(d.repro_sizes[c] for c in cs))
+        px, dm = _joint_problem(p, d)
+        key = (p.alphabet_sizes, p.mass.tobytes(), tuple(m.tobytes() for m in d.matrices), d.repro_sizes)
+        q = _Row(px[None], np.ones(1), dm, d.repro_sizes, target, _SWEEP_CACHE.get(key, deque(maxlen=256)),
+                 RATE_TOL, key)
+    zero = q.px @ q.dm  # (k, W, nxh): E[d_i] of each constant reproduction per component
+    const = (zero - target[:, None, None]).max(axis=0).argmin(axis=1)
+    e = q.pw @ zero[:, np.arange(q.nw), const].T
+    if (e <= target + 1e-15).all():  # met within 1e-15 at zero rate
+        return q.meet(np.repeat(np.eye(q.nxh)[const][:, None], q.nx, axis=1), e, np.zeros(q.k), 0.0)
+    if (target < q.least).any():
+        raise InfeasibleDistortion(f"distortion {target.tolist()} below least reachable {q.least.tolist()}")
+    return q
 
 
 def coordinate_rd_values(p: JointPmf, d: DistortionSpec, queries) -> list[RdPoint]:

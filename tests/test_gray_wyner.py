@@ -213,9 +213,10 @@ class TestConverseLowerSide:
 
     @pytest.mark.parametrize("solve", [c3_tilde, c_star], ids=["c3_tilde", "c_star"])
     def test_no_marginal_query_and_two_conditional_per_candidate(self, monkeypatch, solve):
-        # one lockstep search per call holds both conditional queries of every candidate
-        counts = {"marginal": 0, "conditional": 0, "candidates": 0}
-        searches = []
+        # each lockstep search holds both conditional queries of every candidate it
+        # scores, and the first search scores the constant W
+        counts = {"marginal": 0, "conditional": 0}
+        searches, batches = [], []
 
         def counted(name, real):
             def call(*args, **kwargs):
@@ -230,17 +231,17 @@ class TestConverseLowerSide:
         monkeypatch.setattr(rd, "ba_rate_distortion", counted("marginal", rd.ba_rate_distortion))
         monkeypatch.setattr(rd, "ba_conditional_rd", counted("conditional", rd.ba_conditional_rd))
         monkeypatch.setattr(gray_wyner, "_lockstep", lockstep)
-        real = gray_wyner._c3_from_candidates
+        real = gray_wyner._private_rates
 
-        def scored(d, D, rp, candidates):
-            counts["candidates"] += len(candidates)
-            return real(d, D, rp, candidates)
+        def scored(joints, d, D):
+            batches.append(list(joints))
+            return real(joints, d, D)
 
-        monkeypatch.setattr(gray_wyner, "_c3_from_candidates", scored)
+        monkeypatch.setattr(gray_wyner, "_private_rates", scored)
         solve(dsbs(), hamming22(), (0.05, 0.05), SolveBudget(restarts=1))
         assert counts["marginal"] == 0 and counts["conditional"] == 0
-        assert counts["candidates"] >= 3
-        assert searches == [2 * counts["candidates"]]
+        assert searches == [2 * len(joints) for joints in batches]
+        assert batches[0][0].alphabet_sizes[0] == 1
 
     @pytest.mark.parametrize("a1", [0.1, 0.3])
     def test_below_dsbs_closed_form(self, a1):
@@ -268,6 +269,57 @@ class TestConverseLowerSide:
         p, d = random_source(2, (2, 3)), DistortionSpec.hamming((2, 3))
         rate = witness_conditional_rate(gray_wyner._constant_w(p), coord, d, D)
         assert rate == pytest.approx(coordinate_rd_values(p, d, [(coord - 1, None, D)])[0].rate, abs=1e-12)
+
+
+def lazy_scoring_cases():
+    """(source, distortion, D): the DSBS a1 = 0.1 inside E10 (D_i <= a1) and its
+    E11 points at a1 = 0.1 and 0.2, the 3-receiver broadcast source, and four
+    Dirichlet 3x3 sources."""
+    for a1, D in [(0.1, (0.05, 0.05)), (0.1, (0.08, 0.03)), (0.1, (0.12, 0.05)), (0.1, (0.14, 0.02)),
+                  (0.2, (0.22, 0.15)), (0.2, (0.24, 0.12))]:
+        yield pytest.param(dsbs(a1), hamming22(), D, id=f"dsbs-{a1}-{D[0]}-{D[1]}")
+    broadcast = bsc_broadcast_source(0.5, 0.1, 3)
+    yield pytest.param(broadcast, DistortionSpec.hamming((2, 2, 2)), (0.05,) * 3, id="broadcast-3")
+    for seed in range(4):
+        p = random_source(seed, (3, 3))
+        yield pytest.param(p, DistortionSpec.hamming((3, 3)), (0.05, 0.05), id=f"3x3-{seed}")
+
+
+class TestLazyScoring:
+    """Candidates scored in ascending I(X; W), in doubling batches up to the first
+    that meets RESIDUAL_TOL, give the picks of scoring every candidate at once."""
+
+    @pytest.mark.parametrize("solve", [c3_tilde, c_star], ids=["c3_tilde", "c_star"])
+    @pytest.mark.parametrize("p, d, D", lazy_scoring_cases())
+    def test_lazy_pick_equals_scoring_every_candidate(self, monkeypatch, solve, p, d, D):
+        seen = []
+        real = gray_wyner._c3_from_candidates
+
+        def both(d, D, rp, candidates):
+            seen.append((real(d, D, rp, candidates), rp, candidates))
+            return seen[-1][0]
+
+        monkeypatch.setattr(gray_wyner, "_c3_from_candidates", both)
+        solve(p, d, D, SolveBudget(restarts=2))
+        ((est, rp, candidates),) = seen
+        # the reference: every candidate's conditional rates in one lockstep search
+        common = [witness_common_rate(joint) for joint in candidates]
+        privates = gray_wyner._private_rates(candidates, d, D)
+        residual = [abs(sum((c, *r)) - rp.rate) for c, r in zip(common, privates)]
+        lower = max(0.0, (sum(privates[0]) - common[-1]) / (len(D) - 1))
+
+        def pick(tol):
+            return min((i for i, r in enumerate(residual) if r <= tol), key=common.__getitem__, default=None)
+
+        best, loose = pick(gray_wyner.RESIDUAL_TOL), pick(gray_wyner.RESIDUAL_TOL_LOOSE)
+        assert est.value_lower == pytest.approx(lower, rel=0, abs=1e-9)
+        if best is None:
+            assert est.witness is None and est.value_upper == max(rp.rate, est.value_lower)
+        else:
+            assert est.witness is candidates[best]
+            assert est.value_upper == max(common[best], est.value_lower)
+            assert est.constraint_residual == pytest.approx(residual[best], rel=0, abs=1e-9)
+        assert est.value_upper_loose == (rp.rate if loose is None else max(common[loose], est.value_lower))
 
 
 class TestDroppedCandidatesAreLogged:

@@ -5,13 +5,14 @@ run in lockstep over a stack of independent queries."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import witl.audit as audit
 import witl.rd as rd
 from witl.audit import random_source
 from witl.closed_form import DsbsParams, dsbs_conditional_rd
+from witl.common_info import bsc_broadcast_source
 from witl.prob import LOG2, JointPmf, binary_entropy, entropy, marginalize, mutual_information
 from witl.rd import (
     DistortionSpec,
@@ -399,16 +400,61 @@ def design_audits():
                 yield p, d, (s1 * zero[0], s2 * zero[1])
 
 
+class FirstRound(Exception):
+    pass
+
+
+def first_request(monkeypatch, query):
+    """The kernel request that a lone query (rd._query) makes in its first lockstep round."""
+    asked = []
+
+    def stop(requests):
+        asked.extend(requests)
+        raise FirstRound
+
+    with monkeypatch.context() as m:
+        m.setattr(rd, "_round_call", stop)
+        with pytest.raises(FirstRound):
+            rd._lockstep([query])
+    return asked[0]
+
+
+def assert_same_point(pt, alone, query):
+    assert abs(pt.rate - alone.rate) <= 1e-12, query
+    assert pt.distortion == pytest.approx(alone.distortion, rel=0, abs=1e-9), query
+    assert pt.multipliers == pytest.approx(alone.multipliers, rel=0, abs=1e-8), query
+    assert (pt.test_channel is None) == (alone.test_channel is None)
+    if pt.test_channel is not None:
+        np.testing.assert_allclose(pt.test_channel.rows, alone.test_channel.rows, rtol=0, atol=1e-9)
+
+
 def assert_stacked_equals_separate(p: JointPmf, d: DistortionSpec, queries):
     stacked = coordinate_rd_values(p, d, queries)
     for query, pt in zip(queries, stacked):
-        alone = coordinate_rd_values(p, d, [query])[0]
-        assert abs(pt.rate - alone.rate) <= 1e-12, query
-        assert pt.distortion == pytest.approx(alone.distortion, rel=0, abs=1e-9), query
-        assert pt.multipliers == pytest.approx(alone.multipliers, rel=0, abs=1e-8), query
-        assert (pt.test_channel is None) == (alone.test_channel is None)
-        if pt.test_channel is not None:
-            np.testing.assert_allclose(pt.test_channel.rows, alone.test_channel.rows, rtol=0, atol=1e-9)
+        assert_same_point(pt, coordinate_rd_values(p, d, [query])[0], query)
+
+
+def mixed_shape_queries():
+    """(p, d, coords, given, D) of different shapes: on a 2x2 and a 3x3 source a
+    marginal, a conditional (W of 2 and 3 letters) and a pair joint query; on the
+    3-receiver broadcast source a 3-coordinate joint and a conditional query."""
+    asks = []
+    for seed, sizes in ((1000, (2, 2)), (1001, (3, 3))):
+        p, d = random_source(seed, sizes), DistortionSpec.hamming(sizes)
+        D = [0.45 * z for z in conditional_zero_rate_distortions(p, d)]
+        asks += [(p, d, 0, None, D[0]), (p, d, 0, 1, D[0]), (p, d, (0, 1), None, D)]
+    p, d = bsc_broadcast_source(0.5, 0.1, 3), DistortionSpec.hamming((2, 2, 2))
+    return asks + [(p, d, (0, 1, 2), None, (0.05, 0.08, 0.03)), (p, d, 2, 0, 0.05)]
+
+
+def assert_rows_equal_alone(monkeypatch, asks):
+    """One lockstep search of the queries answers as each one's lone search, each
+    from an empty plane store."""
+    monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+    stacked = rd._lockstep([rd._query(*ask) for ask in asks])
+    for ask, pt in zip(asks, stacked):
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        assert_same_point(pt, rd._lockstep([rd._query(*ask)])[0], ask[2:])
 
 
 class TestLockstepSearch:
@@ -433,6 +479,18 @@ class TestLockstepSearch:
         p = JointPmf(sizes, mass / mass.sum())
         d = DistortionSpec.hamming(sizes)
         assert_stacked_equals_separate(p, d, audit_queries(p, d, share_a) + audit_queries(p, d, share_b))
+
+    def test_mixed_shapes_equal_one_query_searches(self, monkeypatch):
+        # rows padded to k = 3, W = 3, nx = 9 and nxh = 9 beside rows of k = 1, W = 1, nx = 2
+        asks = mixed_shape_queries()
+        assert {(np.size(ask[2]), ask[3] is None) for ask in asks} == {(1, True), (1, False), (2, True), (3, True)}
+        assert_rows_equal_alone(monkeypatch, asks)
+
+    @given(st.permutations(range(8)), st.integers(1, 8))
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mixed_shapes_in_any_subset_and_order(self, monkeypatch, order, size):
+        asks = mixed_shape_queries()
+        assert_rows_equal_alone(monkeypatch, [asks[i] for i in order[:size]])
 
     def test_audit_takes_at_most_ten_calls(self, monkeypatch):
         # the joint query shares the scalar queries' rounds; asked after them, in
@@ -482,8 +540,9 @@ class TestLockstepSearch:
                 D = [0.5 * z for z in conditional_zero_rate_distortions(p, d)]
                 if warm:
                     rd.ba_joint_rd(p, d, (0.8 * D[0], 0.2 * D[1]))
-                joint = rd._query(p, d, (0, 1), None, D).send(None)
-                scalar = [rd._query(p, d, c, g, D[c]).send(None) for c, g in ((0, None), (1, None), (0, 1))]
+                joint = first_request(monkeypatch, rd._query(p, d, (0, 1), None, D))
+                scalar = [first_request(monkeypatch, rd._query(p, d, c, g, D[c]))
+                          for c, g in ((0, None), (1, None), (0, 1))]
                 assert [len(r[1]) for r in (joint, *scalar)] == [1 if warm else 7, 7, 7, 7 * sizes[1]]
                 assert (joint[2] is None) != warm
                 together = rd._round_call([joint, *scalar])
