@@ -366,80 +366,72 @@ def _stack(arrays, shape):
     return out
 
 
-#: the arrays of an _Ascent with a row per query and with a row per component
-#: (the queries' components in query order); a query that stops leaves both
-_ROWS = ("index", "rows", "shape", "target", "tol", "cut_i", "cut_d", "s", "val", "rate", "damp", "e", "hess",
-         "rise", "trial")
-_COMPONENTS = ("px", "pw", "dm", "chan", "warm", "dq")
+#: the arrays of an _Ascent and what each axis runs over: r its queries, c their
+#: components, k slopes, x and h source and reproduction letters, . anything
+_AXES = dict(index="r", rows="r", shape="r.", tol="r", real="rk", target="rk", s="rk", val="r", rate="r",
+             damp="r", e="rk", hess="rkk", cut_i="r.", cut_d="r.k", rise="rk", trial="rk", px="cx", dm="ckxh",
+             pad="cxh", floor="ch", chan="cxh", warm="ch", dq="chk")
 
 
 class _Ascent:
-    """The projected Newton ascents of a lockstep search's queries, as arrays with
-    a row per query (slopes, values, damping, distortions, Hessian, cuts) and a
-    row per component (source pmf, distortions, channels, warm pmfs and their
-    slope derivative), padded to the search's largest k, nx and nxh: a padded
-    entry is an exact zero (a letter of no mass, a slope with no distortion and
-    an identity block in the Newton system, a cut with no terms), and a padded
-    reproduction letter of a real source letter costs +inf in the kernel.
+    """The projected Newton ascents of a lockstep search's queries, as arrays (_AXES)
+    with a row per query and a row per component, padded to the largest k, nx and
+    nxh of the queries left with exact zeros: a letter of no mass, a slope with no
+    distortion and an identity block in the Newton system, a cut with no terms; a
+    padded reproduction letter of a real source letter costs +inf in the kernel.
 
-    A query starts from its plane of best value at the target. ``step`` takes
-    the exact gradient E[d] - target (one-sided on an axis s_i = 0,
-    _axis_channel) and the pw-weighted Hessian of the incumbent
-    (``_curvature``), and solves the damped Newton step on the slopes that may
-    move. Any channels c give g(x) <= I(c) + x . (E_c[d] - target), so a
-    maximizer x lies inside the cut where that exceeds the incumbent's value;
-    each plane a query makes adds the cut of its channels (for k = 1 the
-    start's cuts bracket the maximizer). The step is projected onto the box and
-    halved to its first power-of-two fraction strictly inside every cut; one
-    that does not ascend inside the cuts is damped toward the gradient and
-    solved again. Each trial is a kernel request warm-started from the output
-    pmfs that the incumbent's slope derivative predicts; its reply (``update``)
-    adds a plane and a cut, and the trial becomes the incumbent unless it falls
-    short of it by more than the kernel's tolerance, which sets at least the
-    damping that cuts its step to a quarter. A query stops once its predicted
-    gain is below ASCENT_GAIN_TOL bits, after ASCENT_CALLS trials, or when no
-    slope may move: its rate is the best certified value of g at the target
-    over its planes, and ``meet`` makes the incumbent's channels meet it."""
+    A query starts from its plane of best value at the target. ``step`` takes the
+    exact gradient E[d] - target (one-sided on an axis s_i = 0, _axis_channel) and
+    the pw-weighted Hessian of the incumbent (_dual_hessian), and solves the damped
+    Newton step on the slopes that may move. Any channels c give g(x) <= I(c) +
+    x . (E_c[d] - target), so a maximizer x lies inside the cut where that exceeds
+    the incumbent's value; each plane a query makes adds the cut of its channels
+    (for k = 1 the start's cuts bracket the maximizer). The step is projected onto
+    the box and halved to its first power-of-two fraction strictly inside every
+    cut; one that does not ascend inside the cuts is damped toward the gradient and
+    solved again. Each trial is a kernel request warm-started from the output pmfs
+    that the incumbent's slope derivative predicts, and adds a plane; it becomes
+    the incumbent unless it falls short by more than the kernel's tolerance, which
+    sets at least the damping that cuts its step to a quarter. A query stops once
+    its predicted gain is below ASCENT_GAIN_TOL bits, after ASCENT_CALLS trials or
+    when no slope may move: its rate is the best certified value of g at the
+    target over its planes, and ``meet`` makes the incumbent's channels meet it."""
 
     def __init__(self, rows):
         """rows: (query index, _Row with planes)."""
         qs, starts = [q for _, q in rows], [q.start() for _, q in rows]
-        k, nx, nxh = max(q.k for q in qs), max(q.nx for q in qs), max(q.nxh for q in qs)
-        n, m = len(qs), len(_DOUBLING_SLOPES) + ASCENT_CALLS
-        self.index, self.rows, self.calls = np.array([i for i, _ in rows]), np.array(qs, object), 0
-        self.shape, self.tol = np.array([(q.nw, q.nx, q.nxh, q.k) for q in qs]), np.array([q.tol for q in qs])
+        self.shape = np.array([(q.nw, q.nx, q.nxh, q.k) for q in qs])
+        (nx, nxh, k), m, self.calls = self.shape[:, 1:].max(axis=0), len(_DOUBLING_SLOPES) + ASCENT_CALLS, 0
+        self.index, self.rows = np.array([i for i, _ in rows]), np.array(qs, object)
+        self.tol = np.array([q.tol for q in qs])
         self.target, self.s = _stack([q.target for q in qs], (k,)), _stack([st[0] for st in starts], (k,))
         self.cut_i, self.cut_d = _stack([q.cuts[0] for q in qs], (m,)), _stack([q.cuts[1] for q in qs], (m, k))
-        self.val, self.rate = np.array([st[2] for st in starts]), np.array([st[2] for st in starts])
-        self.damp, self.hess, self.rise = np.zeros(n), np.zeros((n, k, k)), np.zeros((n, k))
-        self.px, self.pw = _stack([p for q in qs for p in q.px], (nx,)), np.concatenate([q.pw for q in qs])
+        self.val = self.rate = np.array([st[2] for st in starts])
+        self.damp, self.real = np.zeros(len(qs)), np.arange(k) < self.shape[:, 3:]
+        self.px = _stack([p for q in qs for p in q.px], (nx,))
         self.dm = _stack([q.dm for q in qs for _ in q.pw], (k, nx, nxh))
-        self.chan = _stack([c for st in starts for c in st[1]], (nx, nxh))
-        self.dq = np.zeros((len(self.pw), nxh, k))
-        self._fit()
-        self.chan, self.e, self.warm = self._point(self.chan, self.s)
-        self.trial = self.s
-        self._curvature(np.ones(n, bool))
+        real_x, real_h = (np.arange(n) < np.repeat(self.shape[:, j], self.shape[:, 0])[:, None]
+                          for j, n in ((1, nx), (2, nxh)))
+        self.pad, self.floor = np.where(real_x[:, :, None] > real_h[:, None], np.inf, 0.0), 1e-12 * real_h
+        self._fit(np.concatenate([q.pw for q in qs]))
+        self.chan, self.e, self.warm = self._point(_stack([c for st in starts for c in st[1]], (nx, nxh)), self.s)
+        self.hess, self.dq = np.zeros((len(qs), k, k)), np.zeros((len(self.px), nxh, k))
+        self._curvature(np.ones(len(qs), bool))
 
-    def _fit(self):
-        """Each component's query, each query's first component and their weights;
-        the largest alphabets of the queries left; and each component's gap."""
-        w, k = self.shape[:, 0], self.s.shape[1]
+    def _fit(self, pw):
+        """Each component's query, each query's first component, and the (query,
+        component) weights pw."""
+        w = self.shape[:, 0]
         self.owner, self.first = np.repeat(np.arange(len(w)), w), np.cumsum(w) - w
-        self.weight = np.zeros((len(w), len(self.pw)))
-        self.weight[self.owner, np.arange(len(self.pw))] = self.pw
-        (self.x, self.h), self.tol_c = self.shape[:, 1:3].max(axis=0), self.tol[self.owner]
-        self.real_k, self.eye, self.infpad, self.floor = np.arange(k) < self.shape[:, 3:], np.eye(k), 0.0, 1e-12
-        if (self.shape[:, 1:3] < (self.x, self.h)).any():  # a padded reproduction letter of a real source letter
-            real_x = np.arange(self.x) < np.repeat(self.shape[:, 1], w)[:, None]
-            real_h = np.arange(self.h) < np.repeat(self.shape[:, 2], w)[:, None]
-            self.infpad, self.floor = np.where(real_x[:, :, None] & ~real_h[:, None], np.inf, 0.0), 1e-12 * real_h
+        self.weight = np.zeros((len(w), len(pw)))
+        self.weight[self.owner, np.arange(len(pw))] = pw
 
     def _point(self, chan, s):
-        """Best-map channels (chan at the queries' slopes s, changed in place), the
-        queries' distortions and the kernel's output pmfs (the warm start)."""
-        warm = (self.px[:, None] @ chan)[:, 0]
-        for r in np.flatnonzero(((s <= 0) & self.real_k).any(axis=1)):
+        """Best-map channels (chan at the queries' slopes s), the queries' distortions
+        and the kernel's output pmfs (the warm start)."""
+        warm, fix = (self.px[:, None] @ chan)[:, 0], np.flatnonzero(((s <= 0) & self.real).any(axis=1))
+        chan = chan.copy() if fix.size else chan
+        for r in fix:
             (w, x, h, k), q, at = self.shape[r], self.rows[r], self.first[r]
             chan[at:at + w, :x, :h] = _axis_channel(q.px, chan[at:at + w, :x, :h], q.dm, q.repro, s[r, :k])
         joint = (self.px[..., None] * chan).reshape(len(chan), -1, 1)
@@ -448,23 +440,21 @@ class _Ascent:
     def _curvature(self, at):
         """The pw-weighted Hessian of -g, in bits, and the output pmfs' slope
         derivative at the incumbents of the queries at (a mask)."""
-        x, h = self.x, self.h
         at, comps = (slice(None), slice(None)) if at.all() else (at, at[self.owner])
-        hess, self.dq[comps, :h] = _dual_hessian(self.px[comps, :x], self.chan[comps, :x, :h],
-                                                 self.dm[comps, :, :x, :h], self.s[self.owner[comps]])
-        weighted = self.weight[at][:, comps] @ hess.reshape(len(hess), -1)
-        self.hess[at] = -LOG2 * weighted.reshape(-1, *hess.shape[1:])
+        hess, self.dq[comps] = _dual_hessian(self.px[comps], self.chan[comps], self.dm[comps],
+                                             self.s[self.owner[comps]])
+        self.hess[at] = -LOG2 * (self.weight[at][:, comps] @ hess.reshape(len(hess), -1)).reshape(-1, *hess.shape[1:])
 
     def step(self):
         """Each stopping query's (index, RdPoint), the query leaving the state, and
         the kernel request of the others' trials, or None once none is left."""
-        grad = self.e - self.target
+        grad, eye = self.e - self.target, np.eye(self.s.shape[1])
         free = np.where(grad > 0, self.s < SLOPE_CAP, self.s > 0)  # the slopes that may move along the gradient
         self.rise, pair = np.where(free, grad, 0.0), free[:, :, None] & free[:, None, :]
         room = self.cut_i + (self.cut_d @ self.s[..., None])[..., 0] - self.val[:, None]
         while True:  # a query's step depends on its damping only: solve every one again until none damps
-            damped = np.where(pair, self.hess + (self.damp + 1e-12)[:, None, None] * self.eye, self.eye)
-            step = np.linalg.solve(damped, self.rise[..., None])[..., 0]
+            step = np.linalg.solve(np.where(pair, self.hess + (self.damp + 1e-12)[:, None, None] * eye, eye),
+                                   self.rise[..., None])[..., 0]
             gain = (step * (grad - 0.5 * (self.hess @ step[..., None])[..., 0])).sum(axis=1)
             move = np.minimum(np.maximum(self.s + step, 0.0), SLOPE_CAP) - self.s
             toward = (self.cut_d @ move[..., None])[..., 0]
@@ -479,50 +469,48 @@ class _Ascent:
         stop = (gain < ASCENT_GAIN_TOL) | (self.trial == self.s).all(axis=1) | (self.calls >= ASCENT_CALLS)
         if not stop.any():
             return [], self._request()
-        done = [(self.index[r], q.meet(self.chan[at:at + w, :x, :h], self.e[r, :k], self.s[r, :k],
-                                       max(float(self.rate[r]), 0.0)))
-                for r, q, at, (w, x, h, k) in zip(np.flatnonzero(stop), self.rows[stop], self.first[stop],
-                                                   self.shape[stop].tolist())]
+        done = [(i, q.meet(self.chan[at:at + w, :x, :h], self.e[r, :k], self.s[r, :k], max(float(self.rate[r]), 0.0)))
+                for r, i, q, at, (w, x, h, k) in zip(np.flatnonzero(stop), self.index[stop], self.rows[stop],
+                                                      self.first[stop], self.shape[stop].tolist())]
         if stop.all():
             return done, None
-        for names, keep in ((_ROWS, ~stop), (_COMPONENTS, ~stop[self.owner])):
-            for name in names:
-                setattr(self, name, getattr(self, name)[keep])
-        self._fit()
+        keep, pw = ~stop, self.weight.sum(axis=0)[~stop[self.owner]]
+        nx, nxh, k = self.shape[keep, 1:].max(axis=0)
+        axes = {"r": keep, "c": keep[self.owner], "k": slice(k), "x": slice(nx), "h": slice(nxh), ".": slice(None)}
+        for name, roles in _AXES.items():
+            setattr(self, name, getattr(self, name)[tuple(axes[a] for a in roles)])
+        self._fit(pw)
         return done, self._request()
 
     def _request(self):
         """The kernel request of the trials, warm-started from the output pmfs that
         the incumbent's slope derivative predicts."""
-        x, h, move = self.x, self.h, LOG2 * (self.trial - self.s)[self.owner, :, None]
-        pred = np.maximum(self.warm[:, :h] + (self.dq[:, :h] @ move)[..., 0], self.floor)
-        cost = LOG2 * np.einsum("ci,cixh->cxh", self.trial[self.owner], self.dm[..., :x, :h])
-        cost += self.infpad
-        return self.px[:, :x], cost, pred / pred.sum(axis=1, keepdims=True), self.tol_c
+        move = LOG2 * (self.trial - self.s)[self.owner, :, None]
+        pred = np.maximum(self.warm + (self.dq @ move)[..., 0], self.floor)
+        cost = LOG2 * (self.trial[self.owner, None] @ self.dm.reshape(*self.dm.shape[:2], -1)).reshape(self.pad.shape)
+        return self.px, cost + self.pad, pred / pred.sum(axis=1, keepdims=True), self.tol[self.owner]
 
     def update(self, conds, flb, rates):
         """Takes the kernel's reply to the request of ``step``."""
-        chan, fl, rate = np.zeros_like(self.chan), self.weight @ flb, self.weight @ rates
-        chan[:, :self.x, :self.h] = conds
+        fl, rate = self.weight @ flb, self.weight @ rates
         # each query's plane holds the kernel's own channels; a failed trial's plane is a bound and a cut too
         for r, (q, at) in enumerate(zip(self.rows, self.first)):
             q.planes.append((self.trial[r, :q.k], conds[at:at + q.nw, :q.nx, :q.nxh], fl[r]))
-        chan, e, warm = self._point(chan, self.trial)
+        chan, e, warm = self._point(conds, self.trial)
         # the kernel's rate is I(X; X̂ | W) of c, at least that of its best map
         self.cut_i[:, len(_DOUBLING_SLOPES) + self.calls] = rate
         self.cut_d[:, len(_DOUBLING_SLOPES) + self.calls] = e - self.target
         value, self.calls = fl / LOG2 - (self.trial * self.target).sum(axis=1), self.calls + 1
         self.rate, won = np.maximum(self.rate, value), value > self.val - self.tol / LOG2
         if won.all():
-            self.s, self.val, self.e, self.chan, self.warm = self.trial, value, e, chan, warm
-            self.damp = self.damp / 3
+            self.s, self.val, self.e, self.chan, self.warm, self.damp = self.trial, value, e, chan, warm, self.damp / 3
         else:  # at least the damping that cuts the failed step to a quarter
-            moved, wc = self.trial - self.s, won[self.owner]
-            grow = 4.0 * np.linalg.norm(self.rise, axis=1) / np.linalg.norm(moved, axis=1)
+            grow = 4.0 * np.linalg.norm(self.rise, axis=1) / np.linalg.norm(self.trial - self.s, axis=1)
             self.damp = np.where(won, self.damp / 3, np.maximum(10.0 * self.damp, grow))
-            self.s, self.val = np.where(won[:, None], self.trial, self.s), np.where(won, value, self.val)
-            self.e, self.chan = np.where(won[:, None], e, self.e), np.where(wc[:, None, None], chan, self.chan)
-            self.warm = np.where(wc[:, None], warm, self.warm)
+            self.s, self.val, self.e = (np.where(won[:, None], self.trial, self.s), np.where(won, value, self.val),
+                                        np.where(won[:, None], e, self.e))
+            wc = won[self.owner]
+            self.chan, self.warm = np.where(wc[:, None, None], chan, self.chan), np.where(wc[:, None], warm, self.warm)
         if won.any():
             self._curvature(won)
 
