@@ -8,18 +8,17 @@ component per letter of W, R_{X1..XN} N multipliers and one component. One
 builder, ``_query``, makes each from a source and its coordinates, and one
 driver, ``_lockstep``, searches any set of them as the rows of one array
 state (_Ascent): a zero-rate rule, a start from stored supporting planes or
-one kernel call on diagonal doubling slopes, and a projected Newton ascent
-with the curvature of ``_dual_hessian``, safeguarded by the cuts of the
-channels it evaluates, run to a gap of RATE_TOL/1000 for scalar queries and
-RATE_TOL for joint ones; every kind fails at SLOPE_CAP by the one rule of
-``meet``. A round takes every open row's step in a few array operations and
-makes one call of the batched kernel ``_ba_batch`` on their trials, padded to
-the round's largest alphabets. The kernel alternates as Blahut-Arimoto does
-and, at each dual-gap check, takes one Newton step on the alternation's fixed
-point (one batched LU solve), so that calls near critical slopes end on their
-certificate; the curvature applies the same linearization's pseudo-inverse
-through one eigendecomposition. Multipliers are in bits per distortion unit
-throughout.
+on diagonal doubling slopes, and a projected Newton ascent with the curvature
+of ``_dual_hessian``, safeguarded by the cuts of the channels it evaluates,
+run to a gap of RATE_TOL/1000 for scalar queries and RATE_TOL for joint ones;
+every kind fails at SLOPE_CAP by the one rule of ``meet``. The state's start
+and each of its rounds is one call of the batched kernel ``_ba_batch``,
+padded to the open rows' largest alphabets. The kernel alternates as
+Blahut-Arimoto does and, at each dual-gap check, takes one Newton step on the
+alternation's fixed point (one batched LU solve), so that calls near critical
+slopes end on their certificate; the curvature applies the same
+linearization's pseudo-inverse through one eigendecomposition. Multipliers
+are in bits per distortion unit throughout.
 """
 
 from __future__ import annotations
@@ -332,17 +331,12 @@ class _Row:
             raise SweepResolutionError(f"slope {SLOPE_CAP} does not reach distortion {target.tolist()}")
         return RdPoint(tuple(e.tolist()), rate, tuple(s.tolist()), channel)
 
-    def doubling(self):
-        """The start's kernel request, at the diagonal slopes (s, .., s), s in _DOUBLING_SLOPES."""
-        cost = LOG2 * np.einsum("ni,ixh->nxh", np.repeat(_DOUBLING_SLOPES[:, None], self.k, axis=1), self.dm)
-        return np.concatenate((self.px,) * len(cost)), np.repeat(cost, self.nw, axis=0), None, self.tol
-
-    def planted(self, reply):
-        """Takes the planes and cuts of the reply to ``doubling``."""
-        conds, flb, rates = reply[0].reshape(-1, self.nw, self.nx, self.nxh), *reply[1:]
+    def planted(self, conds, flb, rates):
+        """Takes the planes and cuts of the start: channels (n, W, nx, nxh), bounds and
+        rates (n, W) at the diagonal slopes (s, .., s), s in _DOUBLING_SLOPES."""
         slopes = np.repeat(_DOUBLING_SLOPES[:, None], self.k, axis=1)
-        self.planes.extend(zip(slopes, conds, flb.reshape(-1, self.nw) @ self.pw))
-        self.cuts = rates.reshape(-1, self.nw) @ self.pw, self.distortion(conds) - self.target
+        self.planes.extend(zip(slopes, map(np.copy, conds), flb @ self.pw))
+        self.cuts = rates @ self.pw, self.distortion(conds) - self.target
         if self.key is not None and self.key not in _SWEEP_CACHE:  # a new joint source's planes are kept
             _SWEEP_CACHE[self.key] = self.planes
             if len(_SWEEP_CACHE) > 16:
@@ -380,7 +374,9 @@ class _Ascent:
     distortion and an identity block in the Newton system, a cut with no terms; a
     padded reproduction letter of a real source letter costs +inf in the kernel.
 
-    A query starts from its plane of best value at the target. ``step`` takes the
+    The state's first kernel call starts the queries without planes, each component
+    at the diagonal slopes in _DOUBLING_SLOPES from a uniform output pmf. Then a
+    query starts from its plane of best value at the target. ``step`` takes the
     exact gradient E[d] - target (one-sided on an axis s_i = 0, _axis_channel) and
     the pw-weighted Hessian of the incumbent (_dual_hessian), and solves the damped
     Newton step on the slopes that may move. Any channels c give g(x) <= I(c) +
@@ -398,15 +394,12 @@ class _Ascent:
     target over its planes, and ``meet`` makes the incumbent's channels meet it."""
 
     def __init__(self, rows):
-        """rows: (query index, _Row with planes)."""
-        qs, starts = [q for _, q in rows], [q.start() for _, q in rows]
+        """rows: (query index, _Row); those without planes make their start first."""
+        qs = [q for _, q in rows]
         self.shape = np.array([(q.nw, q.nx, q.nxh, q.k) for q in qs])
         (nx, nxh, k), m, self.calls = self.shape[:, 1:].max(axis=0), len(_DOUBLING_SLOPES) + ASCENT_CALLS, 0
         self.index, self.rows = np.array([i for i, _ in rows]), np.array(qs, object)
         self.tol = np.array([q.tol for q in qs])
-        self.target, self.s = _stack([q.target for q in qs], (k,)), _stack([st[0] for st in starts], (k,))
-        self.cut_i, self.cut_d = _stack([q.cuts[0] for q in qs], (m,)), _stack([q.cuts[1] for q in qs], (m, k))
-        self.val = self.rate = np.array([st[2] for st in starts])
         self.damp, self.real = np.zeros(len(qs)), np.arange(k) < self.shape[:, 3:]
         self.px = _stack([p for q in qs for p in q.px], (nx,))
         self.dm = _stack([q.dm for q in qs for _ in q.pw], (k, nx, nxh))
@@ -414,6 +407,21 @@ class _Ascent:
                           for j, n in ((1, nx), (2, nxh)))
         self.pad, self.floor = np.where(real_x[:, :, None] > real_h[:, None], np.inf, 0.0), 1e-12 * real_h
         self._fit(np.concatenate([q.pw for q in qs]))
+        cold = np.array([not q.planes for q in qs])
+        if cold.any():  # the start, on the arrays just laid out
+            comps, n = cold[self.owner], len(_DOUBLING_SLOPES)
+            cost = LOG2 * (_DOUBLING_SLOPES[:, None, None, None] * self.dm[comps].sum(axis=1)) + self.pad[comps]
+            reply = _ba_batch(np.concatenate((self.px[comps],) * n), cost.reshape(-1, nx, nxh), None,
+                              np.concatenate((self.tol[self.owner[comps]],) * n))
+            rates, conds, flb = (a.reshape(n, -1, *a.shape[1:]) for a in reply)
+            at = 0
+            for q in self.rows[cold]:
+                q.planted(conds[:, at:at + q.nw, :q.nx, :q.nxh], flb[:, at:at + q.nw], rates[:, at:at + q.nw])
+                at += q.nw
+        starts = [q.start() for q in qs]
+        self.target, self.s = _stack([q.target for q in qs], (k,)), _stack([st[0] for st in starts], (k,))
+        self.cut_i, self.cut_d = _stack([q.cuts[0] for q in qs], (m,)), _stack([q.cuts[1] for q in qs], (m, k))
+        self.val = self.rate = np.array([st[2] for st in starts])
         self.chan, self.e, self.warm = self._point(_stack([c for st in starts for c in st[1]], (nx, nxh)), self.s)
         self.hess, self.dq = np.zeros((len(qs), k, k)), np.zeros((len(self.px), nxh, k))
         self._curvature(np.ones(len(qs), bool))
@@ -490,12 +498,12 @@ class _Ascent:
         cost = LOG2 * (self.trial[self.owner, None] @ self.dm.reshape(*self.dm.shape[:2], -1)).reshape(self.pad.shape)
         return self.px, cost + self.pad, pred / pred.sum(axis=1, keepdims=True), self.tol[self.owner]
 
-    def update(self, conds, flb, rates):
+    def update(self, rates, conds, flb):
         """Takes the kernel's reply to the request of ``step``."""
         fl, rate = self.weight @ flb, self.weight @ rates
         # each query's plane holds the kernel's own channels; a failed trial's plane is a bound and a cut too
         for r, (q, at) in enumerate(zip(self.rows, self.first)):
-            q.planes.append((self.trial[r, :q.k], conds[at:at + q.nw, :q.nx, :q.nxh], fl[r]))
+            q.planes.append((self.trial[r, :q.k], conds[at:at + q.nw, :q.nx, :q.nxh].copy(), fl[r]))
         chan, e, warm = self._point(conds, self.trial)
         # the kernel's rate is I(X; X̂ | W) of c, at least that of its best map
         self.cut_i[:, len(_DOUBLING_SLOPES) + self.calls] = rate
@@ -516,16 +524,11 @@ class _Ascent:
 
 
 def _lockstep(queries) -> list[RdPoint]:
-    """The RdPoint of each query, a _Row or a zero-rate RdPoint as _query makes.
-    Rows without planes start from one kernel call on all their doubling slopes;
-    then the rows are searched as one array state (_Ascent), each round one
-    kernel call (_round_call) on every open row's trial. The rows are
-    independent, but the entries of a call share its check cadence, so a row's
-    bounds may move within their stopping tolerance with the company it keeps."""
+    """The RdPoint of each query, a _Row or a zero-rate RdPoint as _query makes,
+    the rows searched as one array state (_Ascent), whose start and each round is
+    one kernel call. The rows are independent, but the entries of a call share its
+    check cadence, so a row's bounds may move within their tolerance with its company."""
     points, rows = list(queries), [(i, q) for i, q in enumerate(queries) if isinstance(q, _Row)]
-    cold = [q for _, q in rows if not q.planes]
-    for q, reply in zip(cold, _round_call([q.doubling() for q in cold]) if cold else ()):
-        q.planted(reply)
     live = _Ascent(rows) if rows else None
     while live is not None:
         done, request = live.step()
@@ -533,37 +536,8 @@ def _lockstep(queries) -> list[RdPoint]:
             points[i] = point
         if request is None:
             break
-        live.update(*_round_call([request])[0])
+        live.update(*_ba_batch(*request))
     return points
-
-
-def _round_call(requests) -> list[tuple]:
-    """(conditionals, bounds, rates) for each (px, cost, q0, tol) request of a lockstep
-    round, from one _ba_batch call; tol is one gap or one per entry. Requests are
-    padded to the round's largest (nx, nxh): a padded source letter has no mass, so
-    it enters no certificate or rate; a padded reproduction letter costs +inf, so its
-    mass is 0 after the first update; with warm starts, padded letters start at 0 and
-    a cold request uniform on its own. A lone request, as every ascent round makes
-    (_Ascent pads its rows so), goes as it is: padding it again gave the same answer
-    bit for bit on 85 rounds of rd_cold audits and took 585-615 instead of 500-560 us
-    a round there, on a 2-core box."""
-    if len(requests) == 1:
-        px, cost, q0, tol = requests[0]
-        rates, conds, flb = _ba_batch(px, cost, q0=q0, tol=tol)
-        return [(conds, flb, rates)]
-    shapes = [cost.shape for _, cost, _, _ in requests]
-    sizes, nx, nxh = (np.array(n) for n in zip(*shapes))
-    rows, nx, nxh = np.cumsum([0, *sizes]), nx.max(), nxh.max()
-    px, cost, tol = np.zeros((rows[-1], nx)), np.zeros((rows[-1], nx, nxh)), np.zeros(rows[-1])
-    q0 = None if all(r[2] is None for r in requests) else np.zeros((rows[-1], nxh))
-    for (p, c, q, t), (b, x, h), at in zip(requests, shapes, rows):
-        px[at:at + b, :x], tol[at:at + b] = p, t
-        cost[at:at + b, :x, h:] = np.inf
-        cost[at:at + b, :x, :h] = c
-        if q0 is not None:
-            q0[at:at + b, :h] = 1.0 / h if q is None else q
-    rates, conds, flb = _ba_batch(px, cost, q0=q0, tol=tol)
-    return [(conds[at:at + b, :x, :h], flb[at:at + b], rates[at:at + b]) for (b, x, h), at in zip(shapes, rows)]
 
 
 def ba_rate_distortion(p: JointPmf, d: DistortionSpec, D: float) -> RdPoint:

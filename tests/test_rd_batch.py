@@ -3,6 +3,8 @@ and the scalar Newton search built on them: one cold call on doubling slopes,
 then safeguarded Newton steps on the dual, one warm-started kernel call each,
 run in lockstep over a stack of independent queries."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -404,23 +406,24 @@ class FirstRound(Exception):
     pass
 
 
-def first_request(monkeypatch, query):
-    """The kernel request that a lone query (rd._query) makes in its first lockstep round."""
+def first_request(monkeypatch, queries):
+    """The kernel request (px, cost, q0, tol) of the first call of a lockstep search
+    of the queries (rd._query)."""
     asked = []
 
-    def stop(requests):
-        asked.extend(requests)
+    def stop(*request):
+        asked.append(request)
         raise FirstRound
 
     with monkeypatch.context() as m:
-        m.setattr(rd, "_round_call", stop)
+        m.setattr(rd, "_ba_batch", stop)
         with pytest.raises(FirstRound):
-            rd._lockstep([query])
+            rd._lockstep(queries)
     return asked[0]
 
 
-def assert_same_point(pt, alone, query):
-    assert abs(pt.rate - alone.rate) <= 1e-12, query
+def assert_same_point(pt, alone, query, rate_tol=1e-12):
+    assert abs(pt.rate - alone.rate) <= rate_tol, query
     assert pt.distortion == pytest.approx(alone.distortion, rel=0, abs=1e-9), query
     assert pt.multipliers == pytest.approx(alone.multipliers, rel=0, abs=1e-8), query
     assert (pt.test_channel is None) == (alone.test_channel is None)
@@ -527,12 +530,14 @@ class TestLockstepSearch:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_padded_round_equals_separate_calls(self, monkeypatch, warm):
-        # the 35-entry doubling round of a source's three scalar audit queries
-        # with its joint query's first, larger request: the 7-entry start of a
-        # new source, or a warm trial on a stored one; in one call and in two.
-        # A padded letter changes nothing, but the entries of a call share its
-        # check cadence, so each bound ends within its tolerance RATE_TOL of F*
-        # either way; channels moved by up to 7.1e-9 on the 48 design sources
+        # the start call of a source's joint query and its three scalar audit
+        # queries, padded to the joint's alphabets: the 7 doubling slopes of every
+        # component of a query without planes (the joint's only on a new source),
+        # against each query's lone start. A padded letter changes nothing, but the
+        # entries of a call share its check cadence, so each bound ends within its
+        # tolerance RATE_TOL of F* either way; channels moved by up to 7.1e-9 on
+        # the 48 design sources
+        n = len(rd._DOUBLING_SLOPES)
         for sizes in ((3, 3), (2, 2)):
             for seed in range(1000, 1012):
                 monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
@@ -540,16 +545,53 @@ class TestLockstepSearch:
                 D = [0.5 * z for z in conditional_zero_rate_distortions(p, d)]
                 if warm:
                     rd.ba_joint_rd(p, d, (0.8 * D[0], 0.2 * D[1]))
-                joint = first_request(monkeypatch, rd._query(p, d, (0, 1), None, D))
-                scalar = [first_request(monkeypatch, rd._query(p, d, c, g, D[c]))
-                          for c, g in ((0, None), (1, None), (0, 1))]
-                assert [len(r[1]) for r in (joint, *scalar)] == [1 if warm else 7, 7, 7, 7 * sizes[1]]
-                assert (joint[2] is None) != warm
-                together = rd._round_call([joint, *scalar])
-                for got, ref in zip(together, rd._round_call([joint]) + rd._round_call(scalar)):
-                    assert got[0].shape == ref[0].shape
-                    assert np.abs(got[1] - ref[1]).max() < rd.RATE_TOL
-                    assert np.abs(got[0] - ref[0]).max() <= 1e-7
+                asks = [((0, 1), None, D), (0, None, D[0]), (1, None, D[1]), (0, 1, D[0])][warm:]
+                together = first_request(monkeypatch, [rd._query(p, d, *ask) for ask in asks])
+                assert len(together[1]) == n * (3 + sizes[1]) - (n if warm else 0) and together[2] is None
+                _, conds, flb = (a.reshape(n, -1, *a.shape[1:]) for a in rd._ba_batch(*together))
+                at = 0
+                for ask in asks:
+                    alone = rd._ba_batch(*first_request(monkeypatch, [rd._query(p, d, *ask)]))
+                    _, ref, ref_flb = (a.reshape(n, -1, *a.shape[1:]) for a in alone)
+                    w, x, h = ref.shape[1:]
+                    assert np.abs(flb[:, at:at + w] - ref_flb).max() < rd.RATE_TOL
+                    assert np.abs(conds[:, at:at + w, :x, :h] - ref).max() <= 1e-7
+                    assert not conds[:, at:at + w, :x, h:].any()
+                    at += w
+                assert at == conds.shape[1]
+
+    def test_warm_joint_row_beside_cold_rows(self, monkeypatch):
+        # a joint query on a source with stored planes and scalar queries without:
+        # the start call holds only the cold rows' 7 W entries, and each answer
+        # equals its lone search from a copy of the same store. The joint row's
+        # trials share their calls' check cadence with the scalar rows', so its
+        # rate moves within its gap RATE_TOL (4.4e-12 bits on seed 1002)
+        n, sizes = len(rd._DOUBLING_SLOPES), (3, 3)
+        d = DistortionSpec.hamming(sizes)
+        for seed in range(1000, 1012):
+            monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+            p = random_source(seed, sizes)
+            D = [0.45 * z for z in conditional_zero_rate_distortions(p, d)]
+            rd.ba_joint_rd(p, d, (0.8 * D[0], 0.2 * D[1]))
+            store = copy.deepcopy(rd._SWEEP_CACHE)
+            asks = [((0, 1), None, D), (0, None, D[0]), (1, 0, D[1])]
+            assert len(first_request(monkeypatch, [rd._query(p, d, *ask) for ask in asks])[1]) == n * (1 + sizes[0])
+            points = rd._lockstep([rd._query(p, d, *ask) for ask in asks])
+            for ask, pt in zip(asks, points):
+                monkeypatch.setattr(rd, "_SWEEP_CACHE", copy.deepcopy(store))
+                rate_tol = rd.RATE_TOL / LOG2 if np.ndim(ask[0]) else 1e-12
+                assert_same_point(pt, rd._lockstep([rd._query(p, d, *ask)])[0], (seed, ask), rate_tol)
+
+    def test_stored_planes_own_their_channels(self, monkeypatch):
+        # a plane in _SWEEP_CACHE holds a copy of its row's channels, not a view
+        # that keeps the other rows' entries of its kernel call alive
+        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        p, d = random_source(1000, (3, 3)), DistortionSpec.hamming((3, 3))
+        D = [0.45 * z for z in conditional_zero_rate_distortions(p, d)]
+        coordinate_rd_values(p, d, [((0, 1), None, D), (0, 1, D[0])])
+        (planes,) = rd._SWEEP_CACHE.values()
+        assert len(planes) > len(rd._DOUBLING_SLOPES)
+        assert all(chan.base is None and chan.shape == (1, 9, 9) for _, chan, _ in planes)
 
     def test_joint_query_equals_ba_joint_rd_and_shares_its_store(self, monkeypatch):
         p, d = random_source(1000, (3, 3)), DistortionSpec.hamming((3, 3))
