@@ -535,8 +535,8 @@ class TestLockstepSearch:
         # component of a query without planes (the joint's only on a new source),
         # against each query's lone start. A padded letter changes nothing, but the
         # entries of a call share its check cadence, so each bound ends within its
-        # tolerance RATE_TOL of F* either way; channels moved by up to 7.1e-9 on
-        # the 48 design sources
+        # tolerance RATE_TOL of F* either way: on these 24 sources bounds moved by
+        # up to 8.0e-11 nats and channels by up to 1.3e-9
         n = len(rd._DOUBLING_SLOPES)
         for sizes in ((3, 3), (2, 2)):
             for seed in range(1000, 1012):
