@@ -7,18 +7,19 @@ R_X has one multiplier and one component, R_{X|W} one multiplier and a
 component per letter of W, R_{X1..XN} N multipliers and one component. One
 builder, ``_query``, makes each from a source and its coordinates, and one
 driver, ``_lockstep``, searches any set of them as the rows of one array
-state (_Ascent): a zero-rate rule, a start from stored supporting planes or
-on diagonal doubling slopes, and a projected Newton ascent with the curvature
+state (_Ascent): a zero-rate rule, a start from a joint source's stored
+supporting planes, from a scalar row's memoized start (_START_MEMO) or on
+diagonal doubling slopes, and a projected Newton ascent with the curvature
 of ``_dual_hessian``, safeguarded by the cuts of the channels it evaluates,
 run to a gap of RATE_TOL/1000 for scalar queries and RATE_TOL for joint ones;
-every kind fails at SLOPE_CAP by the one rule of ``meet``. The state's start
-and each of its rounds is one call of the batched kernel ``_ba_batch``,
-padded to the open rows' largest alphabets. The kernel alternates as
-Blahut-Arimoto does and, at each dual-gap check, takes one Newton step on the
-alternation's fixed point (one batched LU solve), so that calls near critical
-slopes end on their certificate; the curvature applies the same
-linearization's pseudo-inverse through one eigendecomposition. Multipliers
-are in bits per distortion unit throughout.
+every kind fails at SLOPE_CAP by the one rule of ``meet``. The start of the
+rows with neither and each round is one call of the batched kernel
+``_ba_batch``, padded to the open rows' largest alphabets. The kernel
+alternates as Blahut-Arimoto does and, at each dual-gap check, takes one
+Newton step on the alternation's fixed point (one batched LU solve), so that
+calls near critical slopes end on their certificate; the curvature applies
+the same linearization's pseudo-inverse through one eigendecomposition.
+Multipliers are in bits per distortion unit throughout.
 """
 
 from __future__ import annotations
@@ -44,8 +45,13 @@ _SHRINKS = 1.0 - np.concatenate(([0.0], 2.0 ** np.arange(-52, 1)))
 #: the fractions of a projected Newton step that an ascent tries, longest first
 _HALVINGS = 0.5 ** np.arange(53)
 #: per joint source (16, first in first out), its 256 newest supporting planes of the
-#: dual: (slopes, (W, nx, nxh) channels, certified pw . F* in nats), W = 1
+#: dual: (slopes, (W, nx, nxh) channels, certified pw . F* in nats), W = 1; a scalar
+#: row keeps no planes here, its start is in _START_MEMO
 _SWEEP_CACHE: dict = {}
+#: per scalar row (64, first in first out), keyed by the shapes and bytes of its
+#: components px, distortions dm and kernel tol, the reply of its start at
+#: _DOUBLING_SLOPES: channels (n, W, nx, nxh), bounds and rates (n, W); no trial planes
+_START_MEMO: dict = {}
 
 
 class InfeasibleDistortion(ValueError):
@@ -161,13 +167,12 @@ def _ba_batch(px, cost, q0=None, tol=RATE_TOL):
     cost = np.asarray(cost, dtype=float)
     bsz, nx, nxh = cost.shape
     a = np.exp(-cost)
-    px = np.broadcast_to(np.asarray(px, dtype=float), (bsz, nx))
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), (bsz,))
+    px, tol = np.full((bsz, nx), px, dtype=float), np.full(bsz, tol, dtype=float)
     if q0 is None:
         q = np.full((bsz, nxh), 1.0 / nxh)
     else:
         # warm start, floored away from the boundary so no letter is frozen out
-        q = np.broadcast_to(np.asarray(q0, dtype=float), (bsz, nxh)) + 1e-9
+        q = np.full((bsz, nxh), q0, dtype=float) + 1e-9
         q = q / q.sum(axis=1, keepdims=True)
     cond_full = np.zeros((bsz, nx, nxh))
     rate_full = np.zeros(bsz)
@@ -177,11 +182,11 @@ def _ba_batch(px, cost, q0=None, tol=RATE_TOL):
         """Upper value V(q), dual gap (both in nats) and c = a^T (px / a q):
         the Lagrangian minimum satisfies V(q) - gap <= F* <= V(q)."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.einsum("bh,bxh->bx", q, a)
+            z = (a @ q[..., None])[..., 0]
             zsafe = np.where(z > 0, z, 1.0)
-            v = -np.einsum("bx,bx->b", px, np.where(support, np.log(zsafe), 0.0))
+            v = -(px * np.where(support, np.log(zsafe), 0.0)).sum(axis=1)
             v = np.where(np.any((z <= 0) & support, axis=1), np.inf, v)
-            ch = np.einsum("bx,bxh->bh", px / zsafe, a)
+            ch = ((px / zsafe)[:, None] @ a)[:, 0]
             gap = np.maximum(np.log(np.maximum(ch.max(axis=1), 1e-300)), 0.0)
         return v, gap, ch
 
@@ -193,20 +198,20 @@ def _ba_batch(px, cost, q0=None, tol=RATE_TOL):
     # Alternation alone converges linearly, slowest where a letter's mass
     # decays toward zero near a critical slope; the Newton step at each check
     # moves such a letter by its whole predicted change at once.
-    active = np.arange(bsz)
+    active, positive = np.arange(bsz), a.min() > 1e-300  # if so, z = a q > 0 for any q of sum 1
     check = 16
     next_check = check
     for it in range(1, MAX_ITER + 1):
         checking = it == next_check or it == MAX_ITER
         if not checking:
             z = (a @ q[..., None])[..., 0]
-            if z.min() > 0:
+            if positive or z.min() > 0:
                 q = q * ((px / z)[:, None, :] @ a)[:, 0]
                 continue
         raw = q[:, None, :] * a
         norm = raw.sum(axis=2, keepdims=True)
         cond = np.divide(raw, norm, out=np.full_like(raw, 1.0 / nxh), where=norm > 0)
-        q = np.einsum("bx,bxh->bh", px, cond)
+        q = (px[:, None] @ cond)[:, 0]
         if not checking:
             continue
         support = px > 0
@@ -219,7 +224,7 @@ def _ba_batch(px, cost, q0=None, tol=RATE_TOL):
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(cond > 0, cond / np.maximum(q[:, None, :], 1e-300), 1.0)
                 terms = np.where(cond > 0, cond * np.log(ratio), 0.0)
-            r = np.einsum("bx,bxh->b", px, terms * support[:, :, None]) / LOG2
+            r = (px * (terms * support[:, :, None]).sum(axis=2)).sum(axis=1) / LOG2
             rate_full[idx] = r[done]
             cond_full[idx] = cond[done]
             flb_full[idx] = np.where(np.isfinite(v[done]), v[done] - gap[done], -np.inf)
@@ -273,14 +278,15 @@ def _dual_hessian(px, cond, dm, s):
     (_fixed_point_solve): with dq = q u, (M + diag(q (1 - c))) u = -B ds,
     B[y, i] = sum_x p(x) W(y|x) (d_i - E[d_i | x]).
     """
-    joint = px[..., None] * cond
-    dev = dm - np.einsum("...xh,...ixh->...ix", cond, dm)[..., None]
-    b = np.einsum("...xh,...ixh->...hi", joint, dev)
-    a = np.exp(-LOG2 * np.einsum("...i,...ixh->...xh", s, dm))
+    joint, cond = px[..., None] * cond, cond[..., None, :, :]
+    dev = dm - (cond * dm).sum(axis=-1, keepdims=True)
+    wdev = joint[..., None, :, :] * dev
+    b = np.swapaxes(wdev.sum(axis=-2), -1, -2)
+    a = np.exp(-LOG2 * (s[..., None, None] * dm).sum(axis=-3))
     q = joint.sum(axis=-2)
-    c = np.einsum("...x,...xh->...h", px / np.maximum(np.einsum("...h,...xh->...x", q, a), 1e-300), a)
-    resp = _fixed_point_solve(joint, cond, q, c, b)
-    fixed = np.einsum("...xh,...ixh,...jxh->...ij", joint, dev, dev)
+    c = ((px / np.maximum((a @ q[..., None])[..., 0], 1e-300))[..., None, :] @ a)[..., 0, :]
+    resp = _fixed_point_solve(joint, cond[..., 0, :, :], q, c, b)
+    fixed = wdev.reshape(*wdev.shape[:-2], -1) @ np.swapaxes(dev.reshape(*dev.shape[:-2], -1), -1, -2)
     return -fixed - np.swapaxes(b, -1, -2) @ resp, -q[..., None] * resp
 
 
@@ -289,9 +295,10 @@ class _Row:
     decouple at a common slope, so that one kernel call solves them all; distortions
     dm (k, nx, nxh) of the coordinates of X̂, of sizes repro; the target; a deque of
     supporting planes (slopes (k,), channels (W, nx, nxh), pw . F* in nats) to start
-    from and add to; the kernel's gap tol in nats; and its key in _SWEEP_CACHE."""
+    from and add to; the kernel's gap tol in nats; and its key, in _SWEEP_CACHE for a
+    joint row and in _START_MEMO for a scalar one (k = 1)."""
 
-    def __init__(self, px, pw, dm, repro, target, planes, tol, key=None):
+    def __init__(self, px, pw, dm, repro, target, planes, tol, key):
         self.px, self.pw, self.dm, self.repro, self.target, self.planes, self.tol, self.key = (
             px, pw, dm, repro, target, planes, tol, key)
         (self.nw, self.nx), (self.k, _, self.nxh) = px.shape, dm.shape
@@ -337,10 +344,11 @@ class _Row:
         slopes = np.repeat(_DOUBLING_SLOPES[:, None], self.k, axis=1)
         self.planes.extend(zip(slopes, map(np.copy, conds), flb @ self.pw))
         self.cuts = rates @ self.pw, self.distortion(conds) - self.target
-        if self.key is not None and self.key not in _SWEEP_CACHE:  # a new joint source's planes are kept
-            _SWEEP_CACHE[self.key] = self.planes
-            if len(_SWEEP_CACHE) > 16:
-                _SWEEP_CACHE.pop(next(iter(_SWEEP_CACHE)))
+        store, size = (_START_MEMO, 64) if self.k == 1 else (_SWEEP_CACHE, 16)
+        if self.key not in store:  # a new scalar row's start, copied out of the call's reply; a new source's planes
+            store[self.key] = tuple(map(np.copy, (conds, flb, rates))) if self.k == 1 else self.planes
+            if len(store) > size:
+                store.pop(next(iter(store)))
 
     def start(self):
         """The slopes, channels and value (bits) of the plane of best value at the target."""
@@ -374,24 +382,25 @@ class _Ascent:
     distortion and an identity block in the Newton system, a cut with no terms; a
     padded reproduction letter of a real source letter costs +inf in the kernel.
 
-    The state's first kernel call starts the queries without planes, each component
-    at the diagonal slopes in _DOUBLING_SLOPES from a uniform output pmf. Then a
-    query starts from its plane of best value at the target. ``step`` takes the
-    exact gradient E[d] - target (one-sided on an axis s_i = 0, _axis_channel) and
-    the pw-weighted Hessian of the incumbent (_dual_hessian), and solves the damped
-    Newton step on the slopes that may move. Any channels c give g(x) <= I(c) +
-    x . (E_c[d] - target), so a maximizer x lies inside the cut where that exceeds
+    A scalar query whose start an equal row left in _START_MEMO plants it; the
+    state's first kernel call starts the other queries without planes, each
+    component at the diagonal slopes in _DOUBLING_SLOPES from a uniform output pmf.
+    Then a query starts from its plane of best value at the target. ``step`` takes
+    the exact gradient E[d] - target (one-sided on an axis s_i = 0, _axis_channel)
+    and the pw-weighted Hessian of the incumbent (_dual_hessian), and solves the
+    damped Newton step on the slopes that may move. Any channels c give g(x) <= I(c)
+    + x . (E_c[d] - target), so a maximizer x lies inside the cut where that exceeds
     the incumbent's value; each plane a query makes adds the cut of its channels
     (for k = 1 the start's cuts bracket the maximizer). The step is projected onto
-    the box and halved to its first power-of-two fraction strictly inside every
-    cut; one that does not ascend inside the cuts is damped toward the gradient and
+    the box and halved to its first power-of-two fraction strictly inside every cut;
+    one that does not ascend inside the cuts is damped toward the gradient and
     solved again. Each trial is a kernel request warm-started from the output pmfs
-    that the incumbent's slope derivative predicts, and adds a plane; it becomes
-    the incumbent unless it falls short by more than the kernel's tolerance, which
-    sets at least the damping that cuts its step to a quarter. A query stops once
-    its predicted gain is below ASCENT_GAIN_TOL bits, after ASCENT_CALLS trials or
-    when no slope may move: its rate is the best certified value of g at the
-    target over its planes, and ``meet`` makes the incumbent's channels meet it."""
+    that the incumbent's slope derivative predicts, and adds a plane; it becomes the
+    incumbent unless it falls short by more than the kernel's tolerance, which sets
+    at least the damping that cuts its step to a quarter. A query stops once its
+    predicted gain is below ASCENT_GAIN_TOL bits, after ASCENT_CALLS trials or when
+    no slope may move: its rate is the best certified value of g at the target over
+    its planes, and ``meet`` makes the incumbent's channels meet it."""
 
     def __init__(self, rows):
         """rows: (query index, _Row); those without planes make their start first."""
@@ -407,8 +416,11 @@ class _Ascent:
                           for j, n in ((1, nx), (2, nxh)))
         self.pad, self.floor = np.where(real_x[:, :, None] > real_h[:, None], np.inf, 0.0), 1e-12 * real_h
         self._fit(np.concatenate([q.pw for q in qs]))
+        for q in qs:
+            if not q.planes and q.key in _START_MEMO:  # a scalar row's memoized start
+                q.planted(*_START_MEMO[q.key])
         cold = np.array([not q.planes for q in qs])
-        if cold.any():  # the start, on the arrays just laid out
+        if cold.any():  # the start of the rest, on the arrays just laid out
             comps, n = cold[self.owner], len(_DOUBLING_SLOPES)
             cost = LOG2 * (_DOUBLING_SLOPES[:, None, None, None] * self.dm[comps].sum(axis=1)) + self.pad[comps]
             reply = _ba_batch(np.concatenate((self.px[comps],) * n), cost.reshape(-1, nx, nxh), None,
@@ -567,18 +579,20 @@ def _joint_problem(p: JointPmf, d: DistortionSpec):
     """Flattened source pmf and the stacked (N, nx, nxh) distortions of its N
     coordinates, nx and nxh the products of their source and reproduction sizes."""
     k, shape = p.ncoords, (*p.alphabet_sizes, *d.repro_sizes)
-    dm = [np.broadcast_to(np.expand_dims(d.matrices[i], [j for j in range(2 * k) if j not in (i, k + i)]), shape)
-          for i in range(k)]
-    return p.mass.reshape(-1), np.stack(dm).reshape(k, p.mass.size, -1)
+    dm = np.zeros((k, *shape))
+    for i in range(k):  # d_i on the axes of X_i and X̂_i, broadcast over the others
+        dm[i] += d.matrices[i].reshape([n if j in (i, k + i) else 1 for j, n in enumerate(shape)])
+    return p.mass.reshape(-1), dm.reshape(k, p.mass.size, -1)
 
 
 def _query(p: JointPmf, d: DistortionSpec, coords, given, D):
     """The _Row of R_{X_coords}(D), or R_{X_coords | X_given}(D), or its zero-rate
     RdPoint; coords is a coordinate or a tuple of them. One coordinate's components
     are p(x | w) over the letters of X_given of positive mass, searched from no
-    planes to a kernel gap of RATE_TOL / 1000; several coordinates, from the
-    source's stored planes (_SWEEP_CACHE) to a gap of RATE_TOL; only a joint query
-    of some of p's coordinates builds their pmf and spec."""
+    planes (but a start memoized under the key of its components, distortions and
+    tol, _START_MEMO) to a kernel gap of RATE_TOL / 1000; several coordinates, from
+    the source's stored planes (_SWEEP_CACHE) to a gap of RATE_TOL; only a joint
+    query of some of p's coordinates builds their pmf and spec."""
     cs = [coords] if np.ndim(coords) == 0 else list(coords)
     if len(cs) > 1 and given is not None:
         raise ProbabilityError("a joint query takes no given coordinate")
@@ -591,8 +605,9 @@ def _query(p: JointPmf, d: DistortionSpec, coords, given, D):
     if len(cs) == 1:
         pxw = mass.reshape(mass.shape[0], -1)
         pw = pxw.sum(axis=0)
-        q = _Row((pxw[:, pw > 0] / pw[pw > 0]).T, pw[pw > 0], d.matrices[cs[0]][None], (d.repro_sizes[cs[0]],),
-                 target, deque(), RATE_TOL / 1000)
+        px, dm = (pxw[:, pw > 0] / pw[pw > 0]).T, d.matrices[cs[0]][None]
+        q = _Row(px, pw[pw > 0], dm, (d.repro_sizes[cs[0]],), target, deque(), RATE_TOL / 1000,
+                 (px.shape, px.tobytes(), dm.shape, dm.tobytes(), RATE_TOL / 1000))
     else:
         if mass is not p.mass:
             p = JointPmf(mass.shape, mass)

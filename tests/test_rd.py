@@ -157,9 +157,9 @@ class TestJointRd:
         with pytest.raises(ProbabilityError, match="finite"):
             ba_joint_rd(dsbs(), DistortionSpec.hamming((2, 2)), D)
 
-    def test_below_least_distortion_rejected_before_sweep(self, monkeypatch):
+    def test_below_least_distortion_rejected_before_sweep(self, empty_stores):
         # X2 costs at least 0.1 to reproduce; D2 = 0.05 is out of reach
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        empty_stores()
         m = np.array([[0.1, 1.0], [1.0, 0.1]])
         d = DistortionSpec((1.0 - np.eye(2), m), (2, 2))
         with pytest.raises(InfeasibleDistortion):
@@ -168,9 +168,9 @@ class TestJointRd:
         assert ba_joint_rd(dsbs(), d, (0.3, 0.12)).distortion[1] <= 0.12
 
     @pytest.mark.parametrize("seed, sizes", [(0, (2, 2)), (1, (3, 3))])
-    def test_zero_rate_answered_before_sweep(self, monkeypatch, seed, sizes):
+    def test_zero_rate_answered_before_sweep(self, monkeypatch, empty_stores, seed, sizes):
         # one reproduction pair meets D = (0.99, 0.99): no kernel call is needed
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        empty_stores()
         calls = []
         real = rd._ba_batch
 
@@ -231,18 +231,18 @@ class TestJointRd:
         assert ba_joint_rd(p, d, D).rate == pytest.approx(1.7816447, abs=1e-6)
         assert audit_lemma1(p, d, *D).passed
 
-    def test_dsbs_ascent_reaches_closed_form(self, monkeypatch):
+    def test_dsbs_ascent_reaches_closed_form(self, empty_stores):
         # a point where trial calls that stop on the iteration cap left the
         # ascent 5e-9 bits short of the closed form
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        empty_stores()
         D = (0.2726, 0.3232)
         rate = ba_joint_rd(dsbs(0.3), DistortionSpec.hamming((2, 2)), D).rate
         assert 0.0 <= dsbs_joint_rd(DsbsParams.from_a1(0.3), *D) - rate <= 1e-10
 
-    def test_kink_ascent_stops_on_its_gain(self, monkeypatch):
+    def test_kink_ascent_stops_on_its_gain(self, monkeypatch, empty_stores):
         # D sits near a marginal's zero-rate distortion, where the dual has a
         # kink: sweep and ascent together stay within the ASCENT_CALLS guard
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        empty_stores()
         calls = []
         real = rd._ba_batch
 
@@ -255,10 +255,10 @@ class TestJointRd:
         ba_joint_rd(p, DistortionSpec.hamming((2, 3)), (0.2478, 0.6068))
         assert len(calls) <= rd.ASCENT_CALLS
 
-    def test_one_sweep_per_source(self, monkeypatch):
+    def test_one_sweep_per_source(self, monkeypatch, empty_stores):
         # every kernel call after the cached sweep carries one slope pair, so
         # a multi-entry call under ba_joint_rd marks a sweep-cache miss
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        empty_stores()
         sizes = []
         real = rd._ba_batch
 
@@ -281,8 +281,8 @@ class TestJointStart:
 
     @pytest.mark.parametrize("sizes", [(2, 2), (3, 3)])
     @pytest.mark.parametrize("seed", range(1000, 1004))
-    def test_no_worse_than_fine_sweep(self, monkeypatch, seed, sizes):
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+    def test_no_worse_than_fine_sweep(self, monkeypatch, empty_stores, seed, sizes):
+        empty_stores()
         p, d = random_source(seed, sizes), DistortionSpec.hamming(sizes)
         px, dm = rd._joint_problem(p, d)
         axis = np.concatenate(([0.0], np.geomspace(1.0 / 32.0, 48.0, 30)))
@@ -303,10 +303,10 @@ class TestJointStart:
             assert ba_joint_rd(p, d, D).rate >= fine_bound - 1e-10, share
         assert [b for b in sizes_seen if b > 1] == [7]
 
-    def test_quantized_gaussian_large_alphabet(self, monkeypatch):
+    def test_quantized_gaussian_large_alphabet(self, monkeypatch, empty_stores):
         # rho = 0.5, cell-centre density masses of 10 cells of width 0.8 on
         # [-4, 4] per coordinate, squared error: 100 source and reproduction letters
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        empty_stores()
         centres = -4.0 + 0.8 * (np.arange(10) + 0.5)
         x, y = np.meshgrid(centres, centres, indexing="ij")
         mass = np.exp(-(x * x - x * y + y * y) / 1.5)

@@ -99,8 +99,8 @@ class TestKernelCertifies:
         capped = [i for i, g in enumerate(gaps) if np.any(g >= rd.RATE_TOL)]
         assert not capped, f"calls {capped} of {len(gaps)} ended above RATE_TOL"
 
-    def test_cold_joint_sweep(self, monkeypatch):
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+    def test_cold_joint_sweep(self, monkeypatch, empty_stores):
+        empty_stores()
         gaps = certified_gaps(monkeypatch)
         p, d = random_source(1000, (3, 3)), DistortionSpec.hamming((3, 3))
         zero = [float(np.min(marginalize(p, [i]).mass @ d.matrices[i])) for i in range(2)]
@@ -115,8 +115,8 @@ class TestKernelCertifies:
         ba_conditional_rd(p, DistortionSpec.hamming((3,)), 0.95 * zero)
         self.assert_certified(gaps)
 
-    def test_dsbs_joint_ascent(self, monkeypatch):
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+    def test_dsbs_joint_ascent(self, monkeypatch, empty_stores):
+        empty_stores()
         gaps = certified_gaps(monkeypatch)
         a1 = 0.3
         same, diff = 0.5 * ((1 - a1) ** 2 + a1**2), a1 * (1 - a1)
@@ -125,10 +125,10 @@ class TestKernelCertifies:
         self.assert_certified(gaps)
 
     @pytest.mark.parametrize("seed", [1000, 1009, 1011])
-    def test_cold_sweep_certified_without_eigendecomposition(self, monkeypatch, seed):
+    def test_cold_sweep_certified_without_eigendecomposition(self, monkeypatch, empty_stores, seed):
         # the kernel's Newton step is an LU solve, eigh serves only the curvature;
         # 1009 and 1011 held a growing letter near 1e-9 mass in the former 16x16 sweep
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        empty_stores()
         gaps, in_kernel = certified_gaps(monkeypatch), []
         real_kernel, real_eigh = rd._ba_batch, np.linalg.eigh
 
@@ -155,10 +155,10 @@ class TestKernelCertifies:
 
     @pytest.mark.parametrize("sizes", [(2, 2), (3, 3)])
     @pytest.mark.parametrize("seed", range(1000, 1024))
-    def test_joint_start_certified(self, monkeypatch, seed, sizes):
+    def test_joint_start_certified(self, monkeypatch, empty_stores, seed, sizes):
         # a 16x16 sweep capped at 2,500 iterations ended five entries open
         # on the 3x3 sources 1014, 1016 and 1023
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        empty_stores()
         gaps = certified_gaps(monkeypatch)
         p, d = random_source(seed, sizes), DistortionSpec.hamming(sizes)
         rd.ba_joint_rd(p, d, start_target(p, d))
@@ -450,13 +450,13 @@ def mixed_shape_queries():
     return asks + [(p, d, (0, 1, 2), None, (0.05, 0.08, 0.03)), (p, d, 2, 0, 0.05)]
 
 
-def assert_rows_equal_alone(monkeypatch, asks):
+def assert_rows_equal_alone(empty_stores, asks):
     """One lockstep search of the queries answers as each one's lone search, each
-    from an empty plane store."""
-    monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+    from empty stores (a plane store and a start memo)."""
+    empty_stores()
     stacked = rd._lockstep([rd._query(*ask) for ask in asks])
     for ask, pt in zip(asks, stacked):
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        empty_stores()
         assert_same_point(pt, rd._lockstep([rd._query(*ask)])[0], ask[2:])
 
 
@@ -483,22 +483,22 @@ class TestLockstepSearch:
         d = DistortionSpec.hamming(sizes)
         assert_stacked_equals_separate(p, d, audit_queries(p, d, share_a) + audit_queries(p, d, share_b))
 
-    def test_mixed_shapes_equal_one_query_searches(self, monkeypatch):
+    def test_mixed_shapes_equal_one_query_searches(self, empty_stores):
         # rows padded to k = 3, W = 3, nx = 9 and nxh = 9 beside rows of k = 1, W = 1, nx = 2
         asks = mixed_shape_queries()
         assert {(np.size(ask[2]), ask[3] is None) for ask in asks} == {(1, True), (1, False), (2, True), (3, True)}
-        assert_rows_equal_alone(monkeypatch, asks)
+        assert_rows_equal_alone(empty_stores, asks)
 
     @given(st.permutations(range(8)), st.integers(1, 8))
     @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_mixed_shapes_in_any_subset_and_order(self, monkeypatch, order, size):
+    def test_mixed_shapes_in_any_subset_and_order(self, empty_stores, order, size):
         asks = mixed_shape_queries()
-        assert_rows_equal_alone(monkeypatch, [asks[i] for i in order[:size]])
+        assert_rows_equal_alone(empty_stores, [asks[i] for i in order[:size]])
 
-    def test_audit_takes_at_most_ten_calls(self, monkeypatch):
+    def test_audit_takes_at_most_ten_calls(self, monkeypatch, empty_stores):
         # the joint query shares the scalar queries' rounds; asked after them, in
         # its own calls, an audit took up to 16
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        empty_stores()
         calls = kernel_calls(monkeypatch)
         per_audit = []
         for p, d, D in design_audits():
@@ -511,8 +511,8 @@ class TestLockstepSearch:
         # entries that share a kernel call share its check cadence, so each
         # bound moves within its stopping tolerance: the joint query's, RATE_TOL
         # nats, is 1.44e-10 bits (5.1e-12 bits seen on these audits); each mode
-        # keeps its own plane store, as one process would
-        stores = {"lockstep": {}, "separate": {}}
+        # keeps its own plane store and start memo, as one process would
+        stores = {"lockstep": ({}, {}), "separate": ({}, {})}
         real = audit.coordinate_rd_values
 
         def separate(p, d, queries):
@@ -521,7 +521,8 @@ class TestLockstepSearch:
         for p, d, D in design_audits():
             reports = {}
             for mode, values in (("lockstep", real), ("separate", separate)):
-                monkeypatch.setattr(rd, "_SWEEP_CACHE", stores[mode])
+                monkeypatch.setattr(rd, "_SWEEP_CACHE", stores[mode][0])
+                monkeypatch.setattr(rd, "_START_MEMO", stores[mode][1])
                 monkeypatch.setattr(audit, "coordinate_rd_values", values)
                 reports[mode] = audit.audit_lemma1(p, d, *D).checks
             for got, ref in zip(reports["lockstep"], reports["separate"]):
@@ -529,7 +530,7 @@ class TestLockstepSearch:
                 assert abs(got.lhs - ref.lhs) <= 1e-10 and abs(got.rhs - ref.rhs) <= 1e-10, (got, ref)
 
     @pytest.mark.parametrize("warm", [False, True])
-    def test_padded_round_equals_separate_calls(self, monkeypatch, warm):
+    def test_padded_round_equals_separate_calls(self, monkeypatch, empty_stores, warm):
         # the start call of a source's joint query and its three scalar audit
         # queries, padded to the joint's alphabets: the 7 doubling slopes of every
         # component of a query without planes (the joint's only on a new source),
@@ -540,7 +541,7 @@ class TestLockstepSearch:
         n = len(rd._DOUBLING_SLOPES)
         for sizes in ((3, 3), (2, 2)):
             for seed in range(1000, 1012):
-                monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+                empty_stores()
                 p, d = random_source(seed, sizes), DistortionSpec.hamming(sizes)
                 D = [0.5 * z for z in conditional_zero_rate_distortions(p, d)]
                 if warm:
@@ -560,7 +561,7 @@ class TestLockstepSearch:
                     at += w
                 assert at == conds.shape[1]
 
-    def test_warm_joint_row_beside_cold_rows(self, monkeypatch):
+    def test_warm_joint_row_beside_cold_rows(self, monkeypatch, empty_stores):
         # a joint query on a source with stored planes and scalar queries without:
         # the start call holds only the cold rows' 7 W entries, and each answer
         # equals its lone search from a copy of the same store. The joint row's
@@ -569,7 +570,7 @@ class TestLockstepSearch:
         n, sizes = len(rd._DOUBLING_SLOPES), (3, 3)
         d = DistortionSpec.hamming(sizes)
         for seed in range(1000, 1012):
-            monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+            empty_stores()
             p = random_source(seed, sizes)
             D = [0.45 * z for z in conditional_zero_rate_distortions(p, d)]
             rd.ba_joint_rd(p, d, (0.8 * D[0], 0.2 * D[1]))
@@ -578,14 +579,15 @@ class TestLockstepSearch:
             assert len(first_request(monkeypatch, [rd._query(p, d, *ask) for ask in asks])[1]) == n * (1 + sizes[0])
             points = rd._lockstep([rd._query(p, d, *ask) for ask in asks])
             for ask, pt in zip(asks, points):
+                empty_stores()
                 monkeypatch.setattr(rd, "_SWEEP_CACHE", copy.deepcopy(store))
                 rate_tol = rd.RATE_TOL / LOG2 if np.ndim(ask[0]) else 1e-12
                 assert_same_point(pt, rd._lockstep([rd._query(p, d, *ask)])[0], (seed, ask), rate_tol)
 
-    def test_stored_planes_own_their_channels(self, monkeypatch):
+    def test_stored_planes_own_their_channels(self, empty_stores):
         # a plane in _SWEEP_CACHE holds a copy of its row's channels, not a view
         # that keeps the other rows' entries of its kernel call alive
-        monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+        empty_stores()
         p, d = random_source(1000, (3, 3)), DistortionSpec.hamming((3, 3))
         D = [0.45 * z for z in conditional_zero_rate_distortions(p, d)]
         coordinate_rd_values(p, d, [((0, 1), None, D), (0, 1, D[0])])
@@ -593,12 +595,12 @@ class TestLockstepSearch:
         assert len(planes) > len(rd._DOUBLING_SLOPES)
         assert all(chan.base is None and chan.shape == (1, 9, 9) for _, chan, _ in planes)
 
-    def test_joint_query_equals_ba_joint_rd_and_shares_its_store(self, monkeypatch):
+    def test_joint_query_equals_ba_joint_rd_and_shares_its_store(self, empty_stores):
         p, d = random_source(1000, (3, 3)), DistortionSpec.hamming((3, 3))
         D = tuple(0.5 * z for z in conditional_zero_rate_distortions(p, d))
         points = []
         for ask in (lambda: rd.ba_joint_rd(p, d, D), lambda: coordinate_rd_values(p, d, [((0, 1), None, D)])[0]):
-            monkeypatch.setattr(rd, "_SWEEP_CACHE", {})
+            empty_stores()
             points.append(ask())
         assert points[0].rate == points[1].rate and points[0].distortion == points[1].distortion
         np.testing.assert_array_equal(points[0].test_channel.rows, points[1].test_channel.rows)
@@ -613,6 +615,59 @@ class TestLockstepSearch:
         with pytest.raises(InfeasibleDistortion):
             coordinate_rd_values(random_source(3), d, [(0, None, 0.3), (1, None, 0.3), (0, 1, 0.05)])
         assert calls == []
+
+
+class TestStartMemo:
+    """A scalar row's start (its kernel reply at the doubling slopes) is kept in
+    rd._START_MEMO, apart from the joint plane store, and an equal row asked again
+    plants it instead of calling the kernel."""
+
+    @pytest.mark.parametrize("given", [1, None])
+    def test_second_equal_query_makes_no_start_call(self, monkeypatch, empty_stores, given):
+        # a W = 3 conditional query and a marginal one, each asked twice
+        p, d = random_source(1001, (3, 3)), DistortionSpec.hamming((3, 3))
+        ask = [(0, given, 0.45 * conditional_zero_rate_distortions(p, d)[0])]
+        empty_stores()
+        (first,) = coordinate_rd_values(p, d, ask)
+        starts, real = [], rd._ba_batch
+
+        def recorded(px, cost, q0=None, tol=rd.RATE_TOL):
+            starts.append(q0 is None)
+            return real(px, cost, q0, tol)
+
+        monkeypatch.setattr(rd, "_ba_batch", recorded)
+        (again,) = coordinate_rd_values(p, d, ask)
+        assert starts and not any(starts)
+        assert again.rate == first.rate and again.distortion == first.distortion
+        assert again.multipliers == first.multipliers
+        assert (again.test_channel is None) == (first.test_channel is None) == (given is not None)
+        if given is None:
+            np.testing.assert_array_equal(again.test_channel.rows, first.test_channel.rows)
+
+    def test_bounded_and_apart_from_joint_planes(self, empty_stores):
+        # the memo keeps the newest 64 starts; scalar rows never evict a joint source's planes
+        empty_stores()
+        p, d = random_source(1000, (3, 3)), DistortionSpec.hamming((3, 3))
+        D = [0.45 * z for z in conditional_zero_rate_distortions(p, d)]
+        rd.ba_joint_rd(p, d, D)
+        (planes,) = rd._SWEEP_CACHE.values()
+        rng, spec = np.random.default_rng(7), DistortionSpec.hamming((3,))
+        for _ in range(65):
+            px = JointPmf((3,), rng.dirichlet(np.ones(3)))
+            ba_rate_distortion(px, spec, 0.3 * float((1.0 - px.mass).min()))
+        assert len(rd._START_MEMO) == 64
+        (kept,) = rd._SWEEP_CACHE.values()
+        assert kept is planes and len(kept) > len(rd._DOUBLING_SLOPES)
+
+    def test_entries_own_their_arrays(self, empty_stores):
+        # rows that share a padded start call each keep a copy of their own slice
+        empty_stores()
+        p, d = random_source(1000, (3, 3)), DistortionSpec.hamming((3, 3))
+        D = [0.45 * z for z in conditional_zero_rate_distortions(p, d)]
+        coordinate_rd_values(p, d, [((0, 1), None, D), (0, None, D[0]), (0, 1, D[0])])
+        n = len(rd._DOUBLING_SLOPES)
+        assert sorted(conds.shape for conds, _, _ in rd._START_MEMO.values()) == [(n, 1, 3, 3), (n, 3, 3, 3)]
+        assert all(a.base is None for entry in rd._START_MEMO.values() for a in entry)
 
 
 def channel_rate(px, channel) -> float:
