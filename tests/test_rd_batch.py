@@ -431,9 +431,13 @@ def assert_same_point(pt, alone, query, rate_tol=1e-12):
         np.testing.assert_allclose(pt.test_channel.rows, alone.test_channel.rows, rtol=0, atol=1e-9)
 
 
-def assert_stacked_equals_separate(p: JointPmf, d: DistortionSpec, queries):
+def assert_stacked_equals_separate(empty_stores, p: JointPmf, d: DistortionSpec, queries):
+    """One search of the queries answers as each one's own search, each from
+    empty stores, so that no row plants a start that another search made."""
+    empty_stores()
     stacked = coordinate_rd_values(p, d, queries)
     for query, pt in zip(queries, stacked):
+        empty_stores()
         assert_same_point(pt, coordinate_rd_values(p, d, [query])[0], query)
 
 
@@ -466,22 +470,22 @@ class TestLockstepSearch:
     kernel's stopping tolerance."""
 
     @pytest.mark.parametrize("sizes", [(3, 3), (2, 2), (2, 3)])
-    def test_stacked_equals_separate_on_design_sources(self, sizes):
+    def test_stacked_equals_separate_on_design_sources(self, empty_stores, sizes):
         d = DistortionSpec.hamming(sizes)
         for seed in range(1000, 1012):
             p = random_source(seed, sizes)
             queries = [q for share in (0.1, 0.45, 0.8, 0.999) for q in audit_queries(p, d, share)]
-            assert_stacked_equals_separate(p, d, queries)
+            assert_stacked_equals_separate(empty_stores, p, d, queries)
 
     @given(st.sampled_from([(2, 2), (3, 2), (2, 3)]), weights, st.floats(0.0, 1.1), st.floats(0.0, 1.1))
-    @settings(max_examples=40, deadline=None)
-    def test_stacked_equals_separate_on_integer_weights(self, sizes, raw, share_a, share_b):
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_stacked_equals_separate_on_integer_weights(self, empty_stores, sizes, raw, share_a, share_b):
         mass = np.array(raw[: sizes[0] * sizes[1]], dtype=float).reshape(sizes)
         if mass.sum() == 0:
             return
         p = JointPmf(sizes, mass / mass.sum())
         d = DistortionSpec.hamming(sizes)
-        assert_stacked_equals_separate(p, d, audit_queries(p, d, share_a) + audit_queries(p, d, share_b))
+        assert_stacked_equals_separate(empty_stores, p, d, audit_queries(p, d, share_a) + audit_queries(p, d, share_b))
 
     def test_mixed_shapes_equal_one_query_searches(self, empty_stores):
         # rows padded to k = 3, W = 3, nx = 9 and nxh = 9 beside rows of k = 1, W = 1, nx = 2
